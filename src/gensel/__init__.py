@@ -16,6 +16,7 @@ from .pauli import (
     commutes,
     double_commutator_norm_sq,
     multiply,
+    pauli_string_at,
     pauli_strings,
 )
 from .selection import (
@@ -35,6 +36,8 @@ from .simulator import (
     StateVector,
     apply_pauli_rotation,
     apply_ry_encoding,
+    circuit_states,
+    compile_batch,
     expectation,
     run_model,
     run_model_batch,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .optimizer import SpsaConfig, TrialRecord, train
-from .pauli import PauliString, pauli_strings
+from .pauli import PauliString, pauli_string_at
 from .selection import (
     BASELINE_METHODS,
     SelectionProblem,
@@ -34,8 +34,7 @@ from .selection import (
     solve_genetic,
     solve_greedy,
 )
-from .simulator import CircuitModel, run_model_batch
-from .simulator import _apply_rotation_amps  # shared low-level kernel
+from .simulator import CircuitModel, circuit_states, run_model_batch
 
 __all__ = [
     "DatasetSpec",
@@ -127,9 +126,8 @@ def generate_dataset(spec: DatasetSpec) -> tuple[list[tuple[float, float]], Teac
     always in [-1, 1].  Deterministic per teacher_seed.
     """
     rng = np.random.default_rng(spec.teacher_seed)
-    everyone = list(pauli_strings(spec.n))
-    idx = rng.choice(len(everyone), size=spec.depth, replace=False)
-    generators = tuple(everyone[i] for i in idx)
+    idx = rng.choice(4**spec.n - 1, size=spec.depth, replace=False)
+    generators = tuple(pauli_string_at(spec.n, int(i) + 1) for i in idx)
     model = CircuitModel(spec.n, generators, spec.observable)
     theta = rng.uniform(*spec.theta_range, size=spec.depth)
     xs = rng.uniform(*spec.input_range, size=spec.samples)
@@ -174,10 +172,7 @@ def expressibility_hellinger(
     s = config.fidelity_samples
     thetas = rng.uniform(*config.param_range, size=(2 * s, model.depth))
     size = 1 << model.n
-    amps = np.zeros((2 * s, size), dtype=complex)
-    amps[:, 0] = 1.0  # encoding angle 0 leaves |0..0> unchanged
-    for l, g in enumerate(model.generators):
-        amps = _apply_rotation_amps(amps, model.n, g, thetas[:, l])
+    amps = circuit_states(model, thetas)
     overlaps = np.sum(np.conj(amps[:s]) * amps[s:], axis=1)
     fidelities = np.abs(overlaps) ** 2
     counts, _ = np.histogram(fidelities, bins=config.bins, range=(0.0, 1.0))

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .simulator import CircuitModel, run_model_batch
+from .simulator import CircuitModel, compile_batch, run_model_batch
 
 __all__ = ["SpsaConfig", "TrialRecord", "rmse_cost", "spsa_step", "train"]
 
@@ -120,16 +120,18 @@ def train(
     The parameters are initialized uniformly in [-init_range, init_range]
     from (config.seed, 0); step t uses the direction stream (config.seed, t).
     The trace has epochs + 1 entries, index 0 being the pre-training RMSE.
-    Exactly 3*epochs + 1 full-dataset cost evaluations are performed:
-    two per SPSA step plus one per recorded trace point.
+    The circuit is compiled for the dataset once; exactly 3*epochs + 1
+    full-dataset cost evaluations follow, two per SPSA step plus one per
+    recorded trace point (RuntimeError otherwise).
     """
     xs, ys = _dataset_arrays(dataset)
+    evaluate = compile_batch(model, xs)
     evaluations = 0
 
     def cost(theta: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        preds = run_model_batch(model, theta, xs)
+        preds = evaluate(theta)
         return float(np.sqrt(np.mean((preds - ys) ** 2)))
 
     init_rng = np.random.default_rng([config.seed, 0])
@@ -143,7 +145,8 @@ def train(
         trace[epoch] = cost(theta)
 
     expected = 3 * config.epochs + 1
-    assert evaluations == expected, (
-        f"evaluation counter mismatch: {evaluations} != {expected}"
-    )
+    if evaluations != expected:
+        raise RuntimeError(
+            f"evaluation counter mismatch: {evaluations} != {expected}"
+        )
     return TrialRecord(method, config.seed, tuple(model.generators), trace)

@@ -19,7 +19,6 @@ integers; callers may convert at their own boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -32,6 +31,7 @@ __all__ = [
     "commutator",
     "commutator_norm_sq",
     "double_commutator_norm_sq",
+    "pauli_string_at",
     "pauli_strings",
 ]
 
@@ -240,17 +240,32 @@ def double_commutator_norm_sq(
     return mag2 << o.n
 
 
-def pauli_strings(n: int, include_identity: bool = False) -> Iterator[PauliString]:
-    """Iterate all n-qubit Pauli strings in canonical order.
+def pauli_string_at(n: int, index: int) -> PauliString:
+    """The n-qubit string at position ``index`` of the canonical order.
 
     The order is lexicographic over the concatenated bit vector
-    (x_0..x_{n-1}, z_0..z_{n-1}); the identity comes first when included.
+    (x_0..x_{n-1}, z_0..z_{n-1}), so bit i of that vector is bit 2n-1-i of
+    ``index``; index 0 is the identity.
     """
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
-    for bits in product((0, 1), repeat=2 * n):
-        if not include_identity and not any(bits):
-            continue
-        x = sum(b << q for q, b in enumerate(bits[:n]))
-        z = sum(b << q for q, b in enumerate(bits[n:]))
-        yield PauliString._mk(n, x, z)
+    if not 0 <= index < 1 << (2 * n):
+        raise ValueError(f"index {index} out of range for n={n}")
+    return _string_at(n, index, f"0{2 * n}b")
+
+
+def _string_at(n: int, index: int, spec: str) -> PauliString:
+    bits = format(index, spec)  # bits[i] is bit i of (x_0..x_{n-1}, z_0..z_{n-1})
+    return PauliString._mk(n, int(bits[n - 1 :: -1], 2), int(bits[: n - 1 : -1], 2))
+
+
+def pauli_strings(n: int, include_identity: bool = False) -> Iterator[PauliString]:
+    """Iterate all n-qubit Pauli strings in canonical order (see pauli_string_at).
+
+    The identity comes first when included.
+    """
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
+    spec = f"0{2 * n}b"
+    for index in range(0 if include_identity else 1, 1 << (2 * n)):
+        yield _string_at(n, index, spec)

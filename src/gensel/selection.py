@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, commutes, pauli_strings
+from .pauli import PauliString, commutes, pauli_string_at, pauli_strings
 
 __all__ = [
     "SelectionProblem",
@@ -373,21 +373,22 @@ def select_baseline(
     if observable.n != n:
         raise ValueError(f"qubit-count mismatch: {n} vs observable.n={observable.n}")
     rng = np.random.default_rng(seed)
-    everyone = list(pauli_strings(n))
 
     if method == "random":
-        if budget > len(everyone):
-            raise ValueError(f"budget {budget} exceeds {len(everyone)} strings")
-        idx = rng.choice(len(everyone), size=budget, replace=False)
-        chosen = tuple(everyone[i] for i in sorted(idx))
+        # Draw canonical indices of non-identity strings; build only those.
+        everyone = 4**n - 1
+        if budget > everyone:
+            raise ValueError(f"budget {budget} exceeds {everyone} strings")
+        idx = rng.choice(everyone, size=budget, replace=False)
+        chosen = tuple(pauli_string_at(n, int(i) + 1) for i in sorted(idx))
     elif method == "grad_only":
         pool = build_pool(observable)
         if budget > len(pool):
             raise ValueError(f"budget {budget} exceeds pool size {len(pool)}")
         idx = rng.choice(len(pool), size=budget, replace=False)
         chosen = tuple(pool[i] for i in sorted(idx))
-    else:  # pair_only
-        chosen = _random_clique(everyone, budget, rng)
+    else:  # pair_only scans a permutation of all strings, so list them once
+        chosen = _random_clique(list(pauli_strings(n)), budget, rng)
 
     score = sum(
         0 if commutes(a, b) else 1

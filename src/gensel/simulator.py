@@ -9,11 +9,22 @@ Basis convention: amplitude index bit q corresponds to qubit q, so |0..0>
 is index 0.  A Pauli string acts on an amplitude vector via bit flips (X
 components) and phase factors (Z/Y components) in O(2^n); no gate is ever
 materialized as a matrix.
+
+Compile, then evaluate.  How a Pauli string acts does not depend on theta:
+(P @ amps)[b] = (phase*signs)[b] * amps[src[b]] with src = b ^ x-mask.
+``compile_batch`` builds that table once for every generator and for the
+observable, together with the closed-form encoded states of a whole input
+batch.  The function it returns then only applies the L rotations and
+takes the expectation, so SPSA training compiles once per run and pays per
+evaluation for the theta-dependent work alone.  ``run_model_batch`` and
+``run_model`` are single calls of a fresh compilation; the single-state
+helpers and ``circuit_states`` use the same tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,8 +36,10 @@ __all__ = [
     "apply_ry_encoding",
     "apply_pauli_rotation",
     "expectation",
+    "compile_batch",
     "run_model",
     "run_model_batch",
+    "circuit_states",
 ]
 
 ENCODING_RY_UNIFORM = "ry-uniform"
@@ -86,15 +99,26 @@ class CircuitModel:
         return len(self.generators)
 
 
-def _apply_pauli_amps(amps: np.ndarray, n: int, g: PauliString) -> np.ndarray:
-    """G @ amps along the last axis, via index permutation and signs."""
-    size = 1 << n
-    idx = np.arange(size)
-    src = idx ^ g.x
-    parity = (np.bitwise_count(np.uint64(g.z) & src.astype(np.uint64)) & 1).astype(int)
+def _pauli_table(n: int, p: PauliString) -> tuple[np.ndarray | None, np.ndarray]:
+    """(src, phase*signs) with (P @ amps)[..., b] = (phase*signs)[b] * amps[..., src[b]].
+
+    ``src`` is None when P has no X component, as the index map is then the
+    identity.
+    """
+    src = np.arange(1 << n) ^ p.x
+    parity = (np.bitwise_count(np.uint64(p.z) & src.astype(np.uint64)) & 1).astype(int)
     signs = 1 - 2 * parity
-    phase = 1j ** ((g.x & g.z).bit_count() % 4)
-    return phase * signs * amps[..., src]
+    phase = 1j ** ((p.x & p.z).bit_count() % 4)
+    return (src if p.x else None), phase * signs
+
+
+def _apply_pauli(amps: np.ndarray, table) -> np.ndarray:
+    """P @ amps along the last axis, from P's table."""
+    src, phase_signs = table
+    if src is None:
+        return phase_signs * amps
+    gathered = amps.take(src, axis=-1)
+    return np.multiply(phase_signs, gathered, out=gathered)
 
 
 def _apply_ry_all_amps(amps: np.ndarray, n: int, angle: float) -> np.ndarray:
@@ -112,18 +136,24 @@ def _apply_ry_all_amps(amps: np.ndarray, n: int, angle: float) -> np.ndarray:
     return amps
 
 
-def _apply_rotation_amps(amps, n, g: PauliString, theta) -> np.ndarray:
-    """exp(-i theta G) @ amps; theta may be scalar or a leading-axis array."""
+def _rotate(amps: np.ndarray, table, theta) -> np.ndarray:
+    """exp(-i theta P) @ amps; theta may be scalar or a leading-axis array."""
     theta = np.asarray(theta)
     cos_t = np.cos(theta)[..., None] if theta.ndim else np.cos(theta)
     sin_t = np.sin(theta)[..., None] if theta.ndim else np.sin(theta)
-    return cos_t * amps - 1j * sin_t * _apply_pauli_amps(amps, n, g)
+    # cos_t * amps - (1j * sin_t) * (P @ amps) in two buffers; each product
+    # keeps this operand order, so results match the plain expression bitwise.
+    flipped = _apply_pauli(amps, table)
+    np.multiply(1j * sin_t, flipped, out=flipped)
+    out = cos_t * amps
+    return np.subtract(out, flipped, out=out)
 
 
-def _expectation_amps(amps: np.ndarray, n: int, o: PauliString) -> np.ndarray:
-    value = np.sum(np.conj(amps) * _apply_pauli_amps(amps, n, o), axis=-1)
+def _expectation_amps(amps: np.ndarray, table) -> np.ndarray:
+    flipped = _apply_pauli(amps, table)
+    value = np.multiply(np.conj(amps), flipped, out=flipped).sum(axis=-1)
     if np.any(np.abs(value.imag) > 1e-12):
-        raise AssertionError(
+        raise RuntimeError(
             f"Pauli expectation has imaginary residue {np.max(np.abs(value.imag))}"
         )
     return value.real
@@ -143,50 +173,73 @@ def apply_pauli_rotation(
     if g.is_identity:
         raise ValueError("identity generator contributes only a global phase")
     return StateVector(
-        state.n, _apply_rotation_amps(state.amplitudes, state.n, g, theta)
+        state.n, _rotate(state.amplitudes, _pauli_table(state.n, g), theta)
     )
 
 
 def expectation(state: StateVector, o: PauliString) -> float:
-    """<psi|O|psi>, real within 1e-12 imaginary residue (asserted, truncated)."""
+    """<psi|O|psi>; RuntimeError if the imaginary residue exceeds 1e-12."""
     if o.n != state.n:
         raise ValueError(f"qubit-count mismatch: {o.n} vs state.n={state.n}")
-    return float(_expectation_amps(state.amplitudes, state.n, o))
+    return float(_expectation_amps(state.amplitudes, _pauli_table(state.n, o)))
 
 
-def run_model(model: CircuitModel, theta, x: float) -> float:
-    """Full circuit evaluation: encode x, apply the L rotations, measure O."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.depth,):
-        raise ValueError(
-            f"theta has shape {theta.shape}, expected ({model.depth},)"
-        )
-    state = StateVector.zero_state(model.n)
-    state = apply_ry_encoding(state, x)
-    for g, t in zip(model.generators, theta):
-        state = apply_pauli_rotation(state, g, float(t))
-    return expectation(state, model.observable)
+def compile_batch(model: CircuitModel, xs) -> Callable[..., np.ndarray]:
+    """Compile the circuit for a fixed input batch: returns theta -> predictions.
+
+    The encoded states of ``xs`` and the tables of every generator and of
+    the observable are built here, once.  Each call of the returned
+    function checks theta's shape, applies the L rotations and measures the
+    observable, returning one expectation per input.
+    """
+    n = model.n
+    xs = np.asarray(xs, dtype=float)
+    # R_Y(x) on every qubit from |0..0> yields a product state whose
+    # amplitude on basis index b is cos(x/2)^(n - |b|) sin(x/2)^|b|.
+    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(int)
+    c = np.cos(xs / 2.0)[:, None]
+    s = np.sin(xs / 2.0)[:, None]
+    encoded = (c ** (n - weights[None, :]) * s ** weights[None, :]).astype(complex)
+    gates = [_pauli_table(n, g) for g in model.generators]
+    observable = _pauli_table(n, model.observable)
+
+    def evaluate(theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (model.depth,):
+            raise ValueError(
+                f"theta has shape {theta.shape}, expected ({model.depth},)"
+            )
+        amps = encoded
+        for table, t in zip(gates, theta):
+            amps = _rotate(amps, table, float(t))
+        return _expectation_amps(amps, observable)
+
+    return evaluate
 
 
 def run_model_batch(model: CircuitModel, theta, xs) -> np.ndarray:
-    """Vectorized run_model over a batch of inputs with shared parameters.
+    """Expectations of the circuit at parameters theta for each input in xs."""
+    return compile_batch(model, xs)(theta)
 
-    Equivalent to ``[run_model(model, theta, x) for x in xs]`` but applies
-    every gate across the whole batch at once.
+
+def run_model(model: CircuitModel, theta, x: float) -> float:
+    """Full circuit evaluation at one input: encode x, rotate, measure O."""
+    return float(run_model_batch(model, theta, [x])[0])
+
+
+def circuit_states(model: CircuitModel, thetas) -> np.ndarray:
+    """The circuit's states at input angle 0, one row per parameter row.
+
+    R_Y(0) is the identity, so row r is U(thetas[r]) |0..0>.  Each column
+    of thetas rotates every row at once.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.depth,):
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != model.depth:
         raise ValueError(
-            f"theta has shape {theta.shape}, expected ({model.depth},)"
+            f"thetas has shape {thetas.shape}, expected (rows, {model.depth})"
         )
-    xs = np.asarray(xs, dtype=float)
-    size = 1 << model.n
-    # R_Y(x) on every qubit from |0..0> yields a product state whose
-    # amplitude on basis index b is cos(x/2)^(n - |b|) sin(x/2)^|b|.
-    weights = np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(int)
-    c = np.cos(xs / 2.0)[:, None]
-    s = np.sin(xs / 2.0)[:, None]
-    amps = (c ** (model.n - weights[None, :]) * s ** weights[None, :]).astype(complex)
-    for g, t in zip(model.generators, theta):
-        amps = _apply_rotation_amps(amps, model.n, g, float(t))
-    return _expectation_amps(amps, model.n, model.observable)
+    amps = np.zeros((len(thetas), 1 << model.n), dtype=complex)
+    amps[:, 0] = 1.0
+    for l, g in enumerate(model.generators):
+        amps = _rotate(amps, _pauli_table(model.n, g), thetas[:, l])
+    return amps

@@ -140,6 +140,28 @@ class TestTrain:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_evaluation_count_error_is_one_line(
+        self, small_setup, tmp_path, capsys, monkeypatch
+    ):
+        import gensel.optimizer as optimizer
+
+        real = optimizer.spsa_step
+
+        def extra_evaluation(theta, momentum, cost, config, step_index):
+            cost(theta)
+            return real(theta, momentum, cost, config, step_index)
+
+        monkeypatch.setattr(optimizer, "spsa_step", extra_evaluation)
+        cfg, data = small_setup
+        code = _run(
+            ["train", "--data", data, "--config", cfg, "--method", "exact",
+             "--trials", 1, "--jobs", 1, "--out", tmp_path / "t.csv"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: evaluation counter mismatch")
+        assert "\n" not in err.strip()
+
 
 class TestExpressibility:
     def test_output_columns(self, small_setup, tmp_path):

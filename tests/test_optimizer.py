@@ -175,18 +175,70 @@ class TestTrain:
 
     def test_cost_evaluation_budget(self, rng, monkeypatch):
         """3*epochs + 1 full-dataset evaluations: 2 per step + 1 per trace point."""
-        counter = {"n": 0}
-        real = optimizer.run_model_batch
+        counter = {"compiled": 0, "n": 0}
+        real = optimizer.compile_batch
 
-        def counting(model, theta, xs):
-            counter["n"] += 1
-            return real(model, theta, xs)
+        def counting_compile(model, xs):
+            counter["compiled"] += 1
+            evaluate = real(model, xs)
 
-        monkeypatch.setattr(optimizer, "run_model_batch", counting)
+            def counting(theta):
+                counter["n"] += 1
+                return evaluate(theta)
+
+            return counting
+
+        monkeypatch.setattr(optimizer, "compile_batch", counting_compile)
         model = _toy_model()
         dataset = self._dataset(rng, model, [1.0])
         train(model, dataset, SpsaConfig(epochs=17, seed=0))
+        assert counter["compiled"] == 1
         assert counter["n"] == 3 * 17 + 1
+
+    def test_evaluation_count_mismatch_raises(self, rng, monkeypatch):
+        """The count check is a RuntimeError, so it survives python -O."""
+        real = optimizer.spsa_step
+
+        def extra_evaluation(theta, momentum, cost, config, step_index):
+            cost(theta)
+            return real(theta, momentum, cost, config, step_index)
+
+        monkeypatch.setattr(optimizer, "spsa_step", extra_evaluation)
+        model = _toy_model()
+        dataset = self._dataset(rng, model, [1.0])
+        with pytest.raises(RuntimeError, match="evaluation counter mismatch: 13 != 10"):
+            train(model, dataset, SpsaConfig(epochs=3, seed=0))
+
+    def test_trace_equals_per_evaluation_reference(self, rng):
+        """Compiling once changes no bit of the trace.
+
+        The reference rebuilds the encoding and every Pauli table on each
+        cost evaluation, as the uncompiled kernel did, and runs the same
+        SPSA loop.
+        """
+        model = CircuitModel(
+            3, (P("XYZ"), P("YIX"), P("ZZY"), P("IXI")), P("ZII")
+        )
+        dataset = self._dataset(rng, model, [0.4, -1.1, 0.7, 2.0], m=20)
+        xs = np.array([p[0] for p in dataset])
+        ys = np.array([p[1] for p in dataset])
+        config = SpsaConfig(learning_rate=0.01, epochs=25, seed=11)
+
+        def cost(theta):
+            preds = _uncompiled_batch(model, theta, xs)
+            return float(np.sqrt(np.mean((preds - ys) ** 2)))
+
+        theta = np.random.default_rng([config.seed, 0]).uniform(
+            -config.init_range, config.init_range, model.depth
+        )
+        momentum = np.zeros(model.depth)
+        expected = [cost(theta)]
+        for epoch in range(1, config.epochs + 1):
+            theta, momentum = spsa_step(theta, momentum, cost, config, epoch)
+            expected.append(cost(theta))
+
+        record = train(model, dataset, config)
+        assert np.array_equal(record.rmse_trace, np.array(expected))
 
     def test_training_makes_progress(self, rng):
         """A faster-than-default flat gain drives the cost down on average."""
@@ -208,3 +260,26 @@ class TestTrialRecord:
     def test_rejects_zero_initial(self):
         with pytest.raises(ValueError, match="initial RMSE"):
             TrialRecord("m", 0, (P("X"),), np.array([0.0, 0.1]))
+
+
+def _pauli_amps(amps, n, g):
+    idx = np.arange(1 << n)
+    src = idx ^ g.x
+    parity = (np.bitwise_count(np.uint64(g.z) & src.astype(np.uint64)) & 1).astype(int)
+    signs = 1 - 2 * parity
+    phase = 1j ** ((g.x & g.z).bit_count() % 4)
+    return phase * signs * amps[..., src]
+
+
+def _uncompiled_batch(model, theta, xs):
+    """Batched circuit evaluation that derives everything per call."""
+    size = 1 << model.n
+    weights = np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(int)
+    c = np.cos(xs / 2.0)[:, None]
+    s = np.sin(xs / 2.0)[:, None]
+    amps = (c ** (model.n - weights[None, :]) * s ** weights[None, :]).astype(complex)
+    for g, t in zip(model.generators, theta):
+        t = np.asarray(float(t))
+        amps = np.cos(t) * amps - 1j * np.sin(t) * _pauli_amps(amps, model.n, g)
+    o = model.observable
+    return np.sum(np.conj(amps) * _pauli_amps(amps, model.n, o), axis=-1).real

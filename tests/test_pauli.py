@@ -1,5 +1,7 @@
 """Tests for the symbolic Pauli-string algebra."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gensel.pauli import (
     commutes,
     double_commutator_norm_sq,
     multiply,
+    pauli_string_at,
     pauli_strings,
 )
 
@@ -237,3 +240,22 @@ class TestEnumeration:
 
     def test_single_qubit_order(self):
         assert [p.label for p in pauli_strings(1)] == ["Z", "X", "Y"]
+
+    def test_index_matches_lexicographic_bit_order(self):
+        """Index k is the k-th (x_0..x_{n-1}, z_0..z_{n-1}) vector in lexicographic order."""
+        for n in (1, 2, 3, 4):
+            for k, bits in enumerate(product((0, 1), repeat=2 * n)):
+                expected = PauliString.from_bits(bits[:n], bits[n:])
+                assert pauli_string_at(n, k) == expected
+            assert list(pauli_strings(n)) == [
+                pauli_string_at(n, k) for k in range(1, 4**n)
+            ]
+
+    def test_index_range_checked(self):
+        assert pauli_string_at(2, 0).is_identity
+        with pytest.raises(ValueError, match="out of range"):
+            pauli_string_at(2, 16)
+        with pytest.raises(ValueError, match="out of range"):
+            pauli_string_at(2, -1)
+        with pytest.raises(ValueError, match="positive"):
+            pauli_string_at(0, 0)

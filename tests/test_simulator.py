@@ -9,6 +9,8 @@ from gensel.simulator import (
     StateVector,
     apply_pauli_rotation,
     apply_ry_encoding,
+    circuit_states,
+    compile_batch,
     expectation,
     run_model,
     run_model_batch,
@@ -124,6 +126,17 @@ class TestExpectation:
             assert abs(got - expected.real) < 1e-12
             assert abs(expected.imag) < 1e-12
 
+    def test_imaginary_residue_raises(self):
+        """Amplitudes near 1e6 leave a rounding residue far above 1e-12.
+
+        The check raises RuntimeError rather than asserting, so it holds
+        under python -O and reaches the CLI's one-line error handler.
+        """
+        rng = np.random.default_rng(0)
+        amps = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) * 1e6
+        with pytest.raises(RuntimeError, match="imaginary residue"):
+            expectation(StateVector(4, amps), P("XYZY"))
+
 
 class TestRunModel:
     def test_no_evolution(self):
@@ -159,7 +172,7 @@ class TestRunModel:
         xs = rng.uniform(0, 2 * np.pi, size=17)
         batch = run_model_batch(model, theta, xs)
         singles = [run_model(model, theta, float(x)) for x in xs]
-        assert np.allclose(batch, singles, atol=1e-12)
+        assert np.array_equal(batch, singles)  # run_model is a one-row batch
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="identity"):
@@ -168,6 +181,63 @@ class TestRunModel:
             CircuitModel(2, (P("XI"),), P("II"))
         with pytest.raises(ValueError, match="match"):
             CircuitModel(2, (P("X"),), P("ZI"))
+
+
+def _random_model_with_y(rng, n: int, depth: int) -> CircuitModel:
+    """Random generators and observable; the first generator carries a Y."""
+    first = list(random_label(rng, n, identity_ok=True))
+    first[int(rng.integers(n))] = "Y"
+    generators = (P("".join(first)),) + tuple(
+        P(random_label(rng, n)) for _ in range(depth - 1)
+    )
+    return CircuitModel(n, generators, P(random_label(rng, n)))
+
+
+class TestCompiledEvaluator:
+    def test_against_dense_oracle(self, rng):
+        for n in (1, 2, 3, 4):
+            for _ in range(8):
+                depth = int(rng.integers(1, 7))
+                model = _random_model_with_y(rng, n, depth)
+                xs = rng.uniform(0, 2 * np.pi, size=9)
+                evaluate = compile_batch(model, xs)
+                for _ in range(3):
+                    theta = rng.uniform(-np.pi, np.pi, size=depth)
+                    expected = [_dense_run_model(model, theta, x) for x in xs]
+                    assert np.allclose(evaluate(theta), expected, atol=1e-10)
+
+    def test_repeated_calls_identical_to_fresh_batches(self, rng):
+        model = _random_model_with_y(rng, 4, 5)
+        xs = rng.uniform(0, 2 * np.pi, size=30)
+        evaluate = compile_batch(model, xs)
+        for _ in range(4):
+            theta = rng.uniform(-np.pi, np.pi, size=5)
+            assert np.array_equal(evaluate(theta), run_model_batch(model, theta, xs))
+
+    def test_theta_shape_checked_per_call(self):
+        model = CircuitModel(2, (P("XI"), P("IY")), P("ZI"))
+        evaluate = compile_batch(model, [0.1, 0.2])
+        with pytest.raises(ValueError, match="shape"):
+            evaluate([0.1])
+
+
+class TestCircuitStates:
+    def test_against_dense_oracle(self, rng):
+        for n in (1, 2, 3):
+            model = _random_model_with_y(rng, n, 4)
+            thetas = rng.uniform(-np.pi, np.pi, size=(6, 4))
+            states = circuit_states(model, thetas)
+            for row, theta in zip(states, thetas):
+                state = np.zeros(1 << n, dtype=complex)
+                state[0] = 1.0
+                for g, t in zip(model.generators, theta):
+                    state = _dense_rotation(g.label, t) @ state
+                assert np.allclose(row, state, atol=1e-12)
+
+    def test_shape_checked(self):
+        model = CircuitModel(2, (P("XI"), P("IY")), P("ZI"))
+        with pytest.raises(ValueError, match="shape"):
+            circuit_states(model, np.zeros((3, 3)))
 
 
 class TestDerivativeIdentities:
