@@ -483,6 +483,8 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def _cmd_report(args) -> int:
     traces = _read_table(args.traces)
+    if not traces:
+        raise ValueError(f"no training traces in {args.traces}")
     expr = _read_table(args.expr)
 
     by_method: dict[str, dict[int, dict[int, tuple[float, float]]]] = {}

@@ -157,13 +157,9 @@ def score_matrix(candidates: Sequence[PauliString]) -> np.ndarray:
 
 
 def _adjacency_masks(coefficients: np.ndarray) -> list[int]:
-    masks = []
-    for row in coefficients:
-        mask = 0
-        for k in np.flatnonzero(row):
-            mask |= 1 << int(k)
-        masks.append(mask)
-    return masks
+    """Row j as an int whose bit k is set iff coefficients[j, k] != 0."""
+    packed = np.packbits(coefficients.astype(bool), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _iter_bits(mask: int) -> Iterable[int]:
@@ -366,7 +362,8 @@ def select_baseline(
                the observable; mutual relations unconstrained.
     pair_only: an L-clique of mutually anticommuting strings over all
                non-identity strings, by seeded randomized greedy search;
-               no constraint versus the observable.
+               no constraint versus the observable.  No such set has more
+               than 2n+1 strings, so a larger budget is a ValueError.
     """
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
@@ -388,6 +385,11 @@ def select_baseline(
         idx = rng.choice(len(pool), size=budget, replace=False)
         chosen = tuple(pool[i] for i in sorted(idx))
     else:  # pair_only scans a permutation of all strings, so list them once
+        if budget > 2 * n + 1:
+            raise ValueError(
+                f"budget {budget} exceeds 2n+1 = {2 * n + 1}, the largest set of "
+                f"mutually anticommuting {n}-qubit Pauli strings"
+            )
         chosen = _random_clique(list(pauli_strings(n)), budget, rng)
 
     score = sum(

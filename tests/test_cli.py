@@ -62,6 +62,16 @@ class TestSelect:
             ) == 0
             assert len(_read_csv(out)) == 1
 
+    def test_pair_only_budget_past_bound_is_one_line(self, tmp_path, capsys):
+        code = _run(
+            ["select", "--n", 3, "--observable", "ZII", "--depth", 8,
+             "--method", "pair-only", "--seed", 1, "--out", tmp_path / "x.csv"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: budget 8 exceeds 2n+1 = 7,")
+        assert "\n" not in err.strip()
+
     def test_pool_subsample(self, tmp_path):
         out = tmp_path / "sub.csv"
         assert _run(
@@ -247,6 +257,25 @@ class TestReport:
             svgs.append(curves.read_bytes())
         assert tables[0] == tables[1]
         assert svgs[0] == svgs[1]
+
+    def test_empty_traces_is_one_line_error(self, small_setup, tmp_path, capsys):
+        cfg, data = small_setup
+        traces = tmp_path / "traces.csv"
+        expr = tmp_path / "expr.csv"
+        assert _run(["train", "--data", data, "--config", cfg, "--method", "exact",
+                     "--trials", 0, "--seed", 5, "--out", traces]) == 0
+        assert _run(["expressibility", "--config", cfg, "--method", "exact",
+                     "--trials", 1, "--samples", 60, "--bins", 10, "--seed", 5,
+                     "--out", expr]) == 0
+        capsys.readouterr()
+        table = tmp_path / "table1.csv"
+        code = _run(["report", "--traces", traces, "--expr", expr,
+                     "--out-table", table, "--out-curves", tmp_path / "c.svg"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no training traces in ")
+        assert "\n" not in err.strip()
+        assert not table.exists()
 
     def test_missing_inputs(self, tmp_path, capsys):
         code = _run(["report", "--traces", tmp_path / "none.csv",

@@ -6,7 +6,7 @@ import pytest
 import gensel.optimizer as optimizer
 from gensel.optimizer import SpsaConfig, TrialRecord, rmse_cost, spsa_step, train
 from gensel.pauli import PauliString
-from gensel.simulator import CircuitModel, run_model
+from gensel.simulator import CircuitModel, run_model, run_model_batch
 
 P = PauliString.from_label
 
@@ -209,13 +209,8 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="evaluation counter mismatch: 13 != 10"):
             train(model, dataset, SpsaConfig(epochs=3, seed=0))
 
-    def test_trace_equals_per_evaluation_reference(self, rng):
-        """Compiling once changes no bit of the trace.
-
-        The reference rebuilds the encoding and every Pauli table on each
-        cost evaluation, as the uncompiled kernel did, and runs the same
-        SPSA loop.
-        """
+    def _reference_trace(self, rng, batch):
+        """Traces of train and of the same SPSA loop costed through ``batch``."""
         model = CircuitModel(
             3, (P("XYZ"), P("YIX"), P("ZZY"), P("IXI")), P("ZII")
         )
@@ -225,7 +220,7 @@ class TestTrain:
         config = SpsaConfig(learning_rate=0.01, epochs=25, seed=11)
 
         def cost(theta):
-            preds = _uncompiled_batch(model, theta, xs)
+            preds = batch(model, theta, xs)
             return float(np.sqrt(np.mean((preds - ys) ** 2)))
 
         theta = np.random.default_rng([config.seed, 0]).uniform(
@@ -236,9 +231,27 @@ class TestTrain:
         for epoch in range(1, config.epochs + 1):
             theta, momentum = spsa_step(theta, momentum, cost, config, epoch)
             expected.append(cost(theta))
+        return train(model, dataset, config).rmse_trace, np.array(expected)
 
-        record = train(model, dataset, config)
-        assert np.array_equal(record.rmse_trace, np.array(expected))
+    def test_trace_equals_per_evaluation_reference(self, rng):
+        """The trace matches a dense statevector SPSA loop to rounding.
+
+        The reference rebuilds the encoding and every Pauli table on each
+        cost evaluation and runs the same SPSA loop.  Training evaluates the
+        Heisenberg-picture terms instead, a different order of arithmetic,
+        so the traces agree to ~1e-15 rather than bitwise.
+        """
+        trace, expected = self._reference_trace(rng, _uncompiled_batch)
+        assert np.allclose(trace, expected, rtol=0, atol=1e-12)
+
+    def test_trace_equals_fresh_compilation_per_evaluation(self, rng):
+        """Compiling once changes no bit of the trace.
+
+        The reference compiles the circuit afresh on every cost evaluation
+        through run_model_batch.
+        """
+        trace, expected = self._reference_trace(rng, run_model_batch)
+        assert np.array_equal(trace, expected)
 
     def test_training_makes_progress(self, rng):
         """A faster-than-default flat gain drives the cost down on average."""

@@ -9,6 +9,8 @@ import pytest
 from gensel.pauli import PauliString, commutes, pauli_strings
 from gensel.selection import (
     SelectionProblem,
+    _adjacency_masks,
+    _random_clique,
     build_pool,
     evaluate_selection,
     score_matrix,
@@ -94,6 +96,16 @@ class TestScoreMatrix:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             score_matrix([P("X"), P("X")])
+
+
+def test_adjacency_masks_match_bit_loop(rng):
+    for m in (1, 7, 8, 9, 512):
+        upper = np.triu(rng.integers(0, 2, size=(m, m)), 1)
+        coefficients = (upper + upper.T).astype(np.uint8)
+        expected = [
+            sum(1 << int(k) for k in np.flatnonzero(row)) for row in coefficients
+        ]
+        assert _adjacency_masks(coefficients) == expected
 
 
 def _exhaustive_best(problem: SelectionProblem):
@@ -263,9 +275,21 @@ class TestBaselines:
             assert a.chosen == b.chosen
 
     def test_infeasible_clique_reported(self):
-        # only 3 non-identity single-qubit strings exist, so no 4-clique
+        # XI and ZI anticommute, IX commutes with both: no 3-clique
         with pytest.raises(RuntimeError, match="anticommuting"):
+            _random_clique([P("XI"), P("IX"), P("ZI")], 3, np.random.default_rng(0))
+
+    def test_pair_only_budget_past_bound(self):
+        """More than 2n+1 mutually anticommuting strings never exist.
+
+        The check comes before the 4^n strings are listed, so n = 10 fails
+        at once.
+        """
+        with pytest.raises(ValueError, match=r"exceeds 2n\+1 = 3,"):
             select_baseline("pair_only", 1, P("Z"), 4, 0)
+        with pytest.raises(ValueError, match=r"exceeds 2n\+1 = 21,"):
+            select_baseline("pair_only", 10, P("Z" + "I" * 9), 22, 0)
+        assert select_baseline("pair_only", 1, P("Z"), 3, 0).score == 3
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown baseline"):

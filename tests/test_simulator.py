@@ -1,12 +1,15 @@
-"""Tests for the statevector simulator against dense-matrix oracles."""
+"""Tests for the simulator, Heisenberg and statevector, against dense-matrix oracles."""
 
 import numpy as np
 import pytest
 
-from gensel.pauli import PauliString, commutator
+import gensel.simulator as simulator
+from gensel.pauli import PauliString, ScaledPauli, commutator, multiply
+from gensel.selection import SelectionProblem, build_pool, solve_exact
 from gensel.simulator import (
     CircuitModel,
     StateVector,
+    _heisenberg_terms,
     apply_pauli_rotation,
     apply_ry_encoding,
     circuit_states,
@@ -196,8 +199,7 @@ def _random_model_with_y(rng, n: int, depth: int) -> CircuitModel:
 class TestCompiledEvaluator:
     def test_against_dense_oracle(self, rng):
         for n in (1, 2, 3, 4):
-            for _ in range(8):
-                depth = int(rng.integers(1, 7))
+            for depth in range(1, 9):
                 model = _random_model_with_y(rng, n, depth)
                 xs = rng.uniform(0, 2 * np.pi, size=9)
                 evaluate = compile_batch(model, xs)
@@ -213,6 +215,79 @@ class TestCompiledEvaluator:
         for _ in range(4):
             theta = rng.uniform(-np.pi, np.pi, size=5)
             assert np.array_equal(evaluate(theta), run_model_batch(model, theta, xs))
+
+    def _assert_matches_oracle(self, rng, model):
+        xs = rng.uniform(0, 2 * np.pi, size=9)
+        evaluate = compile_batch(model, xs)
+        for _ in range(3):
+            theta = rng.uniform(-np.pi, np.pi, size=model.depth)
+            expected = [_dense_run_model(model, theta, x) for x in xs]
+            assert np.allclose(evaluate(theta), expected, atol=1e-10)
+
+    def test_dense_fallback_against_dense_oracle(self, rng):
+        """Past 4 * L * 2^n Heisenberg terms the statevector evaluator takes over."""
+        model = _random_model_with_y(rng, 3, 24)
+        assert _heisenberg_terms(model) is None
+        self._assert_matches_oracle(rng, model)
+
+    def test_term_cap_falls_back_to_dense(self, rng, monkeypatch):
+        """Under the term cap, not the 4 * L * 2^n limit, the dense path is used."""
+        monkeypatch.setattr(simulator, "_MAX_TERMS", 64)
+        model = _random_model_with_y(rng, 4, 16)
+        assert _heisenberg_terms(model) is None
+        self._assert_matches_oracle(rng, model)
+        monkeypatch.setattr(simulator, "_MAX_DENSE_QUBITS", 3)
+        with pytest.raises(RuntimeError, match="over 64 Pauli terms and n = 4"):
+            compile_batch(model, [0.3])
+
+    def test_deep_random_circuit_at_30_qubits_fails_fast(self, rng):
+        """Random generators split ~1.5x per gate; no 2^30 state is attempted."""
+        model = _random_model_with_y(rng, 30, 40)
+        with pytest.raises(RuntimeError, match="30-qubit|exceeds the 20-qubit"):
+            compile_batch(model, rng.uniform(0, 2 * np.pi, size=100))
+
+    def test_exact_selection_has_depth_plus_one_terms(self):
+        """Mutually anticommuting generators that anticommute with O.
+
+        O splits at every gate; each O G_l commutes with every earlier
+        generator, so it never splits again: L + 1 terms in all.
+        """
+        for label, depths in (("ZII", range(2, 7)), ("XIZIY", (5, 10))):
+            observable = P(label)
+            pool = build_pool(observable)
+            for depth in depths:
+                result = solve_exact(SelectionProblem.build(observable, pool, depth))
+                assert result.score == depth * (depth - 1) // 2
+                model = CircuitModel(observable.n, result.chosen, observable)
+                assert len(_heisenberg_terms(model)) == depth + 1
+
+    def test_untouched_qubits_cost_nothing(self, rng):
+        """A 40-qubit model acting on qubits 0-2 equals the 3-qubit model.
+
+        No 2^40 statevector fits in memory, so the evaluator never builds one.
+        """
+        small = _random_model_with_y(rng, 3, 4)
+        pad = "I" * 37
+        wide = CircuitModel(
+            40,
+            tuple(P(g.label + pad) for g in small.generators),
+            P(small.observable.label + pad),
+        )
+        xs = rng.uniform(0, 2 * np.pi, size=9)
+        theta = rng.uniform(-np.pi, np.pi, size=4)
+        got = compile_batch(wide, xs)(theta)
+        assert np.array_equal(got, compile_batch(small, xs)(theta))
+        expected = [_dense_run_model(small, theta, x) for x in xs]
+        assert np.allclose(got, expected, atol=1e-10)
+
+    def test_non_real_split_phase_raises(self, monkeypatch):
+        """An anticommuting split must carry a real +-1 sign, else RuntimeError."""
+        monkeypatch.setattr(
+            simulator, "multiply", lambda a, b: ScaledPauli(multiply(a, b).base, 1)
+        )
+        model = CircuitModel(1, (P("X"),), P("Z"))
+        with pytest.raises(RuntimeError, match="is not"):
+            compile_batch(model, [0.3])
 
     def test_theta_shape_checked_per_call(self):
         model = CircuitModel(2, (P("XI"), P("IY")), P("ZI"))
