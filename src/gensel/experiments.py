@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .optimizer import SpsaConfig, TrialRecord, train
 from .pauli import PauliString, pauli_string_at
@@ -310,6 +309,8 @@ def two_sample_t_test(sample_a, sample_b) -> TTestResult:
             return TTestResult(0.0, 1.0)
         return TTestResult(math.copysign(math.inf, diff), 0.0)
     t = diff / math.sqrt(pooled * (1.0 / a.size + 1.0 / b.size))
+    from scipy.special import betainc  # imported here: only `report` needs scipy
+
     p = float(betainc(nu / 2.0, 0.5, nu / (nu + t * t)))
     return TTestResult(t, p)
 

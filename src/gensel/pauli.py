@@ -19,20 +19,25 @@ integers; callers may convert at their own boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "PauliString",
     "ScaledPauli",
+    "anticommutation_table",
     "commutes",
+    "mask_arrays",
     "multiply",
+    "multiply_masks",
     "commutator",
     "commutator_norm_sq",
     "double_commutator_norm_sq",
     "pauli_string_at",
     "pauli_strings",
+    "row_blocks",
+    "symplectic_parity",
 ]
 
 _LETTER_FROM_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -192,6 +197,66 @@ def multiply(a: PauliString, b: PauliString) -> ScaledPauli:
         - (x3 & z3).bit_count()
     ) & 3
     return ScaledPauli(PauliString._mk(a.n, x3, z3), _PHASES[e])
+
+
+# Elements per temporary of the blocked kernels: a table of width w is built
+# BLOCK_SIZE // w rows at a time (one row at least), so whatever the table
+# size, each temporary holds at most max(BLOCK_SIZE, w) words.  2^18 words
+# (2 MiB) keeps the 512 x 512 score matrix of an n = 5 pool in one block:
+# with 128 KiB blocks, glibc's malloc went on to serve the simulator's
+# arrays from fresh pages, and `expressibility` ran 15% slower.
+BLOCK_SIZE = 1 << 18
+
+
+def row_blocks(size: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of range(size), BLOCK_SIZE // width rows each."""
+    step = max(1, BLOCK_SIZE // max(1, width))
+    for start in range(0, size, step):
+        yield slice(start, start + step)
+
+
+def mask_arrays(paulis: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z masks of strings on at most 63 qubits as uint64 arrays."""
+    x = np.fromiter((p.x for p in paulis), dtype=np.uint64)
+    z = np.fromiter((p.z for p in paulis), dtype=np.uint64)
+    return x, z
+
+
+def symplectic_parity(ax, az, bx, bz) -> np.ndarray:
+    """Elementwise (broadcast) uint8: 1 where string a anticommutes with b.
+
+    The vectorised form of ``commutes`` on uint64 mask arrays.
+    """
+    return (np.bitwise_count(ax & bz) + np.bitwise_count(az & bx)) & 1
+
+
+def anticommutation_table(ax, az, bx, bz) -> np.ndarray:
+    """uint8 table T[i, k] = 1 iff a_i anticommutes with b_k.
+
+    Evaluated a block of rows of a at a time (see ``row_blocks``), so peak
+    memory is the table itself plus a few temporaries of BLOCK_SIZE words.
+    """
+    out = np.empty((len(ax), len(bx)), dtype=np.uint8)
+    for rows in row_blocks(len(ax), len(bx)):
+        out[rows] = symplectic_parity(ax[rows, None], az[rows, None], bx, bz)
+    return out
+
+
+def multiply_masks(ax, az, bx, bz):
+    """Elementwise (broadcast) ``multiply`` on uint64 mask arrays.
+
+    Returns the masks of a * b and the power e (uint8, 0..3) of its phase
+    i^e, so that a * b = i^e P(x, z).
+    """
+    x3 = ax ^ bx
+    z3 = az ^ bz
+    e = (
+        np.bitwise_count(ax & az)
+        + np.bitwise_count(bx & bz)
+        + 2 * np.bitwise_count(az & bx)
+        - np.bitwise_count(x3 & z3)
+    ) & 3  # uint8 wraps modulo 256, a multiple of 4
+    return x3, z3, e
 
 
 def commutator(a: PauliString, b: PauliString) -> ScaledPauli | None:

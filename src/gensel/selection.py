@@ -20,7 +20,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, commutes, pauli_string_at, pauli_strings
+from .pauli import (
+    PauliString,
+    anticommutation_table,
+    commutes,
+    mask_arrays,
+    pauli_string_at,
+    pauli_strings,
+)
 
 __all__ = [
     "SelectionProblem",
@@ -142,12 +149,8 @@ def score_matrix(candidates: Sequence[PauliString]) -> np.ndarray:
     if len(set(candidates)) != m:
         raise ValueError("candidates must be pairwise distinct")
     if n <= 63:
-        x = np.array([p.x for p in candidates], dtype=np.uint64)
-        z = np.array([p.z for p in candidates], dtype=np.uint64)
-        sym = np.bitwise_count(x[:, None] & z[None, :]) + np.bitwise_count(
-            z[:, None] & x[None, :]
-        )
-        return (sym & 1).astype(np.uint8)
+        x, z = mask_arrays(candidates)
+        return anticommutation_table(x, z, x, z)
     c = np.zeros((m, m), dtype=np.uint8)
     for j in range(m):
         for k in range(j + 1, m):

@@ -15,6 +15,15 @@ measured (never assumed) by applying sum_j ad_{G_j}^2 to every basis element.
 All sums are evaluated symbolically: a commutator of Pauli strings is either
 zero or a single scaled Pauli string, and distinct Pauli strings are
 Frobenius-orthogonal, so each term reduces to exact bit-mask arithmetic.
+The basis is held as cached uint64 (x, z) mask arrays, and the sums are
+NumPy sweeps over them: the commutation of every (j, k) pair (every
+(j, m) pair for the Casimir constant) is still evaluated, a block of rows
+at a time, by popcount parity in ``pauli.anticommutation_table``, and the
+products P_j P_m with their i^e phases by ``pauli.multiply_masks``.  The
+anticommuting pairs are counted per term of O, exactly, and weighted by the
+squared coefficients only at the end.  Nothing is counted in closed form:
+c is measured, not taken to be 2d.
+
 No 2^n-dimensional matrix is ever formed on this path; the only dense code
 here is ``g_purity``, which projects an observable matrix onto the span of
 an explicit orthonormal generator subset.
@@ -24,11 +33,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, commutator, pauli_strings
+from .pauli import (
+    PauliString,
+    anticommutation_table,
+    mask_arrays,
+    multiply_masks,
+    pauli_strings,
+    row_blocks,
+    symplectic_parity,
+)
 
 __all__ = [
     "TheoryVerificationError",
@@ -42,6 +59,14 @@ __all__ = [
     "normalized_pauli_matrices",
     "random_observable",
 ]
+
+
+# i^k for k = 0..3, indexed by the phase exponents of ``multiply_masks``.
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+# Words held per (m, j) pair by the arrays of one block of casimir_constant,
+# so that the block's arrays together stay near pauli.BLOCK_SIZE words.
+_WORDS_PER_PAIR = 16
 
 
 class TheoryVerificationError(RuntimeError):
@@ -146,17 +171,19 @@ class Lemma2Theorem2Result(NamedTuple):
     upper_bound: float
 
 
-def _commutator_terms(
-    p: PauliString, terms: Iterable[tuple[PauliString, complex]]
-) -> dict[PauliString, complex]:
-    """[p, sum_q w_q q] as a Pauli-sum dict (unnormalized strings)."""
-    out: dict[PauliString, complex] = {}
-    for q, w in terms:
-        sp = commutator(p, q)
-        if sp is not None:
-            key = sp.base
-            out[key] = out.get(key, 0j) + w * sp.coefficient
-    return out
+@lru_cache(maxsize=None)
+def _basis_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, z = mask_arrays(_basis(n))
+    x.setflags(write=False)
+    z.setflags(write=False)
+    return x, z
+
+
+def _term_masks(o: ObservableInAlgebra):
+    """Masks and squared weights of the nonzero terms of O, in basis order."""
+    bx, bz = _basis_masks(o.n)
+    idx = np.flatnonzero(o.coeffs)
+    return bx[idx], bz[idx], o.coeffs[idx] ** 2
 
 
 @lru_cache(maxsize=None)
@@ -166,34 +193,44 @@ def casimir_constant(n: int) -> float:
     For every basis element G_m the operator sum_j [G_j, [G_j, G_m]] is
     accumulated symbolically and required to be exactly proportional to G_m
     with the same constant across all m (within 1e-9); any inconsistency
-    raises TheoryVerificationError.
+    raises TheoryVerificationError.  Both products P_j P_m and P_j (P_j P_m)
+    are formed on the masks with their i^e phases, a block of m at a time;
+    every nonzero outer commutator must land on P_m itself.
     """
-    basis = _basis(n)
+    bx, bz = _basis_masks(n)
     d = 2.0**n
-    constants = np.empty(len(basis))
-    for m, p_m in enumerate(basis):
-        acc: dict[PauliString, complex] = {}
-        for p_j in basis:
-            inner = commutator(p_j, p_m)
-            if inner is None:
-                continue
-            outer = commutator(p_j, inner.base)
-            if outer is None:
-                continue
-            coeff = inner.coefficient * outer.coefficient
-            acc[outer.base] = acc.get(outer.base, 0j) + coeff
-        acc = {p: w for p, w in acc.items() if abs(w) > 1e-12}
-        if set(acc) != {p_m}:
+    constants = np.empty(len(bx))
+    for block in row_blocks(len(bx), _WORDS_PER_PAIR * len(bx)):
+        mx, mz = bx[block], bz[block]
+        # (m, j) pairs with [P_j, P_m] = 2 i^e1 Q nonzero.
+        m, j = np.nonzero(anticommutation_table(mx, mz, bx, bz))
+        jx, jz = bx[j], bz[j]
+        qx, qz, e1 = multiply_masks(jx, jz, mx[m], mz[m])
+        # Of those, the pairs with [P_j, Q] = 2 i^e2 R nonzero.
+        outer = symplectic_parity(jx, jz, qx, qz) == 1
+        m, e1 = m[outer], e1[outer]
+        rx, rz, e2 = multiply_masks(jx[outer], jz[outer], qx[outer], qz[outer])
+        phase = _I_POWERS[(e1 + e2) & 3]
+        alpha = 4.0 * (
+            np.bincount(m, weights=phase.real, minlength=len(mx))
+            + 1j * np.bincount(m, weights=phase.imag, minlength=len(mx))
+        )
+        unmapped = np.abs(alpha) <= 1e-12
+        unmapped[m[(rx != mx[m]) | (rz != mz[m])]] = True
+        if unmapped.any():
+            p_m = _basis(n)[block.start + int(np.argmax(unmapped))]
             raise TheoryVerificationError(
                 f"sum_j ad^2(G_j) did not map {p_m} onto itself"
             )
-        alpha = acc[p_m]
-        if abs(alpha.imag) > 1e-9 * abs(alpha.real):
+        nonreal = np.abs(alpha.imag) > 1e-9 * np.abs(alpha.real)
+        if nonreal.any():
+            i = int(np.argmax(nonreal))
             raise TheoryVerificationError(
-                f"non-real proportionality constant {alpha} for {p_m}"
+                f"non-real proportionality constant {alpha[i]} "
+                f"for {_basis(n)[block.start + i]}"
             )
         # [G_j, [G_j, G_m]] carries 1/d relative to [P_j, [P_j, P_m]].
-        constants[m] = alpha.real / d
+        constants[block] = alpha.real / d
     c = float(constants[0])
     if c <= 0:
         raise TheoryVerificationError(f"non-positive Casimir constant {c}")
@@ -209,45 +246,43 @@ def casimir_constant(n: int) -> float:
 def verify_theorem1(o: ObservableInAlgebra) -> Theorem1Result:
     """Compute both sides of sum_j ||[G_j, O]||^2 = c ||O||^2."""
     d = 2.0**o.n
-    terms = o.terms()
-    lhs = 0.0
-    for p_j in _basis(o.n):
-        comm = _commutator_terms(p_j, terms)
-        # ||[G_j, O]||^2 = ||[P_j, sum w P]||^2 / d^2, and a Pauli sum has
-        # squared norm sum |coeff|^2 * d by orthogonality of distinct strings.
-        lhs += sum(abs(w) ** 2 for w in comm.values()) / d
+    bx, bz = _basis_masks(o.n)
+    tx, tz, w2 = _term_masks(o)
+    # [P_j, O] = sum over the terms t that anticommute with P_j of
+    # 2 w_t P_j O_t, distinct strings, so by orthogonality
+    # ||[G_j, O]||^2 = sum_t T[t, j] 4 w_t^2 d / d^2 with T the table below.
+    anti_counts = anticommutation_table(tx, tz, bx, bz).sum(axis=1)
+    lhs = 4.0 * float(np.sum(w2 * anti_counts)) / d
     c = casimir_constant(o.n)
     return Theorem1Result(lhs, c * o.norm_sq(), c)
 
 
 def _double_commutator_sums(o: ObservableInAlgebra) -> tuple[float, float]:
-    """(total, diagonal) of sum over (j, k) of ||[G_k, [G_j, O]]||^2."""
-    basis = _basis(o.n)
-    d = 2.0**o.n
-    terms = o.terms()
-    inv = 4.0 / (d * d)
-    total = 0.0
-    diag = 0.0
-    for j, p_j in enumerate(basis):
-        inner = _commutator_terms(p_j, terms)
-        if not inner:
-            continue
-        # For fixed k the outer commutator kills commuting terms and doubles
-        # the rest; surviving products are distinct strings, so the norm is a
-        # plain weighted count: ||[G_k, [G_j, O]]||^2 = (4/d^2) sum_anti |w|^2.
-        items = [(q.x, q.z, abs(w) ** 2) for q, w in inner.items()]
-        for k, p_k in enumerate(basis):
-            kx, kz = p_k.x, p_k.z
-            s = 0.0
-            for qx, qz, w2 in items:
-                if ((kx & qz).bit_count() + (kz & qx).bit_count()) & 1:
-                    s += w2
-            if s:
-                value = inv * s
-                total += value
-                if k == j:
-                    diag += value
-    return total, diag
+    """(total, diagonal) of sum over (j, k) of ||[G_k, [G_j, O]]||^2.
+
+    For a block of j the terms of [P_j, O] are the products Q = P_j O_t of
+    the terms O_t that anticommute with P_j, with weight 4 w_t^2; distinct t
+    give distinct Q.  The outer commutator with P_k kills the Q that commute
+    with it and doubles the rest, so ||[G_k, [G_j, O]]||^2 =
+    (4/d^2) sum_{Q anti P_k} 4 w_t^2, and every k is swept at once.  The
+    anticommuting (j, k) pairs are counted per term t, exactly, and weighted
+    only at the end.
+    """
+    bx, bz = _basis_masks(o.n)
+    tx, tz, w2 = _term_masks(o)
+    inner = anticommutation_table(tx, tz, bx, bz)
+    total = np.zeros(len(w2), dtype=np.int64)
+    diag = np.zeros(len(w2), dtype=np.int64)
+    # A block of j yields at most len(block) * len(w2) rows of len(bx).
+    for block in row_blocks(len(bx), len(bx) * len(w2)):
+        t, j = np.nonzero(inner[:, block])
+        j += block.start
+        qx, qz = bx[j] ^ tx[t], bz[j] ^ tz[t]
+        outer = anticommutation_table(qx, qz, bx, bz)
+        np.add.at(total, t, outer.sum(axis=1, dtype=np.int64))
+        np.add.at(diag, t, outer[np.arange(len(j)), j])
+    scale = 16.0 / 4.0**o.n
+    return scale * float(np.sum(w2 * total)), scale * float(np.sum(w2 * diag))
 
 
 def verify_lemma1(o: ObservableInAlgebra) -> Lemma1Result:

@@ -1,9 +1,14 @@
 """End-to-end CLI tests: flags, CSV shapes, errors, reproducibility."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gensel
 from gensel.cli import main
 
 
@@ -304,3 +309,13 @@ class TestSeedEnvironment:
         monkeypatch.delenv("GENSEL_SEED")
         assert _run(["gen-data", "--seed", 6, "--out", out_b]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_import_leaves_scipy_unloaded():
+    """Only the t-test of `report` needs scipy, so the other commands skip it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gensel.__file__).parents[1]))
+    code = "import sys, gensel.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,15 +5,21 @@ from itertools import product
 import numpy as np
 import pytest
 
+from gensel import pauli
 from gensel.pauli import (
     PauliString,
+    anticommutation_table,
     commutator,
     commutator_norm_sq,
     commutes,
     double_commutator_norm_sq,
+    mask_arrays,
     multiply,
+    multiply_masks,
     pauli_string_at,
     pauli_strings,
+    row_blocks,
+    symplectic_parity,
 )
 
 from conftest import all_labels, dense_commutator, dense_pauli, frob_sq, random_label
@@ -144,6 +150,53 @@ class TestMultiply:
             assert ab.coefficient * left.coefficient == pytest.approx(
                 bc.coefficient * right.coefficient
             )
+
+
+class TestMaskKernels:
+    """The uint64 mask-array kernels against the scalar bit-mask functions."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_table_matches_commutes(self, n):
+        strings = list(pauli_strings(n, include_identity=True))
+        x, z = mask_arrays(strings)
+        table = anticommutation_table(x, z, x, z)
+        assert table.dtype == np.uint8
+        expected = [[0 if commutes(a, b) else 1 for b in strings] for a in strings]
+        assert table.tolist() == expected
+
+    @pytest.mark.parametrize("block_size, rows", [(1, 1), (30, 2), (100, 9), (10**6, 37)])
+    def test_table_independent_of_block_size(self, monkeypatch, rng, block_size, rows):
+        a = [P(random_label(rng, 4, True)) for _ in range(37)]
+        b = [P(random_label(rng, 4, True)) for _ in range(11)]
+        expected = anticommutation_table(*mask_arrays(a), *mask_arrays(b))
+        monkeypatch.setattr(pauli, "BLOCK_SIZE", block_size)
+        blocks = [range(37)[s] for s in row_blocks(37, 11)]
+        assert [i for block in blocks for i in block] == list(range(37))
+        assert max(len(block) for block in blocks) == rows
+        got = anticommutation_table(*mask_arrays(a), *mask_arrays(b))
+        assert np.array_equal(got, expected)
+        assert got.tolist() == [[int(not commutes(p, q)) for q in b] for p in a]
+
+    def test_parity_broadcasts_elementwise(self, rng):
+        a = [P(random_label(rng, 5)) for _ in range(50)]
+        b = [P(random_label(rng, 5)) for _ in range(50)]
+        got = symplectic_parity(*mask_arrays(a), *mask_arrays(b))
+        assert got.tolist() == [int(not commutes(p, q)) for p, q in zip(a, b)]
+
+    def test_multiply_masks_matches_multiply(self):
+        strings = list(pauli_strings(2, include_identity=True))
+        pairs = [(a, b) for a in strings for b in strings]
+        ax, az = mask_arrays([a for a, _ in pairs])
+        bx, bz = mask_arrays([b for _, b in pairs])
+        x, z, e = multiply_masks(ax, az, bx, bz)
+        for (a, b), xi, zi, ei in zip(pairs, x, z, e):
+            sp = multiply(a, b)
+            assert (int(xi), int(zi)) == (sp.base.x, sp.base.z)
+            assert 1j ** int(ei) == pytest.approx(sp.coefficient)
+
+    def test_empty_table(self):
+        x, z = mask_arrays([P("XY")])
+        assert anticommutation_table(x[:0], z[:0], x, z).shape == (0, 1)
 
 
 class TestCommutatorNorms:

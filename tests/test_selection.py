@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from gensel import pauli
 from gensel.pauli import PauliString, commutes, pauli_strings
 from gensel.selection import (
     SelectionProblem,
@@ -96,6 +97,36 @@ class TestScoreMatrix:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             score_matrix([P("X"), P("X")])
+
+    @staticmethod
+    def _pairwise(cands):
+        return [[int(not commutes(a, b)) for b in cands] for a in cands]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_all_strings_match_pairwise_loop(self, n):
+        cands = list(pauli_strings(n))
+        c = score_matrix(cands)
+        assert c.dtype == np.uint8
+        assert c.tolist() == self._pairwise(cands)
+
+    @pytest.mark.parametrize("rows", [1, 7, 16])
+    def test_several_blocks(self, monkeypatch, rows):
+        cands = build_pool(P("ZIIX"))  # 128 candidates
+        expected = score_matrix(cands)
+        monkeypatch.setattr(pauli, "BLOCK_SIZE", rows * len(cands))
+        c = score_matrix(cands)
+        assert c.dtype == np.uint8
+        assert c.tobytes() == expected.tobytes()
+        assert c.tolist() == self._pairwise(cands)
+
+    def test_wide_strings_fall_back_to_pairwise_loop(self, rng):
+        n = 70  # past the 63 qubits that fit a uint64 mask
+        cands = list({P(random_label(rng, n)) for _ in range(6)})
+        cands += [P("X" + "I" * (n - 1)), P("Z" + "I" * (n - 1))]
+        c = score_matrix(cands)
+        assert c.dtype == np.uint8
+        assert c.tolist() == self._pairwise(cands)
+        assert c[-1, -2] == c[-2, -1] == 1
 
 
 def test_adjacency_masks_match_bit_loop(rng):

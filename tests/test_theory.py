@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from gensel.pauli import PauliString
+from gensel import pauli, theory
+from gensel.pauli import PauliString, commutator, commutes, pauli_strings
 from gensel.theory import (
     ObservableInAlgebra,
     OrthonormalBasis,
+    TheoryVerificationError,
+    _double_commutator_sums,
     casimir_constant,
     g_purity,
     normalized_pauli_matrices,
@@ -24,8 +27,6 @@ P = PauliString.from_label
 def _dense_basis(n: int) -> list[np.ndarray]:
     # Order follows the package's canonical enumeration (coeffs are aligned
     # to it); the matrices themselves come from the independent oracle.
-    from gensel.pauli import pauli_strings
-
     scale = 1.0 / np.sqrt(2.0**n)
     return [scale * dense_pauli(p.label) for p in pauli_strings(n)]
 
@@ -53,6 +54,121 @@ def _dense_sums(o: ObservableInAlgebra):
             if j == k:
                 diag += value
     return thm1, total, diag
+
+
+def _commutator_terms(p, terms):
+    """[p, sum_q w_q q] as a Pauli-sum dict (unnormalized strings)."""
+    out = {}
+    for q, w in terms:
+        sp = commutator(p, q)
+        if sp is not None:
+            out[sp.base] = out.get(sp.base, 0j) + w * sp.coefficient
+    return out
+
+
+def _reference_sums(o: ObservableInAlgebra):
+    """Theorem-1 lhs, double sum and its diagonal, one (j, k) pair at a time.
+
+    The per-pair loop that the vectorised sums replaced, on the scalar
+    ``pauli.commutator`` and ``pauli.commutes``.
+    """
+    basis = list(pauli_strings(o.n))
+    d = 2.0**o.n
+    terms = o.terms()
+    thm1 = total = diag = 0.0
+    for j, p_j in enumerate(basis):
+        inner = _commutator_terms(p_j, terms)
+        thm1 += sum(abs(w) ** 2 for w in inner.values()) / d
+        for k, p_k in enumerate(basis):
+            s = sum(abs(w) ** 2 for q, w in inner.items() if not commutes(p_k, q))
+            total += 4.0 / (d * d) * s
+            if k == j:
+                diag += 4.0 / (d * d) * s
+    return thm1, total, diag
+
+
+def _reference_casimir(n: int) -> float:
+    """sum_j [P_j, [P_j, P_m]] accumulated string by string for every m."""
+    basis = list(pauli_strings(n))
+    constants = set()
+    for p_m in basis:
+        acc = {}
+        for p_j in basis:
+            inner = commutator(p_j, p_m)
+            outer = None if inner is None else commutator(p_j, inner.base)
+            if outer is not None:
+                w = inner.coefficient * outer.coefficient
+                acc[outer.base] = acc.get(outer.base, 0j) + w
+        assert set(acc) == {p_m} and acc[p_m].imag == 0
+        constants.add(acc[p_m].real / 2.0**n)
+    (c,) = constants
+    return c
+
+
+class TestVectorisedSums:
+    """The NumPy sweeps against the per-pair loop and the dense oracles."""
+
+    @staticmethod
+    def _sums(o):
+        return (verify_theorem1(o).lhs, *_double_commutator_sums(o))
+
+    def test_matches_per_pair_reference_n4(self, rng):
+        for _ in range(3):
+            o = random_observable(4, rng, max_terms=8)
+            for got, want in zip(self._sums(o), _reference_sums(o)):
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_dense_oracle(self, rng, n):
+        for max_terms in (None, 3):
+            o = random_observable(n, rng, max_terms=max_terms)
+            for got, want in zip(self._sums(o), _dense_sums(o)):
+                assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_casimir_matches_per_pair_reference(self, n):
+        assert theory.casimir_constant.__wrapped__(n) == _reference_casimir(n)
+
+    # Row steps of 1, or even (so dividing neither 63 nor 255 = 4^n - 1),
+    # in every sweep at n = 3 and 4.
+    @pytest.mark.parametrize("block_size", [1, 510, 8160])
+    def test_block_size_does_not_matter(self, monkeypatch, rng, block_size):
+        observables = [
+            random_observable(3, rng),
+            random_observable(4, rng, max_terms=8),
+            ObservableInAlgebra.single(P("XIZY")),
+        ]
+        expected = [self._sums(o) for o in observables]
+        constants = [theory.casimir_constant.__wrapped__(n) for n in (3, 4)]
+        monkeypatch.setattr(pauli, "BLOCK_SIZE", block_size)
+        assert [self._sums(o) for o in observables] == expected
+        assert [theory.casimir_constant.__wrapped__(n) for n in (3, 4)] == constants
+
+    @pytest.mark.parametrize(
+        "dx, de, message",
+        [
+            (0, 1, "non-real"),
+            (0, 2, "varies"),
+            (1, 0, "did not map"),
+        ],
+    )
+    def test_corrupted_product_raises(self, monkeypatch, dx, de, message):
+        """Alter the mask or the phase of the first product casimir_constant forms."""
+        real = theory.multiply_masks
+        calls = []
+
+        def corrupted(*masks):
+            x, z, e = real(*masks)
+            if not calls:
+                x, e = x.copy(), e.copy()
+                x[0] ^= np.uint64(dx)
+                e[0] = (e[0] + de) & 3
+            calls.append(1)
+            return x, z, e
+
+        monkeypatch.setattr(theory, "multiply_masks", corrupted)
+        with pytest.raises(TheoryVerificationError, match=message):
+            theory.casimir_constant.__wrapped__(2)
 
 
 class TestCasimirConstant:
