@@ -64,7 +64,7 @@ from .experiments import (
     haar_bin_probs,
     hellinger_distance,
     run_comparison,
-    student_t_pvalue,
+    summarize,
     two_sample_t_test,
 )
 

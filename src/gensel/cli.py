@@ -17,6 +17,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,24 +26,22 @@ from .experiments import (
     DatasetSpec,
     ExpressibilityConfig,
     GeneticConfig,
-    SELECTION_METHODS,
-    derive_seed,
     expressibility_hellinger,
     generate_dataset,
     run_trial,
     select_for_method,
-    two_sample_t_test,
+    summarize,
+    trace_rows,
+    trial_model,
 )
 from .optimizer import SpsaConfig
 from .pauli import PauliString
 from .selection import evaluate_selection
-from .simulator import CircuitModel
 from .svg import write_curves_svg
 from .theory import (
     ObservableInAlgebra,
     casimir_constant,
     random_observable,
-    verify_lemma1,
     verify_lemma2_and_theorem2,
     verify_theorem1,
 )
@@ -50,6 +49,17 @@ from .theory import (
 __all__ = ["main", "parse_and_dispatch"]
 
 _METHOD_CHOICES = ("exact", "greedy", "genetic", "random", "grad-only", "pair-only")
+
+_TRACE_COLUMNS = ("method", "trial", "epoch", "rmse", "rmse_normalized")
+_EXPR_METRICS = ("n_commute_obs", "n_commute_pairs", "hellinger")
+
+# The config-file section that sets the fields of each dataclass.
+_SECTIONS = {
+    DatasetSpec: "dataset",
+    SpsaConfig: "spsa",
+    ExpressibilityConfig: "expressibility",
+    GeneticConfig: "genetic",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +93,7 @@ def _write_provenance(anchor: Path, subcommand: str, options: dict) -> None:
 
 
 def _load_config(path: str | None) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if path is not None:
         if not Path(path).is_file():
             raise FileNotFoundError(f"config file not found: {path}")
@@ -91,10 +101,36 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
-def _cfg_get(cfg, section, key, cast, default):
-    if cfg.has_option(section, key):
-        return cast(cfg.get(section, key))
-    return default
+def _option(cfg, section: str, key: str, default):
+    if not cfg.has_option(section, key):
+        return default
+    raw = cfg.get(section, key)
+    try:
+        return type(default)(raw)
+    except ValueError:
+        kind = type(default).__name__
+        raise ValueError(f"[{section}] {key} must be {kind}, got {raw!r}") from None
+
+
+def _section(cfg, cls, **flags):
+    """``cls`` built from its defaults, its config section, then non-None flags.
+
+    A field's default gives the type its value is cast to; a (low, high)
+    field ``<stem>_range`` reads the keys ``<stem>_min`` and ``<stem>_max``.
+    """
+    section = _SECTIONS[cls]
+    values = {}
+    for f in fields(cls):
+        if isinstance(f.default, tuple):
+            stem = f.name.removesuffix("_range")
+            keys = (f"{stem}_min", f"{stem}_max")
+            values[f.name] = tuple(
+                _option(cfg, section, k, d) for k, d in zip(keys, f.default)
+            )
+        else:
+            values[f.name] = _option(cfg, section, f.name, f.default)
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    return cls(**values)
 
 
 def _resolve_seed(flag_value) -> int:
@@ -111,66 +147,6 @@ def _resolve_seed(flag_value) -> int:
     if seed < 0:
         raise ValueError(f"master seed must be non-negative, got {seed}")
     return seed
-
-
-def _dataset_spec(cfg, n=None, depth=None) -> DatasetSpec:
-    base = DatasetSpec()
-    return DatasetSpec(
-        n=n if n is not None else _cfg_get(cfg, "dataset", "n", int, base.n),
-        depth=depth
-        if depth is not None
-        else _cfg_get(cfg, "dataset", "depth", int, base.depth),
-        theta_range=(
-            _cfg_get(cfg, "dataset", "theta_min", float, base.theta_range[0]),
-            _cfg_get(cfg, "dataset", "theta_max", float, base.theta_range[1]),
-        ),
-        input_range=(
-            _cfg_get(cfg, "dataset", "input_min", float, base.input_range[0]),
-            _cfg_get(cfg, "dataset", "input_max", float, base.input_range[1]),
-        ),
-        samples=_cfg_get(cfg, "dataset", "samples", int, base.samples),
-        teacher_seed=_cfg_get(cfg, "dataset", "teacher_seed", int, base.teacher_seed),
-    )
-
-
-def _spsa_config(cfg, epochs=None, seed=None) -> SpsaConfig:
-    base = SpsaConfig()
-    return SpsaConfig(
-        learning_rate=_cfg_get(cfg, "spsa", "learning_rate", float, base.learning_rate),
-        momentum=_cfg_get(cfg, "spsa", "momentum", float, base.momentum),
-        perturbation=_cfg_get(cfg, "spsa", "perturbation", float, base.perturbation),
-        epochs=epochs
-        if epochs is not None
-        else _cfg_get(cfg, "spsa", "epochs", int, base.epochs),
-        init_range=_cfg_get(cfg, "spsa", "init_range", float, base.init_range),
-        seed=seed if seed is not None else _cfg_get(cfg, "spsa", "seed", int, base.seed),
-    )
-
-
-def _expr_config(cfg, samples=None, bins=None, seed=None) -> ExpressibilityConfig:
-    base = ExpressibilityConfig()
-    return ExpressibilityConfig(
-        fidelity_samples=samples
-        if samples is not None
-        else _cfg_get(cfg, "expressibility", "fidelity_samples", int, base.fidelity_samples),
-        bins=bins
-        if bins is not None
-        else _cfg_get(cfg, "expressibility", "bins", int, base.bins),
-        param_range=(
-            _cfg_get(cfg, "expressibility", "param_min", float, base.param_range[0]),
-            _cfg_get(cfg, "expressibility", "param_max", float, base.param_range[1]),
-        ),
-        seed=seed if seed is not None else base.seed,
-    )
-
-
-def _genetic_config(cfg) -> GeneticConfig:
-    base = GeneticConfig()
-    return GeneticConfig(
-        population=_cfg_get(cfg, "genetic", "population", int, base.population),
-        generations=_cfg_get(cfg, "genetic", "generations", int, base.generations),
-        mutation_rate=_cfg_get(cfg, "genetic", "mutation_rate", float, base.mutation_rate),
-    )
 
 
 def _parse_observable(label: str, n: int | None) -> PauliString:
@@ -200,7 +176,7 @@ def _cmd_select(args) -> int:
     label = args.observable if args.observable else "Z" + "I" * (n - 1)
     observable = _parse_observable(label, n)
     method = _method_tag(args.method)
-    genetic = _genetic_config(cfg)
+    genetic = _section(cfg, GeneticConfig)
     result = select_for_method(
         method,
         observable,
@@ -240,15 +216,7 @@ def _cmd_select(args) -> int:
 def _cmd_gen_data(args) -> int:
     cfg = _load_config(args.config)
     seed = _resolve_seed(args.seed)
-    spec = _dataset_spec(cfg)
-    spec = DatasetSpec(
-        n=spec.n,
-        depth=spec.depth,
-        theta_range=spec.theta_range,
-        input_range=spec.input_range,
-        samples=spec.samples,
-        teacher_seed=seed,
-    )
+    spec = _section(cfg, DatasetSpec, teacher_seed=seed)
     dataset, _ = generate_dataset(spec)
     rows = [[i, x, y] for i, (x, y) in enumerate(dataset)]
     _write_csv(args.out, ["index", "x", "y"], rows)
@@ -268,34 +236,29 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _read_dataset_csv(path: str) -> list[tuple[float, float]]:
+def _read_table(path: str, columns) -> list[dict]:
     if not Path(path).is_file():
-        raise FileNotFoundError(f"data file not found: {path}")
+        raise FileNotFoundError(f"file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"x", "y"} <= set(reader.fieldnames):
-            raise ValueError(f"data file {path} must have 'x' and 'y' columns")
-        return [(float(row["x"]), float(row["y"])) for row in reader]
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} has no column {', '.join(missing)}")
+        return list(reader)
 
 
 def _train_one(payload):
-    method, trial, master_seed, dataset, spec, spsa, genetic = payload
-    record = run_trial(method, trial, master_seed, dataset, spec, spsa, genetic)
-    return [
-        [method, trial, epoch, float(rmse), float(norm)]
-        for epoch, (rmse, norm) in enumerate(
-            zip(record.rmse_trace, record.normalized_trace)
-        )
-    ]
+    return trace_rows(run_trial(*payload), payload[1])
 
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config)
     master_seed = _resolve_seed(args.seed)
-    dataset = _read_dataset_csv(args.data)
-    spec = _dataset_spec(cfg)
-    spsa = _spsa_config(cfg, epochs=args.epochs)
-    genetic = _genetic_config(cfg)
+    table = _read_table(args.data, ("x", "y"))
+    dataset = [(float(r["x"]), float(r["y"])) for r in table]
+    spec = _section(cfg, DatasetSpec)
+    spsa = _section(cfg, SpsaConfig, epochs=args.epochs)
+    genetic = _section(cfg, GeneticConfig)
     methods = [_method_tag(m) for m in (args.method or ["exact"])]
     payloads = [
         (method, trial, master_seed, dataset, spec, spsa, genetic)
@@ -308,9 +271,7 @@ def _cmd_train(args) -> int:
     else:
         chunks = [_train_one(p) for p in payloads]
     rows = [row for chunk in chunks for row in chunk]
-    _write_csv(
-        args.out, ["method", "trial", "epoch", "rmse", "rmse_normalized"], rows
-    )
+    _write_csv(args.out, _TRACE_COLUMNS, rows)
     _write_provenance(
         Path(args.out),
         "train",
@@ -336,36 +297,20 @@ def _cmd_train(args) -> int:
 def _cmd_expressibility(args) -> int:
     cfg = _load_config(args.config)
     master_seed = _resolve_seed(args.seed)
-    spec = _dataset_spec(cfg)
-    genetic = _genetic_config(cfg)
+    spec = _section(cfg, DatasetSpec)
+    genetic = _section(cfg, GeneticConfig)
+    expr_cfg = _section(
+        cfg, ExpressibilityConfig, fidelity_samples=args.samples, bins=args.bins
+    )
     methods = [_method_tag(m) for m in (args.method or ["exact"])]
     rows = []
     for method in methods:
         for trial in range(args.trials):
-            seed = derive_seed(master_seed, method, trial)
-            selection = select_for_method(
-                method, spec.observable, spec.depth, seed, genetic=genetic
-            )
-            model = CircuitModel(spec.n, selection.chosen, spec.observable)
-            expr_cfg = _expr_config(
-                cfg, samples=args.samples, bins=args.bins, seed=seed
-            )
-            distance = expressibility_hellinger(model, expr_cfg)
-            metrics = evaluate_selection(selection.chosen, spec.observable)
-            rows.append(
-                [
-                    method,
-                    trial,
-                    metrics.n_commute_obs,
-                    metrics.n_commute_pairs,
-                    float(distance),
-                ]
-            )
-    _write_csv(
-        args.out,
-        ["method", "trial", "n_commute_obs", "n_commute_pairs", "hellinger"],
-        rows,
-    )
+            seed, model = trial_model(method, trial, master_seed, spec, genetic)
+            distance = expressibility_hellinger(model, replace(expr_cfg, seed=seed))
+            metrics = evaluate_selection(model.generators, spec.observable)
+            rows.append([method, trial, *metrics, float(distance)])
+    _write_csv(args.out, ("method", "trial", *_EXPR_METRICS), rows)
     _write_provenance(
         Path(args.out),
         "expressibility",
@@ -389,13 +334,12 @@ def _verify_rows(observables, n):
     rows = []
     for o in observables:
         thm1 = verify_theorem1(o)
-        lem1 = verify_lemma1(o)
         lem2 = verify_lemma2_and_theorem2(o)
         scale1 = max(abs(thm1.rhs), 1e-300)
-        scale2 = max(abs(lem1.rhs), 1e-300)
+        scale2 = max(abs(lem2.c2_norm_sq), 1e-300)
         rel_errs = (
             abs(thm1.lhs - thm1.rhs) / scale1,
-            abs(lem1.lhs - lem1.rhs) / scale2,
+            abs(lem2.total_sum - lem2.c2_norm_sq) / scale2,
             max(0.0, lem2.lower_bound - lem2.diag_sum) / scale2,
             max(0.0, lem2.offdiag_sum - lem2.upper_bound) / scale2,
         )
@@ -406,8 +350,8 @@ def _verify_rows(observables, n):
                 float(c),
                 float(thm1.lhs),
                 float(thm1.rhs),
-                float(lem1.lhs),
-                float(lem1.rhs),
+                float(lem2.total_sum),
+                float(lem2.c2_norm_sq),
                 float(lem2.diag_sum),
                 float(lem2.offdiag_sum),
                 float(lem2.lower_bound),
@@ -462,108 +406,33 @@ def _cmd_verify_theory(args) -> int:
     return 0
 
 
-def _read_table(path: str) -> list[dict]:
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _method_order(methods) -> list[str]:
-    canonical = [m for m in SELECTION_METHODS if m in methods]
-    extras = sorted(set(methods) - set(canonical))
-    return canonical + extras
-
-
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), std
-
-
 def _cmd_report(args) -> int:
-    traces = _read_table(args.traces)
+    traces = _read_table(args.traces, _TRACE_COLUMNS)
     if not traces:
         raise ValueError(f"no training traces in {args.traces}")
-    expr = _read_table(args.expr)
-
-    by_method: dict[str, dict[int, dict[int, tuple[float, float]]]] = {}
-    for row in traces:
-        method = row["method"]
-        trial = int(row["trial"])
-        epoch = int(row["epoch"])
-        by_method.setdefault(method, {}).setdefault(trial, {})[epoch] = (
-            float(row["rmse"]),
-            float(row["rmse_normalized"]),
-        )
-
-    table_rows = []
-    series = []
-    final_rmse: dict[str, list[float]] = {}
-    for method in _method_order(by_method):
-        trials = by_method[method]
-        epoch_count = None
-        norm_rows = []
-        raw_final = []
-        for trial in sorted(trials):
-            epochs = sorted(trials[trial])
-            if epoch_count is None:
-                epoch_count = len(epochs)
-            elif epoch_count != len(epochs):
-                raise ValueError(
-                    f"trial {trial} of method {method} has an inconsistent "
-                    "number of epochs"
-                )
-            norm_rows.append([trials[trial][e][1] for e in epochs])
-            raw_final.append(trials[trial][epochs[-1]][0])
-        final_rmse[method] = raw_final
-        matrix = np.asarray(norm_rows)
-        mean = matrix.mean(axis=0)
-        std = (
-            matrix.std(axis=0, ddof=1)
-            if matrix.shape[0] > 1
-            else np.zeros(matrix.shape[1])
-        )
-        series.append((method, mean, std))
-        m, s = _mean_std(raw_final)
-        table_rows.append([method, "final_rmse", m, s])
-        m, s = _mean_std([row[-1] for row in norm_rows])
-        table_rows.append([method, "final_rmse_normalized", m, s])
-
-    expr_by_method: dict[str, dict[str, list[float]]] = {}
-    for row in expr:
-        rec = expr_by_method.setdefault(
-            row["method"],
-            {"n_commute_obs": [], "n_commute_pairs": [], "hellinger": []},
-        )
-        rec["n_commute_obs"].append(float(row["n_commute_obs"]))
-        rec["n_commute_pairs"].append(float(row["n_commute_pairs"]))
-        rec["hellinger"].append(float(row["hellinger"]))
-    for method in _method_order(expr_by_method):
-        for metric in ("n_commute_obs", "n_commute_pairs", "hellinger"):
-            m, s = _mean_std(expr_by_method[method][metric])
-            table_rows.append([method, metric, m, s])
-
-    _write_csv(args.out_table, ["method", "metric", "mean", "std"], table_rows)
-    if series:
-        write_curves_svg(
-            args.out_curves,
-            series,
-            title="training curves",
-            deterministic=args.deterministic,
-        )
-
-    if (
-        "exact" in final_rmse
-        and "random" in final_rmse
-        and len(final_rmse["exact"]) >= 2
-        and len(final_rmse["random"]) >= 2
-    ):
-        t, p = two_sample_t_test(final_rmse["exact"], final_rmse["random"])
-        print(f"t-test (exact vs random, final epoch): t={t:.6g} p={p:.6g}")
-    else:
+    expr = _read_table(args.expr, ("method", *_EXPR_METRICS))
+    report = summarize(
+        (
+            (r["method"], int(r["trial"]), int(r["epoch"]),
+             float(r["rmse"]), float(r["rmse_normalized"]))
+            for r in traces
+        ),
+        ((r["method"], k, float(r[k])) for r in expr for k in _EXPR_METRICS),
+    )
+    _write_csv(args.out_table, ["method", "metric", "mean", "std"], report.table_rows())
+    write_curves_svg(
+        args.out_curves,
+        report.curves(),
+        title="training curves",
+        deterministic=args.deterministic,
+    )
+    if report.t_statistic is None:
         print("t-test (exact vs random, final epoch): not available")
-
+    else:
+        print(
+            "t-test (exact vs random, final epoch): "
+            f"t={report.t_statistic:.6g} p={report.p_value:.6g}"
+        )
     _write_provenance(
         Path(args.out_table),
         "report",

@@ -49,10 +49,12 @@ __all__ = [
     "hellinger_distance",
     "expressibility_hellinger",
     "select_for_method",
+    "trial_model",
     "run_trial",
+    "trace_rows",
+    "summarize",
     "run_comparison",
     "two_sample_t_test",
-    "student_t_pvalue",
     "SELECTION_METHODS",
 ]
 
@@ -225,6 +227,21 @@ def select_for_method(
     )
 
 
+def trial_model(
+    method: str,
+    trial_index: int,
+    master_seed: int,
+    spec: DatasetSpec,
+    genetic: GeneticConfig = GeneticConfig(),
+) -> tuple[int, CircuitModel]:
+    """Seed of one (method, trial) cell and the circuit its selection builds."""
+    seed = derive_seed(master_seed, method, trial_index)
+    selection = select_for_method(
+        method, spec.observable, spec.depth, seed, genetic=genetic
+    )
+    return seed, CircuitModel(spec.n, selection.chosen, spec.observable)
+
+
 def run_trial(
     method: str,
     trial_index: int,
@@ -235,52 +252,47 @@ def run_trial(
     genetic: GeneticConfig = GeneticConfig(),
 ) -> TrialRecord:
     """Select generators and train one circuit for one (method, trial) cell."""
-    seed = derive_seed(master_seed, method, trial_index)
-    selection = select_for_method(
-        method, spec.observable, spec.depth, seed, genetic=genetic
-    )
-    model = CircuitModel(spec.n, selection.chosen, spec.observable)
-    config = replace(spsa_config, seed=seed)
-    return train(model, dataset, config, method=method)
+    seed, model = trial_model(method, trial_index, master_seed, spec, genetic)
+    return train(model, dataset, replace(spsa_config, seed=seed), method=method)
+
+
+def trace_rows(record: TrialRecord, trial_index: int) -> list[tuple]:
+    """One (method, trial, epoch, rmse, rmse_normalized) row per trace point."""
+    return [
+        (record.method, trial_index, epoch, float(rmse), float(norm))
+        for epoch, (rmse, norm) in enumerate(
+            zip(record.rmse_trace, record.normalized_trace)
+        )
+    ]
+
+
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation (0 for a single value)."""
+    arr = np.asarray(values, dtype=float)
+    return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
 
 @dataclass
 class MethodSummary:
-    """Aggregated statistics for one selection method across trials."""
+    """Final RMSEs and normalized traces of one selection method, per trial."""
 
     method: str
-    records: list[TrialRecord]
-    observable: PauliString
-    commute_obs_mean: float = field(init=False)
-    commute_obs_std: float = field(init=False)
-    commute_pairs_mean: float = field(init=False)
-    commute_pairs_std: float = field(init=False)
+    final_rmse: np.ndarray
+    normalized: np.ndarray
     trace_mean: np.ndarray = field(init=False)
     trace_std: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.records:
-            raise ValueError("method summary needs at least one trial record")
-        metrics = [
-            evaluate_selection(rec.chosen, self.observable) for rec in self.records
-        ]
-        obs_counts = np.array([m.n_commute_obs for m in metrics], dtype=float)
-        pair_counts = np.array([m.n_commute_pairs for m in metrics], dtype=float)
-        self.commute_obs_mean = float(obs_counts.mean())
-        self.commute_obs_std = _sample_std(obs_counts)
-        self.commute_pairs_mean = float(pair_counts.mean())
-        self.commute_pairs_std = _sample_std(pair_counts)
-        traces = np.stack([rec.normalized_trace for rec in self.records])
-        self.trace_mean = traces.mean(axis=0)
+        self.final_rmse = np.asarray(self.final_rmse, dtype=float)
+        self.normalized = np.asarray(self.normalized, dtype=float)
+        if self.normalized.ndim != 2 or not self.normalized.size:
+            raise ValueError("method summary needs at least one trial trace")
+        self.trace_mean = self.normalized.mean(axis=0)
         self.trace_std = (
-            traces.std(axis=0, ddof=1)
-            if len(self.records) > 1
-            else np.zeros(traces.shape[1])
+            self.normalized.std(axis=0, ddof=1)
+            if len(self.normalized) > 1
+            else np.zeros(self.normalized.shape[1])
         )
-
-
-def _sample_std(values: np.ndarray) -> float:
-    return float(values.std(ddof=1)) if values.size > 1 else 0.0
 
 
 class TTestResult(NamedTuple):
@@ -315,18 +327,80 @@ def two_sample_t_test(sample_a, sample_b) -> TTestResult:
     return TTestResult(t, p)
 
 
-def student_t_pvalue(sample_a, sample_b) -> float:
-    """Two-sided p-value of the pooled-variance Student t-test."""
-    return two_sample_t_test(sample_a, sample_b).pvalue
-
-
 @dataclass
 class ExperimentReport:
-    """Per-method summaries plus the final-epoch t-test, when computable."""
+    """Per-method trace summaries and selection metrics, plus the t-test.
+
+    ``metrics[method][name]`` holds the per-trial values of one metric
+    (commuting counts, Hellinger distance); the t-test compares final-epoch
+    raw RMSEs of 'exact' versus 'random' and is None when either method is
+    absent or has fewer than two trials.
+    """
 
     summaries: dict[str, MethodSummary]
+    metrics: dict[str, dict[str, np.ndarray]]
     t_statistic: float | None
     p_value: float | None
+
+    def table_rows(self) -> list[tuple[str, str, float, float]]:
+        """(method, metric, mean, std) rows: the traces first, then the metrics."""
+        rows = []
+        for method, s in self.summaries.items():
+            rows.append((method, "final_rmse", *_mean_std(s.final_rmse)))
+            rows.append(
+                (method, "final_rmse_normalized", *_mean_std(s.normalized[:, -1]))
+            )
+        for method, by_name in self.metrics.items():
+            for name, values in by_name.items():
+                rows.append((method, name, *_mean_std(values)))
+        return rows
+
+    def curves(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """(method, mean, std) of the normalized traces, one series per method."""
+        return [(m, s.trace_mean, s.trace_std) for m, s in self.summaries.items()]
+
+
+def _method_order(methods) -> list[str]:
+    canonical = [m for m in SELECTION_METHODS if m in methods]
+    return canonical + sorted(set(methods) - set(canonical))
+
+
+def summarize(traces, metrics) -> ExperimentReport:
+    """Aggregate trace rows and metric values into the comparison report.
+
+    ``traces`` yields (method, trial, epoch, rmse, rmse_normalized) rows, in
+    any order; ``metrics`` yields (method, metric, value) triples, one per
+    trial and metric.  Methods come in SELECTION_METHODS order, others after
+    them sorted; trials and epochs in index order.  Every trial of a method
+    must have the same number of epochs.
+    """
+    by_method: dict[str, dict[int, dict[int, tuple[float, float]]]] = {}
+    for method, trial, epoch, rmse, norm in traces:
+        by_method.setdefault(method, {}).setdefault(trial, {})[epoch] = (rmse, norm)
+    summaries = {}
+    for method in _method_order(by_method):
+        trials = by_method[method]
+        runs = [[trials[t][e] for e in sorted(trials[t])] for t in sorted(trials)]
+        if len({len(run) for run in runs}) > 1:
+            raise ValueError(
+                f"the trials of method {method} have inconsistent numbers of epochs"
+            )
+        runs = np.array(runs, dtype=float)
+        summaries[method] = MethodSummary(method, runs[:, -1, 0], runs[:, :, 1])
+
+    values: dict[str, dict[str, list[float]]] = {}
+    for method, name, value in metrics:
+        values.setdefault(method, {}).setdefault(name, []).append(value)
+    by_name = {
+        m: {k: np.array(v, dtype=float) for k, v in values[m].items()}
+        for m in _method_order(values)
+    }
+
+    t_stat = p_value = None
+    final = {m: s.final_rmse for m, s in summaries.items() if s.final_rmse.size >= 2}
+    if "exact" in final and "random" in final:
+        t_stat, p_value = two_sample_t_test(final["exact"], final["random"])
+    return ExperimentReport(summaries, by_name, t_stat, p_value)
 
 
 def run_comparison(
@@ -339,22 +413,17 @@ def run_comparison(
 ) -> ExperimentReport:
     """Train every method on one shared dataset across seeded trials.
 
-    The t-test compares final-epoch raw RMSEs of 'exact' versus 'random'
-    (two-sided, pooled variance); it is reported as None whenever either
-    method is absent or fewer than two trials ran.
+    The trials' trace rows and selection metrics go through ``summarize``,
+    the same aggregation that ``gensel report`` applies to the CSVs.
     """
     dataset, _ = generate_dataset(spec)
-    summaries: dict[str, MethodSummary] = {}
+    traces, metrics = [], []
     for method in methods:
-        records = [
-            run_trial(method, t, master_seed, dataset, spec, spsa_config, genetic)
-            for t in range(trials)
-        ]
-        summaries[method] = MethodSummary(method, records, spec.observable)
-
-    t_stat = p_value = None
-    if "exact" in summaries and "random" in summaries and trials >= 2:
-        final_exact = [rec.rmse_trace[-1] for rec in summaries["exact"].records]
-        final_random = [rec.rmse_trace[-1] for rec in summaries["random"].records]
-        t_stat, p_value = two_sample_t_test(final_exact, final_random)
-    return ExperimentReport(summaries, t_stat, p_value)
+        for t in range(trials):
+            record = run_trial(
+                method, t, master_seed, dataset, spec, spsa_config, genetic
+            )
+            traces += trace_rows(record, t)
+            counts = evaluate_selection(record.chosen, spec.observable)
+            metrics += [(method, k, v) for k, v in counts._asdict().items()]
+    return summarize(traces, metrics)

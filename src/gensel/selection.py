@@ -27,6 +27,7 @@ from .pauli import (
     mask_arrays,
     pauli_string_at,
     pauli_strings,
+    row_blocks,
 )
 
 __all__ = [
@@ -84,9 +85,11 @@ class SelectionProblem:
         c = np.asarray(self.coefficients)
         if c.shape != (m, m):
             raise ValueError(f"coefficient matrix shape {c.shape} != ({m}, {m})")
-        if np.any(c != c.T) or np.any(np.diag(c) != 0):
+        # Compared a block of rows at a time, so no m x m temporary is formed.
+        asymmetric = any(np.any(c[b] != c[:, b].T) for b in row_blocks(m, m))
+        if asymmetric or np.any(np.diag(c) != 0):
             raise ValueError("coefficient matrix must be symmetric with zero diagonal")
-        self.coefficients = c.astype(np.uint8)
+        self.coefficients = c.astype(np.uint8, copy=False)
 
     @classmethod
     def build(
@@ -307,12 +310,8 @@ def solve_genetic(
     L = problem.budget
     m = len(problem.candidates)
     max_score = L * (L - 1) // 2
-    coeff = problem.coefficients.astype(np.int64)
+    fitness = problem.subset_score
     rng = np.random.default_rng(seed)
-
-    def fitness(subset: tuple[int, ...]) -> int:
-        idx = list(subset)
-        return int(coeff[np.ix_(idx, idx)].sum()) // 2
 
     def random_subset() -> tuple[int, ...]:
         return tuple(sorted(rng.choice(m, size=L, replace=False).tolist()))
@@ -395,11 +394,7 @@ def select_baseline(
             )
         chosen = _random_clique(list(pauli_strings(n)), budget, rng)
 
-    score = sum(
-        0 if commutes(a, b) else 1
-        for i, a in enumerate(chosen)
-        for b in chosen[i + 1 :]
-    )
+    score = int(score_matrix(chosen).sum()) // 2
     return SelectionResult(chosen, score, method, score == budget * (budget - 1) // 2)
 
 
@@ -432,10 +427,5 @@ def evaluate_selection(
     if len(set(chosen)) != len(chosen):
         raise ValueError("chosen generators must be distinct")
     n_obs = sum(1 for g in chosen if commutes(g, observable))
-    n_pairs = sum(
-        1
-        for i, a in enumerate(chosen)
-        for b in chosen[i + 1 :]
-        if commutes(a, b)
-    )
-    return SelectionMetrics(n_obs, n_pairs)
+    pairs = len(chosen) * (len(chosen) - 1) // 2
+    return SelectionMetrics(n_obs, pairs - int(score_matrix(chosen).sum()) // 2)

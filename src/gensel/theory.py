@@ -169,6 +169,8 @@ class Lemma2Theorem2Result(NamedTuple):
     offdiag_sum: float
     lower_bound: float
     upper_bound: float
+    total_sum: float  # the whole double sum, Lemma 1's lhs
+    c2_norm_sq: float  # c^2 ||O||^2, Lemma 1's rhs
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +302,9 @@ def verify_lemma2_and_theorem2(
     Asserts, within ``rel_tol`` relative slack, that the diagonal part is at
     least c^2 ||O||^2 / (d^2 - 1), the off-diagonal part is at most
     c^2 ||O||^2 (d^2 - 2)/(d^2 - 1), and the two parts together reproduce
-    c^2 ||O||^2.  A violation raises TheoryVerificationError.
+    c^2 ||O||^2.  A violation raises TheoryVerificationError.  The result
+    also carries both sides of Lemma 1, so one evaluation of the double sum
+    serves all three checks.
     """
     total, diag = _double_commutator_sums(o)
     offdiag = total - diag
@@ -322,7 +326,7 @@ def verify_lemma2_and_theorem2(
         raise TheoryVerificationError(
             f"double sum {total} != c^2 ||O||^2 = {full}"
         )
-    return Lemma2Theorem2Result(diag, offdiag, lower, upper)
+    return Lemma2Theorem2Result(diag, offdiag, lower, upper, total, full)
 
 
 def normalized_pauli_matrices(paulis: Sequence[PauliString]) -> list[np.ndarray]:

@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import gensel
+from gensel import cli
 from gensel.cli import main
+from gensel.experiments import (
+    DatasetSpec,
+    ExpressibilityConfig,
+    GeneticConfig,
+    run_comparison,
+)
+from gensel.optimizer import SpsaConfig
 
 
 def _read_csv(path):
@@ -214,6 +222,21 @@ class TestVerifyTheory:
         assert float(rows[0]["thm1_lhs"]) == pytest.approx(8.0)
         assert float(rows[0]["lemma1_lhs"]) == pytest.approx(64.0)
 
+    def test_double_sums_computed_once_per_observable(self, tmp_path, monkeypatch):
+        from gensel import theory
+
+        calls = []
+        real = theory._double_commutator_sums
+
+        def counted(o):
+            calls.append(o)
+            return real(o)
+
+        monkeypatch.setattr(theory, "_double_commutator_sums", counted)
+        assert _run(["verify-theory", "--n", 2, "--trials", 3, "--observable", "ZX",
+                     "--seed", 0, "--report", tmp_path / "theory.csv"]) == 0
+        assert len(calls) == 4
+
 
 class TestReport:
     def test_end_to_end(self, small_setup, tmp_path, capsys):
@@ -282,6 +305,21 @@ class TestReport:
         assert "\n" not in err.strip()
         assert not table.exists()
 
+    def test_missing_column_is_one_line_error(self, small_setup, tmp_path, capsys):
+        cfg, data = small_setup
+        traces = tmp_path / "traces.csv"
+        assert _run(["train", "--data", data, "--config", cfg, "--trials", 1,
+                     "--seed", 5, "--out", traces]) == 0
+        expr = tmp_path / "expr.csv"
+        expr.write_text("method,trial,hellinger\nexact,0,0.5\n")
+        capsys.readouterr()
+        code = _run(["report", "--traces", traces, "--expr", expr,
+                     "--out-table", tmp_path / "t.csv",
+                     "--out-curves", tmp_path / "c.svg"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {expr} has no column n_commute_obs, n_commute_pairs\n"
+
     def test_missing_inputs(self, tmp_path, capsys):
         code = _run(["report", "--traces", tmp_path / "none.csv",
                      "--expr", tmp_path / "none2.csv",
@@ -289,6 +327,124 @@ class TestReport:
                      "--out-curves", tmp_path / "c.svg"])
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+
+class TestOneAggregationPath:
+    def test_report_rows_match_run_comparison(self, small_setup, tmp_path):
+        cfg, data = small_setup  # gen-data --seed 2
+        methods = ["exact", "random", "genetic"]
+        flags = [a for m in methods for a in ("--method", m)]
+        flags += ["--trials", 2, "--seed", 7]
+        traces, expr, table = (tmp_path / f for f in ("t.csv", "e.csv", "table1.csv"))
+        assert _run(["train", "--data", data, "--config", cfg, *flags,
+                     "--out", traces]) == 0
+        assert _run(["expressibility", "--config", cfg, *flags, "--samples", 60,
+                     "--bins", 10, "--out", expr]) == 0
+        assert _run(["report", "--traces", traces, "--expr", expr, "--out-table", table,
+                     "--out-curves", tmp_path / "c.svg"]) == 0
+        report = run_comparison(
+            methods,
+            2,
+            DatasetSpec(n=3, depth=3, samples=10, teacher_seed=2),
+            SpsaConfig(epochs=4),
+            master_seed=7,
+            genetic=GeneticConfig(population=12, generations=10),
+        )
+        rows = [
+            (r["method"], r["metric"], float(r["mean"]), float(r["std"]))
+            for r in _read_csv(table)
+            if r["metric"] != "hellinger"
+        ]
+        assert rows == report.table_rows()
+        assert {r[1] for r in rows} == {
+            "final_rmse", "final_rmse_normalized", "n_commute_obs", "n_commute_pairs"
+        }
+
+
+class TestConfigLoader:
+    INI = (
+        "[dataset]\nn = 3 ; qubits\ndepth = 4\nsamples = 12\n"
+        "theta_min = -1.5\ntheta_max = 2.5\ninput_min = 0.5\ninput_max = 3.0\n"
+        "[spsa]\nlearning_rate = 0.01\nmomentum = 0.4\nperturbation = 0.02\n"
+        "epochs = 5\ninit_range = 0.2\n"
+        "[expressibility]\nfidelity_samples = 80\nbins = 10\n"
+        "param_min = -2.0\nparam_max = 2.0\n"
+        "[genetic]\npopulation = 10\ngenerations = 7\nmutation_rate = 0.5\n"
+    )
+
+    @staticmethod
+    def _readme_config():
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        parser = cli._load_config(None)
+        parser.read_string(block)
+        return parser
+
+    @staticmethod
+    def _keys(parser):
+        return {(name, key) for name in parser.sections() for key in parser[name]}
+
+    def test_every_documented_key_sets_its_field(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(self.INI)
+        cfg = cli._load_config(path)
+        assert self._keys(cfg) == self._keys(self._readme_config())
+        assert cli._section(cfg, DatasetSpec) == DatasetSpec(
+            n=3, depth=4, samples=12, theta_range=(-1.5, 2.5), input_range=(0.5, 3.0)
+        )
+        assert cli._section(cfg, SpsaConfig) == SpsaConfig(
+            learning_rate=0.01,
+            momentum=0.4,
+            perturbation=0.02,
+            epochs=5,
+            init_range=0.2,
+        )
+        assert cli._section(cfg, ExpressibilityConfig) == ExpressibilityConfig(
+            fidelity_samples=80, bins=10, param_range=(-2.0, 2.0)
+        )
+        assert cli._section(cfg, GeneticConfig) == GeneticConfig(
+            population=10, generations=7, mutation_rate=0.5
+        )
+
+    def test_readme_values_are_the_defaults(self):
+        cfg = self._readme_config()
+        for cls in (DatasetSpec, SpsaConfig, ExpressibilityConfig, GeneticConfig):
+            assert cli._section(cfg, cls) == cls()
+
+    def test_flags_win_over_the_file(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(self.INI)
+        cfg = cli._load_config(path)
+        assert cli._section(cfg, SpsaConfig, epochs=9).epochs == 9
+        assert cli._section(cfg, SpsaConfig, epochs=None).epochs == 5
+        partial = cli._load_config(None)
+        partial.read_string("[dataset]\ntheta_max = 2.0\n")
+        spec = cli._section(partial, DatasetSpec, teacher_seed=4)
+        assert spec.theta_range == (DatasetSpec().theta_range[0], 2.0)
+        assert spec.teacher_seed == 4
+
+    @pytest.mark.parametrize(
+        "ini, message",
+        [
+            ("[spsa]\nepochs = many\n", "[spsa] epochs must be int, got 'many'"),
+            (
+                "[dataset]\ntheta_min = low\n",
+                "[dataset] theta_min must be float, got 'low'",
+            ),
+        ],
+    )
+    def test_malformed_value_is_one_line(
+        self, small_setup, tmp_path, capsys, ini, message
+    ):
+        _, data = small_setup
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        capsys.readouterr()
+        code = _run(["train", "--data", data, "--config", cfg, "--trials", 1,
+                     "--out", tmp_path / "t.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
 
 
 class TestSeedEnvironment:

@@ -15,7 +15,9 @@ from gensel.experiments import (
     run_comparison,
     run_trial,
     select_for_method,
-    student_t_pvalue,
+    summarize,
+    trace_rows,
+    trial_model,
     two_sample_t_test,
 )
 from gensel.optimizer import SpsaConfig, rmse_cost
@@ -151,6 +153,71 @@ class TestRunTrial:
         assert metrics.n_commute_obs == 0
 
 
+class TestTrialModel:
+    def test_run_trial_trains_the_trial_model(self):
+        dataset, _ = generate_dataset(SMALL_SPEC)
+        seed, model = trial_model("exact", 1, 5, SMALL_SPEC)
+        assert seed == derive_seed(5, "exact", 1)
+        record = run_trial("exact", 1, 5, dataset, SMALL_SPEC, SpsaConfig(epochs=2))
+        assert record.seed == seed
+        assert record.chosen == tuple(model.generators)
+
+
+class TestSummarize:
+    @staticmethod
+    def _rows(method, trial, rmse):
+        return [(method, trial, e, r, r / rmse[0]) for e, r in enumerate(rmse)]
+
+    def test_methods_in_canonical_order_then_sorted(self):
+        traces = []
+        for method in ("zeta", "random", "alpha", "exact"):
+            traces += self._rows(method, 0, [2.0, 1.0])
+        metrics = [("random", "hellinger", 0.5), ("exact", "hellinger", 0.1)]
+        report = summarize(traces, metrics)
+        assert list(report.summaries) == ["exact", "random", "alpha", "zeta"]
+        assert list(report.metrics) == ["exact", "random"]
+
+    def test_rows_in_any_order(self):
+        traces = self._rows("exact", 1, [4.0, 2.0, 1.0])
+        traces += self._rows("exact", 0, [2.0, 1.0, 1.0])
+        report = summarize(traces[::-1], [])
+        summary = report.summaries["exact"]
+        assert summary.final_rmse.tolist() == [1.0, 1.0]
+        assert summary.normalized.tolist() == [[1.0, 0.5, 0.5], [1.0, 0.5, 0.25]]
+        assert summary.trace_mean.tolist() == [1.0, 0.5, 0.375]
+
+    def test_table_rows(self):
+        traces = self._rows("exact", 0, [2.0, 1.0]) + self._rows("exact", 1, [4.0, 1.0])
+        metrics = [("exact", "n_commute_obs", 0.0), ("exact", "n_commute_obs", 2.0)]
+        rows = summarize(traces, metrics).table_rows()
+        assert rows == [
+            ("exact", "final_rmse", 1.0, 0.0),
+            ("exact", "final_rmse_normalized", 0.375, pytest.approx(0.125 * 2**0.5)),
+            ("exact", "n_commute_obs", 1.0, pytest.approx(np.sqrt(2.0))),
+        ]
+
+    def test_inconsistent_epochs_rejected(self):
+        traces = self._rows("exact", 0, [2.0, 1.0]) + self._rows("exact", 1, [2.0])
+        with pytest.raises(ValueError, match="inconsistent numbers of epochs"):
+            summarize(traces, [])
+
+    def test_t_test_needs_two_trials_of_exact_and_random(self):
+        one = self._rows("exact", 0, [2.0, 1.0]) + self._rows("random", 0, [2.0, 1.5])
+        assert summarize(one, []).t_statistic is None
+        two = one + self._rows("exact", 1, [2.0, 0.5])
+        two += self._rows("random", 1, [2.0, 1.0])
+        report = summarize(two, [])
+        t, p = two_sample_t_test([1.0, 0.5], [1.5, 1.0])
+        assert (report.t_statistic, report.p_value) == (t, p)
+
+    def test_trace_rows_round_trip(self):
+        dataset, _ = generate_dataset(SMALL_SPEC)
+        record = run_trial("exact", 0, 1, dataset, SMALL_SPEC, SpsaConfig(epochs=3))
+        summary = summarize(trace_rows(record, 0), []).summaries["exact"]
+        assert summary.final_rmse.tolist() == [record.rmse_trace[-1]]
+        assert summary.normalized.tolist() == [record.normalized_trace.tolist()]
+
+
 class TestRunComparison:
     def test_minimal_run_has_no_t_test(self):
         report = run_comparison(
@@ -171,28 +238,30 @@ class TestRunComparison:
         a = run_comparison(**kwargs)
         b = run_comparison(**kwargs)
         for method in a.summaries:
-            for ra, rb in zip(a.summaries[method].records, b.summaries[method].records):
-                assert np.array_equal(ra.rmse_trace, rb.rmse_trace)
+            sa, sb = a.summaries[method], b.summaries[method]
+            assert np.array_equal(sa.final_rmse, sb.final_rmse)
+            assert np.array_equal(sa.normalized, sb.normalized)
         assert a.p_value == b.p_value
 
-    def test_metrics_recomputable_from_records(self):
+    def test_metrics_recomputable_from_trial_models(self):
         report = run_comparison(
             ["random"], 3, SMALL_SPEC, SpsaConfig(epochs=2), master_seed=4
         )
-        summary = report.summaries["random"]
         recomputed = [
-            evaluate_selection(rec.chosen, SMALL_SPEC.observable).n_commute_obs
-            for rec in summary.records
+            evaluate_selection(
+                trial_model("random", t, 4, SMALL_SPEC)[1].generators,
+                SMALL_SPEC.observable,
+            ).n_commute_obs
+            for t in range(3)
         ]
-        assert summary.commute_obs_mean == pytest.approx(np.mean(recomputed))
+        assert report.metrics["random"]["n_commute_obs"].tolist() == recomputed
 
     def test_normalized_traces_start_at_one(self):
         report = run_comparison(
             ["exact", "grad_only"], 2, SMALL_SPEC, SpsaConfig(epochs=2), master_seed=3
         )
         for summary in report.summaries.values():
-            for rec in summary.records:
-                assert rec.normalized_trace[0] == 1.0
+            assert summary.normalized[:, 0].tolist() == [1.0, 1.0]
 
 
 class TestStudentT:
@@ -201,10 +270,11 @@ class TestStudentT:
         assert t == 0.0 and p == 1.0
 
     def test_zero_variance_unequal_means(self):
-        assert student_t_pvalue([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]) == 0.0
+        result = two_sample_t_test([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0])
+        assert result.pvalue == 0.0
 
     def test_zero_variance_equal_means(self):
-        assert student_t_pvalue([2.0, 2.0], [2.0, 2.0]) == 1.0
+        assert two_sample_t_test([2.0, 2.0], [2.0, 2.0]).pvalue == 1.0
 
     def test_against_scipy_oracle(self):
         a = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -225,4 +295,4 @@ class TestStudentT:
 
     def test_sample_size_validated(self):
         with pytest.raises(ValueError, match="at least 2"):
-            student_t_pvalue([1.0], [1.0, 2.0])
+            two_sample_t_test([1.0], [1.0, 2.0]).pvalue

@@ -139,6 +139,41 @@ def test_adjacency_masks_match_bit_loop(rng):
         assert _adjacency_masks(coefficients) == expected
 
 
+class TestSelectionProblem:
+    def test_build_keeps_the_score_matrix_without_copying(self, monkeypatch):
+        from gensel import selection
+
+        tables = []
+
+        def recorded(candidates):
+            tables.append(score_matrix(candidates))
+            return tables[-1]
+
+        monkeypatch.setattr(selection, "score_matrix", recorded)
+        o = P("ZIII")
+        problem = SelectionProblem.build(o, build_pool(o), 4)
+        assert problem.coefficients is tables[0]
+
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_asymmetric_table_rejected(self, monkeypatch, block):
+        if block is not None:  # rows compared a few at a time
+            monkeypatch.setattr(pauli, "BLOCK_SIZE", block * 8)
+        o = P("ZI")
+        pool = build_pool(o)
+        c = score_matrix(pool)
+        c[7, 6] ^= 1  # both rows in the last block
+        with pytest.raises(ValueError, match="symmetric with zero diagonal"):
+            SelectionProblem(o, pool, 2, c)
+
+    def test_nonzero_diagonal_rejected(self):
+        o = P("ZI")
+        pool = build_pool(o)
+        c = score_matrix(pool)
+        c[5, 5] = 1
+        with pytest.raises(ValueError, match="symmetric with zero diagonal"):
+            SelectionProblem(o, pool, 2, c)
+
+
 def _exhaustive_best(problem: SelectionProblem):
     best_score, best_subset = -1, None
     for subset in itertools.combinations(range(len(problem.candidates)), problem.budget):

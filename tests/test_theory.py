@@ -267,7 +267,15 @@ class TestLemma2Theorem2:
 
     def test_zero_observable(self):
         result = verify_lemma2_and_theorem2(ObservableInAlgebra(2, np.zeros(15)))
-        assert result == (0.0, 0.0, 0.0, 0.0)
+        assert result.diag_sum == result.offdiag_sum == 0.0
+        assert result.lower_bound == result.upper_bound == 0.0
+        assert result.total_sum == result.c2_norm_sq == 0.0
+
+    def test_carries_lemma1_sides(self, rng):
+        for n in (1, 2, 3):
+            o = random_observable(n, rng)
+            result = verify_lemma2_and_theorem2(o)
+            assert (result.total_sum, result.c2_norm_sq) == tuple(verify_lemma1(o))
 
     def test_split_matches_dense(self, rng):
         for n in (1, 2):
