@@ -92,12 +92,40 @@ def _write_provenance(anchor: Path, subcommand: str, options: dict) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Seeds come from --seed or GENSEL_SEED, so no config key sets these fields.
+_SEED_FIELDS = ("seed", "teacher_seed")
+
+
+def _config_fields(cls):
+    """(field, config keys) for each field of ``cls`` that a config file sets.
+
+    A (low, high) field ``<stem>_range`` has the keys ``<stem>_min`` and
+    ``<stem>_max``; any other field, the key of its own name.
+    """
+    for f in fields(cls):
+        if f.name in _SEED_FIELDS:
+            continue
+        if isinstance(f.default, tuple):
+            stem = f.name.removesuffix("_range")
+            yield f, (f"{stem}_min", f"{stem}_max")
+        else:
+            yield f, (f.name,)
+
+
 def _load_config(path: str | None) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if path is not None:
         if not Path(path).is_file():
             raise FileNotFoundError(f"config file not found: {path}")
         cfg.read(path)
+    classes = {section: cls for cls, section in _SECTIONS.items()}
+    for section in cfg.sections():
+        if section not in classes:
+            raise ValueError(f"[{section}] is not a config section")
+        known = {k for _, keys in _config_fields(classes[section]) for k in keys}
+        for key in cfg.options(section):
+            if key not in known:
+                raise ValueError(f"[{section}] {key} is not a config key")
     return cfg
 
 
@@ -115,15 +143,12 @@ def _option(cfg, section: str, key: str, default):
 def _section(cfg, cls, **flags):
     """``cls`` built from its defaults, its config section, then non-None flags.
 
-    A field's default gives the type its value is cast to; a (low, high)
-    field ``<stem>_range`` reads the keys ``<stem>_min`` and ``<stem>_max``.
+    A field's default gives the type its value is cast to.
     """
     section = _SECTIONS[cls]
     values = {}
-    for f in fields(cls):
+    for f, keys in _config_fields(cls):
         if isinstance(f.default, tuple):
-            stem = f.name.removesuffix("_range")
-            keys = (f"{stem}_min", f"{stem}_max")
             values[f.name] = tuple(
                 _option(cfg, section, k, d) for k, d in zip(keys, f.default)
             )

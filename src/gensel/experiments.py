@@ -266,10 +266,11 @@ def trace_rows(record: TrialRecord, trial_index: int) -> list[tuple]:
     ]
 
 
-def _mean_std(values) -> tuple[float, float]:
-    """Mean and sample standard deviation (0 for a single value)."""
+def _mean_std(values) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample standard deviation over the first axis (0 for one row)."""
     arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    std = arr.std(axis=0, ddof=1) if len(arr) > 1 else np.zeros_like(arr[0])
+    return arr.mean(axis=0), std
 
 
 @dataclass
@@ -287,12 +288,7 @@ class MethodSummary:
         self.normalized = np.asarray(self.normalized, dtype=float)
         if self.normalized.ndim != 2 or not self.normalized.size:
             raise ValueError("method summary needs at least one trial trace")
-        self.trace_mean = self.normalized.mean(axis=0)
-        self.trace_std = (
-            self.normalized.std(axis=0, ddof=1)
-            if len(self.normalized) > 1
-            else np.zeros(self.normalized.shape[1])
-        )
+        self.trace_mean, self.trace_std = _mean_std(self.normalized)
 
 
 class TTestResult(NamedTuple):
@@ -344,16 +340,13 @@ class ExperimentReport:
 
     def table_rows(self) -> list[tuple[str, str, float, float]]:
         """(method, metric, mean, std) rows: the traces first, then the metrics."""
-        rows = []
+        columns = []
         for method, s in self.summaries.items():
-            rows.append((method, "final_rmse", *_mean_std(s.final_rmse)))
-            rows.append(
-                (method, "final_rmse_normalized", *_mean_std(s.normalized[:, -1]))
-            )
+            columns.append((method, "final_rmse", s.final_rmse))
+            columns.append((method, "final_rmse_normalized", s.normalized[:, -1]))
         for method, by_name in self.metrics.items():
-            for name, values in by_name.items():
-                rows.append((method, name, *_mean_std(values)))
-        return rows
+            columns += [(method, name, values) for name, values in by_name.items()]
+        return [(m, name, *map(float, _mean_std(v))) for m, name, v in columns]
 
     def curves(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """(method, mean, std) of the normalized traces, one series per method."""

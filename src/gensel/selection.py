@@ -6,11 +6,11 @@ pairs among L chosen generators:
 
     max sum_{j<k} c_jk x_j x_k   s.t.  sum_j x_j = L,  x_j in {0, 1}
 
-with c_jk = 1 iff candidates j and k anticommute.  The exact solver searches
-for an L-clique in the anticommutation graph first (score L(L-1)/2 is then
-provably optimal) and falls back to branch-and-bound over subsets, which is
-still exact.  Heuristic solvers (greedy, genetic) and the baseline selection
-methods used for comparison experiments live here too.
+with c_jk = 1 iff candidates j and k anticommute.  The exact solver is one
+depth-first search on bitsets that minimizes the commuting pairs: run first
+with none allowed, it finds an L-clique (score L(L-1)/2, provably optimal) if
+one exists, else it runs again as a branch-and-bound over all subsets.
+Heuristic solvers (greedy, genetic) and the comparison baselines live here too.
 """
 
 from __future__ import annotations
@@ -164,99 +164,79 @@ def score_matrix(candidates: Sequence[PauliString]) -> np.ndarray:
 
 def _adjacency_masks(coefficients: np.ndarray) -> list[int]:
     """Row j as an int whose bit k is set iff coefficients[j, k] != 0."""
-    packed = np.packbits(coefficients.astype(bool), axis=1, bitorder="little")
+    packed = np.packbits(coefficients, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _iter_bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _search(
+    adj: list[int], m: int, size: int, budget: int
+) -> tuple[list[int], int] | None:
+    """Lexicographically first ``size``-subset with the fewest commuting pairs.
 
-
-def _find_clique(adj: list[int], m: int, size: int) -> list[int] | None:
-    """Lexicographically smallest clique of the given size, or None.
-
-    Depth-first search extending the partial clique with the smallest
-    admissible vertex; because branches are explored in index order, the
-    first complete clique found is the lexicographically smallest one.
+    Returns (picks, commuting_pairs), or None if every subset of the m
+    vertices has more than ``budget`` commuting pairs (non-edges of ``adj``).
+    Depth first, in lexicographic order, on a stack of one frame per pick: a
+    frame's ``buckets[i]`` holds the vertices left to try, all above the last
+    pick, that commute with exactly i picks, and the frame is dropped once its
+    cheapest completion exceeds the budget.  Each subset found lowers the
+    budget below its own count, so the last one found is the optimum.
     """
-    full = (1 << m) - 1
-
-    def extend(current: list[int], allowed: int) -> list[int] | None:
-        if len(current) == size:
-            return current
-        need = size - len(current)
-        if allowed.bit_count() < need:
-            return None
-        for v in _iter_bits(allowed):
-            # Only vertices above v remain admissible after choosing v.
-            above = ~((1 << (v + 1)) - 1)
-            found = extend(current + [v], allowed & adj[v] & above)
-            if found is not None:
+    found = None
+    picks: list[int] = []
+    stack = [(0, [(1 << m) - 1])]
+    while stack:
+        cost, buckets = stack[-1]
+        need = size - len(picks)
+        if need == 0:
+            found, budget = (picks.copy(), cost), cost - 1
+            if budget < 0:  # no subset has fewer commuting pairs
                 return found
-            allowed &= ~(1 << v)
-            if allowed.bit_count() < need:
-                return None
-        return None
-
-    return extend([], full)
+        del buckets[max(budget - cost + 1, 0) :]  # a vertex there costs too much
+        left, bound, todo = need, cost, 0
+        for i, b in enumerate(buckets):
+            take = min(left, b.bit_count())
+            left, bound, todo = left - take, bound + i * take, todo | b
+        if left or bound > budget:
+            stack.pop()
+            if picks:
+                picks.pop()
+            continue
+        low = todo & -todo
+        i = 0
+        while not buckets[i] & low:
+            i += 1
+        buckets[i] ^= low
+        v = low.bit_length() - 1
+        # Picking v keeps its anticommuting vertices in their bucket and
+        # moves its commuting ones up one.
+        moved, carry, anti = [], 0, adj[v]
+        for b in buckets:
+            moved.append((b & anti) | (carry & ~anti))
+            carry = b
+        moved.append(carry & ~anti)
+        picks.append(v)
+        stack.append((cost + i, moved))
+    return found
 
 
 def solve_exact(problem: SelectionProblem) -> SelectionResult:
     """Provably optimal subset of size L maximizing anticommuting pairs.
 
-    Clique-first: if an L-clique exists in the anticommutation graph its
-    score L(L-1)/2 meets the trivial upper bound, so the search stops there.
-    Otherwise an exact branch-and-bound over subsets runs with a
-    remaining-degree upper bound.  Ties break to the lexicographically
-    smallest subset in candidate order; the result is deterministic.
+    ``_search`` minimizes the commuting pairs, first with none allowed: that
+    finds an L-clique (score L(L-1)/2, the trivial upper bound) if there is
+    one.  A pool has none past L = 2n, so the search then runs again with
+    every subset allowed.  Ties break to the lexicographically smallest
+    subset in candidate order; the result is deterministic.
     """
     L = problem.budget
     if L < 2:
         raise ValueError(f"budget must be at least 2, got {L}")
     m = len(problem.candidates)
     adj = _adjacency_masks(problem.coefficients)
-
-    clique = _find_clique(adj, m, L)
-    if clique is not None:
-        chosen = tuple(problem.candidates[i] for i in clique)
-        return SelectionResult(chosen, L * (L - 1) // 2, "exact", True)
-
-    coeff = problem.coefficients.astype(np.int64)
-    best_score = -1
-    best_subset: list[int] = []
-
-    def bound(score: int, picks_left: int, start: int, deg_into: np.ndarray) -> int:
-        remaining = deg_into[start:m]
-        if picks_left > remaining.size:
-            return -1
-        top = np.sort(remaining)[::-1][:picks_left]
-        return score + picks_left * (picks_left - 1) // 2 + int(top.sum())
-
-    def recurse(start: int, chosen: list[int], score: int, deg_into: np.ndarray):
-        nonlocal best_score, best_subset
-        if len(chosen) == L:
-            if score > best_score:
-                best_score = score
-                best_subset = chosen.copy()
-            return
-        picks_left = L - len(chosen)
-        if m - start < picks_left:
-            return
-        if bound(score, picks_left, start, deg_into) <= best_score:
-            return
-        v = start
-        # Include v, then exclude it; this visits subsets in lexicographic
-        # order, so the first subset attaining the final best score is the
-        # lexicographically smallest optimum.
-        recurse(v + 1, chosen + [v], score + int(deg_into[v]), deg_into + coeff[v])
-        recurse(v + 1, chosen, score, deg_into)
-
-    recurse(0, [], 0, np.zeros(m, dtype=np.int64))
-    chosen = tuple(problem.candidates[i] for i in best_subset)
-    return SelectionResult(chosen, best_score, "exact", True)
+    pairs = L * (L - 1) // 2
+    picks, commuting = _search(adj, m, L, 0) or _search(adj, m, L, pairs)
+    chosen = tuple(problem.candidates[i] for i in picks)
+    return SelectionResult(chosen, pairs - commuting, "exact", True)
 
 
 def solve_greedy(problem: SelectionProblem) -> SelectionResult:
@@ -268,21 +248,18 @@ def solve_greedy(problem: SelectionProblem) -> SelectionResult:
     """
     L = problem.budget
     m = len(problem.candidates)
-    coeff = problem.coefficients.astype(np.int64)
+    coeff = problem.coefficients  # uint8 rows, summed into an int64 vector
     best_score = -1
     best_subset: list[int] = []
     for start in range(m):
-        chosen = [start]
-        deg_into = coeff[start].copy()
-        score = 0
-        taken = np.zeros(m, dtype=bool)
-        taken[start] = True
+        chosen, score = [start], 0
+        deg_into = np.array(coeff[start], dtype=np.int64)
         while len(chosen) < L:
-            gains = np.where(taken, -1, deg_into)
+            gains = deg_into.copy()
+            gains[chosen] = -1
             v = int(np.argmax(gains))
             score += int(deg_into[v])
             chosen.append(v)
-            taken[v] = True
             deg_into += coeff[v]
         if score > best_score or (score == best_score and sorted(chosen) < best_subset):
             best_score = score

@@ -1,11 +1,13 @@
 """End-to-end CLI tests: flags, CSV shapes, errors, reproducibility."""
 
 import csv
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gensel
@@ -18,6 +20,8 @@ from gensel.experiments import (
     run_comparison,
 )
 from gensel.optimizer import SpsaConfig
+from gensel.pauli import PauliString
+from gensel.selection import build_pool, score_matrix
 
 
 def _read_csv(path):
@@ -84,6 +88,24 @@ class TestSelect:
         err = capsys.readouterr().err
         assert err.startswith("error: budget 8 exceeds 2n+1 = 7,")
         assert "\n" not in err.strip()
+
+    def test_exact_past_the_clique_bound_matches_exhaustive_optimum(self, tmp_path):
+        """L = 8 > 2n at n = 3, so no 8 candidates all anticommute."""
+        out = tmp_path / "select.csv"
+        assert _run(
+            ["select", "--n", 3, "--depth", 8, "--method", "exact",
+             "--pool-subsample", 20, "--seed", 4, "--out", out]
+        ) == 0
+        (row,) = _read_csv(out)
+        pool = build_pool(PauliString.from_label("ZII"), subsample_size=20, seed=4)
+        c = score_matrix(pool)
+        subsets = np.array(list(itertools.combinations(range(20), 8)))
+        best = int(c[subsets[:, :, None], subsets[:, None, :]].sum(axis=(1, 2)).max())
+        assert best // 2 < 28  # no 8-clique
+        assert int(row["score"]) == best // 2
+        assert int(row["n_commute_pairs"]) == 28 - best // 2
+        chosen = {row[f"generator_{i}"] for i in range(1, 9)}
+        assert chosen <= {p.label for p in pool}
 
     def test_pool_subsample(self, tmp_path):
         out = tmp_path / "sub.csv"
@@ -445,6 +467,40 @@ class TestConfigLoader:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "ini, message",
+        [
+            ("[spsa]\nseed = 12345\n", "[spsa] seed is not a config key"),
+            (
+                "[expressibility]\nseed = 7\n",
+                "[expressibility] seed is not a config key",
+            ),
+            (
+                "[dataset]\nteacher_seed = 3\n",
+                "[dataset] teacher_seed is not a config key",
+            ),
+            ("[spsa]\nlearning_rat = 0.1\n", "[spsa] learning_rat is not a config key"),
+            (
+                "[dataset]\ntheta_range = 1.0\n",
+                "[dataset] theta_range is not a config key",
+            ),
+            ("[spssa]\nepochs = 3\n", "[spssa] is not a config section"),
+        ],
+    )
+    def test_unread_key_is_one_line(self, small_setup, tmp_path, capsys, ini, message):
+        """Seeds come from --seed or GENSEL_SEED; a key no field reads is an error."""
+        _, data = small_setup
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        capsys.readouterr()
+        for argv in (
+            ["train", "--data", data, "--trials", 1, "--out", tmp_path / "t.csv"],
+            ["select", "--n", 2, "--depth", 2, "--out", tmp_path / "s.csv"],
+        ):
+            assert _run([*argv, "--config", cfg]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestSeedEnvironment:

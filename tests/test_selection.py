@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,9 +231,20 @@ class TestSolveExact:
         with pytest.raises(ValueError, match="at least 2"):
             solve_exact(problem)
 
+    @staticmethod
+    def _past_the_clique_bound(rng):
+        """Problems with L > 2n, where no L-clique exists."""
+        for budget in range(3, 7):  # the full n = 2 pool of 8
+            yield SelectionProblem.build(P("ZI"), build_pool(P("ZI")), budget)
+        o = P("ZII")
+        for budget in (7, 8):  # n = 3 pools of 14 to 16 of the 32
+            for m in (14, 15, 16):
+                pool = build_pool(o, subsample_size=m, seed=int(rng.integers(99)))
+                yield SelectionProblem.build(o, pool, budget)
+
     def test_matches_exhaustive_enumeration(self, rng):
-        for _ in range(30):
-            problem = _random_problem(rng)
+        problems = [_random_problem(rng) for _ in range(30)]
+        for problem in problems + list(self._past_the_clique_bound(rng)):
             result = solve_exact(problem)
             best_score, best_subset = _exhaustive_best(problem)
             assert result.score == best_score
@@ -249,6 +261,20 @@ class TestSolveExact:
         problem = SelectionProblem.build(o, build_pool(o), 5)
         assert solve_exact(problem).chosen == solve_exact(problem).chosen
 
+    def test_search_depth_is_the_budget_not_the_pool(self):
+        """1,100 mutually commuting candidates, more than Python's recursion
+        limit: the search keeps one frame per pick, so it never nears it."""
+        n = 11
+        candidates = [
+            P("".join("Z" if k >> q & 1 else "I" for q in range(n)))
+            for k in range(1, 1101)
+        ]
+        problem = SelectionProblem.build(P("X" + "I" * (n - 1)), candidates, 2)
+        result = solve_exact(problem)
+        assert result.score == 0
+        assert result.optimal_flag
+        assert result.chosen == tuple(candidates[:2])
+
 
 class TestSolveGreedy:
     def test_reaches_clique_on_full_pool(self):
@@ -262,6 +288,17 @@ class TestSolveGreedy:
         for _ in range(10):
             problem = _random_problem(rng)
             assert solve_greedy(problem).score <= solve_exact(problem).score
+
+    def test_peak_memory_stays_below_twice_the_table(self):
+        o = P("ZIIII")
+        problem = SelectionProblem.build(o, build_pool(o), 5)  # 512 x 512 uint8
+        tracemalloc.start()
+        try:
+            solve_greedy(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * problem.coefficients.nbytes
 
 
 class TestSolveGenetic:
