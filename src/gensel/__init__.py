@@ -42,7 +42,14 @@ from .simulator import (
     run_model,
     run_model_batch,
 )
-from .optimizer import SpsaConfig, TrialRecord, rmse_cost, spsa_step, train
+from .optimizer import (
+    SpsaConfig,
+    TrialRecord,
+    rmse_cost,
+    spsa_step,
+    train,
+    train_batch,
+)
 from .theory import (
     ObservableInAlgebra,
     OrthonormalBasis,

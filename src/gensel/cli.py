@@ -28,10 +28,10 @@ from .experiments import (
     GeneticConfig,
     expressibility_hellinger,
     generate_dataset,
-    run_trial,
     select_for_method,
     summarize,
     trace_rows,
+    train_cells,
     trial_model,
 )
 from .optimizer import SpsaConfig
@@ -272,8 +272,10 @@ def _read_table(path: str, columns) -> list[dict]:
         return list(reader)
 
 
-def _train_one(payload):
-    return trace_rows(run_trial(*payload), payload[1])
+def _train_chunk(payload) -> list[tuple]:
+    cells, *rest = payload
+    records = train_cells(cells, *rest)
+    return [row for (_, t), r in zip(cells, records) for row in trace_rows(r, t)]
 
 
 def _cmd_train(args) -> int:
@@ -285,16 +287,21 @@ def _cmd_train(args) -> int:
     spsa = _section(cfg, SpsaConfig, epochs=args.epochs)
     genetic = _section(cfg, GeneticConfig)
     methods = [_method_tag(m) for m in (args.method or ["exact"])]
+    cells = [(method, trial) for method in methods for trial in range(args.trials)]
+    # Each worker trains one contiguous chunk of the cells as one batch; a
+    # trial's trace does not depend on its batch, so any split writes the
+    # same rows.
+    jobs = max(1, min(args.jobs, len(cells)))
+    bounds = [len(cells) * k // jobs for k in range(jobs + 1)]
     payloads = [
-        (method, trial, master_seed, dataset, spec, spsa, genetic)
-        for method in methods
-        for trial in range(args.trials)
+        (cells[lo:hi], master_seed, dataset, spec, spsa, genetic)
+        for lo, hi in zip(bounds, bounds[1:])
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_train_one, payloads))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_train_chunk, payloads))
     else:
-        chunks = [_train_one(p) for p in payloads]
+        chunks = [_train_chunk(p) for p in payloads]
     rows = [row for chunk in chunks for row in chunk]
     _write_csv(args.out, _TRACE_COLUMNS, rows)
     _write_provenance(

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .optimizer import SpsaConfig, TrialRecord, train
+from .optimizer import SpsaConfig, TrialRecord, train_batch
 from .pauli import PauliString, pauli_string_at
 from .selection import (
     BASELINE_METHODS,
@@ -50,7 +50,7 @@ __all__ = [
     "expressibility_hellinger",
     "select_for_method",
     "trial_model",
-    "run_trial",
+    "train_cells",
     "trace_rows",
     "summarize",
     "run_comparison",
@@ -242,18 +242,22 @@ def trial_model(
     return seed, CircuitModel(spec.n, selection.chosen, spec.observable)
 
 
-def run_trial(
-    method: str,
-    trial_index: int,
+def train_cells(
+    cells: Sequence[tuple[str, int]],
     master_seed: int,
     dataset: Sequence[tuple[float, float]],
     spec: DatasetSpec,
     spsa_config: SpsaConfig,
     genetic: GeneticConfig = GeneticConfig(),
-) -> TrialRecord:
-    """Select generators and train one circuit for one (method, trial) cell."""
-    seed, model = trial_model(method, trial_index, master_seed, spec, genetic)
-    return train(model, dataset, replace(spsa_config, seed=seed), method=method)
+) -> list[TrialRecord]:
+    """Select every (method, trial) cell's circuit and train them in one batch."""
+    picked = [trial_model(m, t, master_seed, spec, genetic) for m, t in cells]
+    trials = [(model, seed) for seed, model in picked]
+    traces = train_batch(trials, dataset, spsa_config)
+    return [
+        TrialRecord(method, seed, tuple(model.generators), trace)
+        for (method, _), (seed, model), trace in zip(cells, picked, traces)
+    ]
 
 
 def trace_rows(record: TrialRecord, trial_index: int) -> list[tuple]:
@@ -406,17 +410,16 @@ def run_comparison(
 ) -> ExperimentReport:
     """Train every method on one shared dataset across seeded trials.
 
-    The trials' trace rows and selection metrics go through ``summarize``,
+    Every (method, trial) cell trains in one batch (``train_cells``).  The
+    trials' trace rows and selection metrics go through ``summarize``,
     the same aggregation that ``gensel report`` applies to the CSVs.
     """
     dataset, _ = generate_dataset(spec)
+    cells = [(method, t) for method in methods for t in range(trials)]
+    records = train_cells(cells, master_seed, dataset, spec, spsa_config, genetic)
     traces, metrics = [], []
-    for method in methods:
-        for t in range(trials):
-            record = run_trial(
-                method, t, master_seed, dataset, spec, spsa_config, genetic
-            )
-            traces += trace_rows(record, t)
-            counts = evaluate_selection(record.chosen, spec.observable)
-            metrics += [(method, k, v) for k, v in counts._asdict().items()]
+    for (method, t), record in zip(cells, records):
+        traces += trace_rows(record, t)
+        counts = evaluate_selection(record.chosen, spec.observable)
+        metrics += [(method, k, v) for k, v in counts._asdict().items()]
     return summarize(traces, metrics)

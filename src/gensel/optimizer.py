@@ -1,10 +1,20 @@
-"""SPSA-with-momentum training of a circuit model against an RMSE cost.
+"""SPSA-with-momentum training of circuit models against an RMSE cost.
 
 One epoch is one SPSA update of the full-dataset RMSE: the gradient is
 estimated from exactly two cost evaluations along a random Rademacher
 direction, accumulated into a heavy-ball momentum term, and applied with a
-fixed learning rate.  All randomness derives from the configured seed, so a
-training run is a pure function of (model, dataset, config).
+fixed learning rate.  All randomness derives from each trial's seed: its
+initial parameters from (seed, 0) and its direction at step t from
+(seed, t), so a trial's trace is a pure function of (model, dataset,
+config, seed).
+
+``train_batch`` trains a list of trials on one dataset in one loop: their
+parameters, momenta and directions are (T, W) arrays, and each epoch
+evaluates theta, theta + c Delta and theta - c Delta of every trial in one
+stacked call of ``simulator.stack_circuits``.  Each row reduces as it
+would alone, so batching changes no bit of any trace.
+``train`` is the one-trial case, and ``spsa_step`` applies the same update
+rule to one parameter vector and any cost function.
 """
 
 from __future__ import annotations
@@ -14,9 +24,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .simulator import CircuitModel, compile_batch, run_model_batch
+from .simulator import CircuitModel, compile_circuit, run_model_batch, stack_circuits
 
-__all__ = ["SpsaConfig", "TrialRecord", "rmse_cost", "spsa_step", "train"]
+__all__ = [
+    "SpsaConfig",
+    "TrialRecord",
+    "rmse_cost",
+    "spsa_step",
+    "train",
+    "train_batch",
+]
 
 
 @dataclass(frozen=True)
@@ -81,6 +98,28 @@ def rmse_cost(model: CircuitModel, theta, dataset) -> float:
     return float(np.sqrt(np.mean((preds - ys) ** 2)))
 
 
+def _spsa_update(theta, momentum, costs, seeds, depths, step, config):
+    """One SPSA step for every row of theta (T, W); the rule spsa_step applies.
+
+    Row t draws its Rademacher direction Delta from (seeds[t], step) over its
+    first depths[t] entries (0 past them), gets the costs of theta_t + c Delta
+    and theta_t - c Delta from ``costs`` (rows (2, T, W) -> (2, T)),
+    estimates the gradient as their difference over 2c times Delta (note
+    1/Delta_j = Delta_j), folds it into the momentum m <- beta m + g and
+    moves theta <- theta - a m.
+    """
+    delta = np.zeros(theta.shape, dtype=np.int64)
+    for row, seed, depth in zip(delta, seeds, depths):
+        rng = np.random.default_rng([seed, step])
+        row[:depth] = rng.integers(0, 2, size=depth) * 2 - 1
+    c = config.perturbation
+    shift = c * delta
+    plus, minus = costs(np.array([theta + shift, theta - shift]))
+    grad = ((plus - minus) / (2.0 * c))[:, None] * delta
+    momentum = config.momentum * momentum + grad
+    return theta - config.learning_rate * momentum, momentum
+
+
 def spsa_step(
     theta: np.ndarray,
     momentum_state: np.ndarray,
@@ -99,14 +138,98 @@ def spsa_step(
     momentum_state = np.asarray(momentum_state, dtype=float)
     if theta.shape != momentum_state.shape:
         raise ValueError("theta and momentum_state must have the same shape")
-    rng = np.random.default_rng([config.seed, step_index])
-    delta = rng.integers(0, 2, size=theta.shape) * 2 - 1
-    c = config.perturbation
-    diff = cost(theta + c * delta) - cost(theta - c * delta)
-    grad = diff / (2.0 * c) * delta
-    new_momentum = config.momentum * momentum_state + grad
-    new_theta = theta - config.learning_rate * new_momentum
-    return new_theta, new_momentum
+    shape = theta.shape
+
+    def costs(rows):
+        return np.array([[cost(row[0].reshape(shape))] for row in rows])
+
+    new_theta, new_momentum = _spsa_update(
+        theta.reshape(1, -1), momentum_state.reshape(1, -1), costs,
+        [config.seed], [theta.size], step_index, config,
+    )
+    return new_theta.reshape(shape), new_momentum.reshape(shape)
+
+
+# A group of trials closes once its compiled tables reach this many floats
+# (8 MiB), so a long list of large circuits trains group by group, which
+# changes no trace, rather than holding every trial's tables at once.  This
+# keeps memory growing with the largest group, not with the number of
+# trials, as it did when each trial trained alone; it does not bound a
+# group: one circuit may pass the limit alone, and an evaluation holds
+# three (B x K) product rows per circuit of the group.
+_GROUP_SIZE = 1 << 20
+
+
+def _train_group(circuits, seeds, ys, config) -> np.ndarray:
+    """The (epochs + 1, T) RMSE traces of compiled circuits trained together."""
+    depths = [c.depth for c in circuits]
+    evaluate = stack_circuits(circuits)
+    evaluations = 0
+
+    def costs(rows: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += len(rows)
+        # The sum over the inputs divided by their count: np.mean's arithmetic.
+        return np.sqrt(((evaluate(rows) - ys) ** 2).sum(axis=-1) / len(ys))
+
+    theta = np.zeros((len(circuits), max(depths, default=0)))
+    for row, seed, depth in zip(theta, seeds, depths):
+        init_rng = np.random.default_rng([seed, 0])
+        row[:depth] = init_rng.uniform(-config.init_range, config.init_range, depth)
+    momentum = np.zeros_like(theta)
+
+    trace = np.empty((config.epochs + 1, len(circuits)))
+
+    def step_costs(rows: np.ndarray) -> np.ndarray:
+        # theta's own cost, the trace point before this step, rides along
+        # with theta +- c Delta in one stacked call.
+        values = costs(np.concatenate([theta[None], rows]))
+        trace[epoch - 1] = values[0]
+        return values[1:]
+
+    for epoch in range(1, config.epochs + 1):
+        theta, momentum = _spsa_update(
+            theta, momentum, step_costs, seeds, depths, epoch, config
+        )
+    trace[-1] = costs(theta[None])[0]
+
+    expected = 3 * config.epochs + 1
+    if evaluations != expected:
+        raise RuntimeError(
+            f"evaluation counter mismatch: {evaluations} != {expected}"
+        )
+    return trace
+
+
+def train_batch(
+    trials: Sequence[tuple[CircuitModel, int]],
+    dataset: Sequence,
+    config: SpsaConfig,
+) -> np.ndarray:
+    """Train every (model, seed) trial on one dataset; returns (T, epochs + 1) traces.
+
+    Each trial is compiled once (``compile_circuit``) and its parameters
+    are initialized uniformly in [-init_range, init_range] from (seed, 0);
+    step t draws its direction from (seed, t), and config.seed is not read.
+    Every epoch then evaluates theta (the trace point before the step),
+    theta + c Delta and theta - c Delta of all trials in one stacked call,
+    and one more call takes the last trace point: exactly 3 * epochs + 1
+    full-dataset cost evaluations per trial (RuntimeError otherwise).  Each
+    row reduces as it would alone, so a trial's trace is bitwise the same
+    whatever it is batched with.
+    """
+    xs, ys = _dataset_arrays(dataset)
+    traces = np.empty((len(trials), config.epochs + 1))
+    start, group, size = 0, [], 0
+    for t, (model, _) in enumerate(trials):
+        circuit = compile_circuit(model, xs)
+        group.append(circuit)
+        size += circuit.size
+        if size >= _GROUP_SIZE or t == len(trials) - 1:
+            seeds = [seed for _, seed in trials[start : t + 1]]
+            traces[start : t + 1] = _train_group(group, seeds, ys, config).T
+            start, group, size = t + 1, [], 0
+    return traces
 
 
 def train(
@@ -117,36 +240,10 @@ def train(
 ) -> TrialRecord:
     """Run SPSA for config.epochs epochs and record the full RMSE trace.
 
-    The parameters are initialized uniformly in [-init_range, init_range]
-    from (config.seed, 0); step t uses the direction stream (config.seed, t).
-    The trace has epochs + 1 entries, index 0 being the pre-training RMSE.
-    The circuit is compiled for the dataset once; exactly 3*epochs + 1
-    full-dataset cost evaluations follow, two per SPSA step plus one per
-    recorded trace point (RuntimeError otherwise).
+    The one-trial case of ``train_batch`` with seed config.seed: the
+    parameters are initialized from (config.seed, 0), step t uses the
+    direction stream (config.seed, t), and the trace has epochs + 1
+    entries, index 0 being the pre-training RMSE.
     """
-    xs, ys = _dataset_arrays(dataset)
-    evaluate = compile_batch(model, xs)
-    evaluations = 0
-
-    def cost(theta: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        preds = evaluate(theta)
-        return float(np.sqrt(np.mean((preds - ys) ** 2)))
-
-    init_rng = np.random.default_rng([config.seed, 0])
-    theta = init_rng.uniform(-config.init_range, config.init_range, model.depth)
-    momentum = np.zeros(model.depth)
-
-    trace = np.empty(config.epochs + 1)
-    trace[0] = cost(theta)
-    for epoch in range(1, config.epochs + 1):
-        theta, momentum = spsa_step(theta, momentum, cost, config, epoch)
-        trace[epoch] = cost(theta)
-
-    expected = 3 * config.epochs + 1
-    if evaluations != expected:
-        raise RuntimeError(
-            f"evaluation counter mismatch: {evaluations} != {expected}"
-        )
+    trace = train_batch([(model, config.seed)], dataset, config)[0]
     return TrialRecord(method, config.seed, tuple(model.generators), trace)

@@ -28,6 +28,7 @@ from .pauli import (
     pauli_string_at,
     pauli_strings,
     row_blocks,
+    symplectic_parity,
 )
 
 __all__ = [
@@ -128,16 +129,26 @@ def build_pool(
         raise ValueError("observable must be non-identity")
     if n is not None and n != observable.n:
         raise ValueError(f"qubit-count mismatch: {n} vs observable.n={observable.n}")
-    pool = [p for p in pauli_strings(observable.n) if not commutes(p, observable)]
-    if subsample_size is None:
-        return pool
-    if subsample_size > len(pool):
-        raise ValueError(
-            f"subsample size {subsample_size} exceeds pool size {len(pool)}"
-        )
-    rng = np.random.default_rng(seed)
-    keep = rng.choice(len(pool), size=subsample_size, replace=False)
-    return [pool[i] for i in sorted(keep)]
+    n = observable.n
+    # Canonical index (h << n) | l holds x_q at bit n-1-q of h and z_q at
+    # bit n-1-q of l (see pauli_string_at); index 0, the identity, is left out.
+    fields = np.arange(1 << n, dtype=np.uint64)
+    reverse = sum((fields >> q & 1) << (n - 1 - q) for q in range(n))
+    x = np.repeat(reverse, 1 << n)[1:]
+    z = np.tile(reverse, 1 << n)[1:]
+    members = np.flatnonzero(
+        symplectic_parity(x, z, np.uint64(observable.x), np.uint64(observable.z))
+    )
+    if subsample_size is not None:
+        if subsample_size > len(members):
+            raise ValueError(
+                f"subsample size {subsample_size} exceeds pool size {len(members)}"
+            )
+        rng = np.random.default_rng(seed)
+        keep = rng.choice(len(members), size=subsample_size, replace=False)
+        members = members[np.sort(keep)]
+    masks = zip(x[members].tolist(), z[members].tolist())
+    return [PauliString._mk(n, xm, zm) for xm, zm in masks]
 
 
 def score_matrix(candidates: Sequence[PauliString]) -> np.ndarray:

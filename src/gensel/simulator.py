@@ -21,6 +21,10 @@ terms (measured against the dense kernel, whose work per input is
 L * 2^n) or 2^16 terms, ``compile_batch`` builds the dense evaluator
 instead, a choice made from the generators alone, and raises RuntimeError
 when the dense state would exceed 20 qubits.
+``compile_circuit`` builds one circuit's tables and ``stack_circuits``
+evaluates many compiled circuits at many parameter rows in one call, with
+term tables of equal shape stacked so that every row still reduces
+exactly as it would alone; ``compile_batch`` is its one-circuit case, and
 ``run_model_batch`` and ``run_model`` are single calls of a fresh
 compilation.
 
@@ -36,7 +40,7 @@ and ``circuit_states``, which expressibility needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,6 +52,9 @@ __all__ = [
     "apply_ry_encoding",
     "apply_pauli_rotation",
     "expectation",
+    "CompiledCircuit",
+    "compile_circuit",
+    "stack_circuits",
     "compile_batch",
     "run_model",
     "run_model_batch",
@@ -265,29 +272,111 @@ def _compile_dense(model: CircuitModel, xs: np.ndarray) -> Callable[..., np.ndar
     return evaluate
 
 
-def _compile_terms(
+def _term_tables(
     terms: list[tuple], depth: int, xs: np.ndarray
-) -> Callable[..., np.ndarray]:
-    """The Heisenberg evaluator over the Y-free terms: Phi built once."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phi (B x K) and the factor choices (K x L) of the Y-free terms."""
     terms = [t for t in terms if not t[0].x & t[0].z]
     n_x = np.array([p.x.bit_count() for p, *_ in terms], dtype=int)
     n_z = np.array([p.z.bit_count() for p, *_ in terms], dtype=int)
     signs = np.array([sign for _, sign, _, _ in terms], dtype=float)
     phi = signs * np.sin(xs)[:, None] ** n_x * np.cos(xs)[:, None] ** n_z
-    # gather[k, l] indexes term k's factor l in (1, cos 2theta, sin 2theta).
     choice = [
         [(c >> l & 1) + 2 * (s >> l & 1) for l in range(depth)]
         for _, _, c, s in terms
     ]
-    gather = np.array(choice, dtype=np.intp).reshape(len(terms), depth)
-    gather = gather * depth + np.arange(depth)
-    ones = np.ones(depth)
+    return phi, np.array(choice, dtype=np.intp).reshape(len(terms), depth)
 
-    def evaluate(theta: np.ndarray) -> np.ndarray:
-        trig = np.concatenate([ones, np.cos(2 * theta), np.sin(2 * theta)])
-        # Row-wise sum, not phi @ coeff: a one-row batch then reduces its
-        # row exactly as a larger batch does.
-        return (phi * trig[gather].prod(axis=1)).sum(axis=1)
+
+@dataclass(frozen=True, eq=False)
+class CompiledCircuit:
+    """One circuit compiled for a fixed batch of ``inputs`` inputs.
+
+    Below the term limit it holds the Heisenberg tables: ``phi`` (B x K),
+    Phi[b, k] = sign_k sin(x_b)^#X_k cos(x_b)^#Z_k, and ``factors`` (K x L),
+    the index of term k's factor l in (1, cos 2theta_l, sin 2theta_l).  Past
+    it, ``dense`` is the statevector evaluator theta -> predictions.
+    ``size`` counts the floats the compilation holds.
+    """
+
+    depth: int
+    inputs: int
+    size: int
+    phi: np.ndarray | None = None
+    factors: np.ndarray | None = None
+    dense: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def compile_circuit(model: CircuitModel, xs) -> CompiledCircuit:
+    """Compile one circuit for a fixed input batch (see ``compile_batch``)."""
+    xs = np.asarray(xs, dtype=float)
+    terms = _heisenberg_terms(model)
+    if terms is not None:
+        phi, factors = _term_tables(terms, model.depth, xs)
+        size = phi.size + factors.size
+        return CompiledCircuit(model.depth, len(xs), size, phi, factors)
+    if model.n > _MAX_DENSE_QUBITS:
+        raise RuntimeError(
+            f"U^dag O U has over {_MAX_TERMS} Pauli terms and n = {model.n} "
+            f"exceeds the {_MAX_DENSE_QUBITS}-qubit statevector fallback"
+        )
+    size = (2 * len(xs) + 3 * model.depth) << model.n
+    return CompiledCircuit(
+        model.depth, len(xs), size, dense=_compile_dense(model, xs)
+    )
+
+
+def stack_circuits(
+    circuits: Sequence[CompiledCircuit],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """One evaluator for circuits compiled on the same inputs.
+
+    The returned function maps thetas (P, T, W) to predictions (P, T, B):
+    row thetas[p, t, :L_t] parameterises circuit t, W is at least the
+    largest depth, and entries past a circuit's depth are ignored.  Term
+    tables of equal shape (K, L) are stacked, so one gather, one product
+    over L and one sum over K serve every row of a bucket.  Each row
+    reduces exactly as it would alone (NumPy's pairwise sum changes its
+    association with K, hence the buckets), so a circuit's predictions do
+    not depend on the circuits stacked with it.  Dense circuits run row by
+    row.
+    """
+    width = max((c.depth for c in circuits), default=0)
+    inputs = circuits[0].inputs if circuits else 0
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for t, c in enumerate(circuits):
+        if c.dense is None:
+            by_shape.setdefault(c.factors.shape, []).append(t)
+    buckets = []
+    for (_, depth), members in by_shape.items():
+        # gather[i, k, l]: factor l of term k of circuit members[i], as an
+        # index into one row's trig block of 3 * width per circuit.
+        gather = np.array(
+            [circuits[t].factors * width + 3 * width * t for t in members]
+        )
+        phi = np.array([circuits[t].phi for t in members])
+        buckets.append((np.array(members), phi, gather + np.arange(depth)))
+    dense = [(t, c) for t, c in enumerate(circuits) if c.dense is not None]
+
+    def evaluate(thetas: np.ndarray) -> np.ndarray:
+        rows = len(thetas)
+        # The gather indices address trig blocks of 3 * width per circuit.
+        thetas = thetas[..., :width]
+        doubled = 2 * thetas
+        trig = np.concatenate(
+            [np.ones_like(thetas), np.cos(doubled), np.sin(doubled)], axis=-1
+        ).reshape(rows, -1)
+        out = np.empty((rows, len(circuits), inputs))
+        for members, phi, gather in buckets:
+            coeff = trig.take(gather, axis=1).prod(axis=-1)
+            # Each row sums its K contiguous products (order="C") as NumPy's
+            # row sum of phi[b] * coeff does, whatever rows surround it.
+            products = np.multiply(phi, coeff[:, :, None, :], order="C")
+            out[:, members] = products.sum(axis=-1)
+        for t, c in dense:
+            for p in range(rows):
+                out[p, t] = c.dense(thetas[p, t, : c.depth])
+        return out
 
     return evaluate
 
@@ -300,28 +389,19 @@ def compile_batch(model: CircuitModel, xs) -> Callable[..., np.ndarray]:
     term holding a Y is dropped, as its expectation on the R_Y product state
     is 0.  Each call of the returned function checks theta's shape,
     multiplies each term's factors from (1, cos 2theta, sin 2theta) and
-    reduces Phi times those coefficients row by row.  When the terms
-    outnumber 4 * L * 2^n or 2^16, the dense statevector evaluator is built
-    instead; RuntimeError if that would need more than 20 qubits.
+    reduces Phi times those coefficients row by row, through the one-circuit
+    case of ``stack_circuits``.  When the terms outnumber 4 * L * 2^n or
+    2^16, the dense statevector evaluator is built instead; RuntimeError if
+    that would need more than 20 qubits.
     """
-    xs = np.asarray(xs, dtype=float)
     depth = model.depth
-    terms = _heisenberg_terms(model)
-    if terms is not None:
-        kernel = _compile_terms(terms, depth, xs)
-    elif model.n <= _MAX_DENSE_QUBITS:
-        kernel = _compile_dense(model, xs)
-    else:
-        raise RuntimeError(
-            f"U^dag O U has over {_MAX_TERMS} Pauli terms and n = {model.n} "
-            f"exceeds the {_MAX_DENSE_QUBITS}-qubit statevector fallback"
-        )
+    stacked = stack_circuits([compile_circuit(model, xs)])
 
     def evaluate(theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (depth,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({depth},)")
-        return kernel(theta)
+        return stacked(theta[None, None])[0, 0]
 
     return evaluate
 

@@ -180,6 +180,17 @@ class TestTrain:
         assert _run(args + ["--out", out_c, "--jobs", 2]) == 0
         assert out_a.read_bytes() == out_b.read_bytes() == out_c.read_bytes()
 
+    def test_uneven_job_chunks_identical(self, small_setup, tmp_path):
+        """Four cells over three workers (chunks of 1, 1 and 2) write the
+        bytes of one batch."""
+        cfg, data = small_setup
+        args = ["train", "--data", data, "--config", cfg, "--method", "exact",
+                "--method", "random", "--trials", 2, "--seed", 5]
+        one, three = tmp_path / "one.csv", tmp_path / "three.csv"
+        assert _run(args + ["--out", one, "--jobs", 1]) == 0
+        assert _run(args + ["--out", three, "--jobs", 3]) == 0
+        assert one.read_bytes() == three.read_bytes()
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = _run(["train", "--data", tmp_path / "nope.csv", "--trials", 1])
         assert code == 1
@@ -190,13 +201,15 @@ class TestTrain:
     ):
         import gensel.optimizer as optimizer
 
-        real = optimizer.spsa_step
+        real = optimizer._spsa_update
 
-        def extra_evaluation(theta, momentum, cost, config, step_index):
-            cost(theta)
-            return real(theta, momentum, cost, config, step_index)
+        def extra_evaluation(theta, momentum, costs, *args):
+            def one_more(rows):  # one row more than the step evaluates
+                return costs(np.concatenate([rows, rows[:1]]))[:-1]
 
-        monkeypatch.setattr(optimizer, "spsa_step", extra_evaluation)
+            return real(theta, momentum, one_more, *args)
+
+        monkeypatch.setattr(optimizer, "_spsa_update", extra_evaluation)
         cfg, data = small_setup
         code = _run(
             ["train", "--data", data, "--config", cfg, "--method", "exact",

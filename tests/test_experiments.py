@@ -13,10 +13,10 @@ from gensel.experiments import (
     haar_bin_probs,
     hellinger_distance,
     run_comparison,
-    run_trial,
     select_for_method,
     summarize,
     trace_rows,
+    train_cells,
     trial_model,
     two_sample_t_test,
 )
@@ -144,8 +144,8 @@ class TestDeriveSeed:
 class TestRunTrial:
     def test_record_carries_method_and_generators(self):
         dataset, _ = generate_dataset(SMALL_SPEC)
-        record = run_trial(
-            "grad_only", 0, 5, dataset, SMALL_SPEC, SpsaConfig(epochs=3)
+        (record,) = train_cells(
+            [("grad_only", 0)], 5, dataset, SMALL_SPEC, SpsaConfig(epochs=3)
         )
         assert record.method == "grad_only"
         assert len(record.chosen) == SMALL_SPEC.depth
@@ -158,7 +158,8 @@ class TestTrialModel:
         dataset, _ = generate_dataset(SMALL_SPEC)
         seed, model = trial_model("exact", 1, 5, SMALL_SPEC)
         assert seed == derive_seed(5, "exact", 1)
-        record = run_trial("exact", 1, 5, dataset, SMALL_SPEC, SpsaConfig(epochs=2))
+        config = SpsaConfig(epochs=2)
+        (record,) = train_cells([("exact", 1)], 5, dataset, SMALL_SPEC, config)
         assert record.seed == seed
         assert record.chosen == tuple(model.generators)
 
@@ -212,7 +213,8 @@ class TestSummarize:
 
     def test_trace_rows_round_trip(self):
         dataset, _ = generate_dataset(SMALL_SPEC)
-        record = run_trial("exact", 0, 1, dataset, SMALL_SPEC, SpsaConfig(epochs=3))
+        config = SpsaConfig(epochs=3)
+        (record,) = train_cells([("exact", 0)], 1, dataset, SMALL_SPEC, config)
         summary = summarize(trace_rows(record, 0), []).summaries["exact"]
         assert summary.final_rmse.tolist() == [record.rmse_trace[-1]]
         assert summary.normalized.tolist() == [record.normalized_trace.tolist()]

@@ -1,12 +1,24 @@
 """Tests for the RMSE cost and SPSA-with-momentum training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import gensel.optimizer as optimizer
-from gensel.optimizer import SpsaConfig, TrialRecord, rmse_cost, spsa_step, train
+from gensel.experiments import derive_seed, select_for_method
+from gensel.optimizer import (
+    SpsaConfig,
+    TrialRecord,
+    rmse_cost,
+    spsa_step,
+    train,
+    train_batch,
+)
 from gensel.pauli import PauliString
-from gensel.simulator import CircuitModel, run_model, run_model_batch
+from gensel.simulator import CircuitModel, compile_circuit, run_model, run_model_batch
+
+from conftest import random_label
 
 P = PauliString.from_label
 
@@ -174,36 +186,52 @@ class TestTrain:
         assert np.all(record.rmse_trace >= 0)
 
     def test_cost_evaluation_budget(self, rng, monkeypatch):
-        """3*epochs + 1 full-dataset evaluations: 2 per step + 1 per trace point."""
+        """One compile per trial and 3*epochs + 1 full-dataset evaluations per
+        trial: 2 per step + 1 per trace point, for one trial and for a batch."""
         counter = {"compiled": 0, "n": 0}
-        real = optimizer.compile_batch
+        real_compile = optimizer.compile_circuit
+        real_stack = optimizer.stack_circuits
 
         def counting_compile(model, xs):
             counter["compiled"] += 1
-            evaluate = real(model, xs)
+            return real_compile(model, xs)
 
-            def counting(theta):
-                counter["n"] += 1
-                return evaluate(theta)
+        def counting_stack(circuits):
+            evaluate = real_stack(circuits)
+
+            def counting(thetas):
+                counter["n"] += len(thetas)  # each row evaluates every trial
+                return evaluate(thetas)
 
             return counting
 
-        monkeypatch.setattr(optimizer, "compile_batch", counting_compile)
+        monkeypatch.setattr(optimizer, "compile_circuit", counting_compile)
+        monkeypatch.setattr(optimizer, "stack_circuits", counting_stack)
         model = _toy_model()
         dataset = self._dataset(rng, model, [1.0])
         train(model, dataset, SpsaConfig(epochs=17, seed=0))
         assert counter["compiled"] == 1
         assert counter["n"] == 3 * 17 + 1
 
+        counter.update(compiled=0, n=0)
+        other = CircuitModel(1, (P("Y"), P("X")), P("Z"))
+        trials = [(model, 0), (other, 1), (model, 2)]
+        traces = optimizer.train_batch(trials, dataset, SpsaConfig(epochs=17))
+        assert traces.shape == (3, 18)
+        assert counter["compiled"] == 3
+        assert counter["n"] == 3 * 17 + 1
+
     def test_evaluation_count_mismatch_raises(self, rng, monkeypatch):
         """The count check is a RuntimeError, so it survives python -O."""
-        real = optimizer.spsa_step
+        real = optimizer._spsa_update
 
-        def extra_evaluation(theta, momentum, cost, config, step_index):
-            cost(theta)
-            return real(theta, momentum, cost, config, step_index)
+        def extra_evaluation(theta, momentum, costs, *args):
+            def one_more(rows):  # one row more than the step evaluates
+                return costs(np.concatenate([rows, rows[:1]]))[:-1]
 
-        monkeypatch.setattr(optimizer, "spsa_step", extra_evaluation)
+            return real(theta, momentum, one_more, *args)
+
+        monkeypatch.setattr(optimizer, "_spsa_update", extra_evaluation)
         model = _toy_model()
         dataset = self._dataset(rng, model, [1.0])
         with pytest.raises(RuntimeError, match="evaluation counter mismatch: 13 != 10"):
@@ -265,6 +293,52 @@ class TestTrain:
         assert record.normalized_trace[-1] < 0.9
 
 
+class TestTrainBatch:
+    def _trials(self, rng):
+        """Exact and random selections, wide random circuits and a dense one."""
+        observable = P("ZIII")
+        trials = []
+        for method in ("exact", "random"):
+            for t in range(3):
+                seed = derive_seed(9, method, t)
+                chosen = select_for_method(method, observable, 4, seed).chosen
+                trials.append((CircuitModel(4, chosen, observable), seed))
+        for depth in (8, 10, 10, 12):
+            gens = tuple(P(random_label(rng, 4)) for _ in range(depth))
+            trials.append((CircuitModel(4, gens, observable), int(rng.integers(2**40))))
+        dense = CircuitModel(
+            3, tuple(P(random_label(rng, 3)) for _ in range(24)), P("ZII")
+        )
+        trials.insert(4, (dense, 77))
+        return trials
+
+    def test_each_trace_equals_its_one_trial_train(self, rng, monkeypatch):
+        """Batching is invisible: every trial of one batched run has,
+        bit for bit, the trace that train gives it alone."""
+        trials = self._trials(rng)
+        xs = rng.uniform(0, 2 * np.pi, size=20)
+        dataset = [(float(x), float(np.cos(x))) for x in xs]
+        circuits = [compile_circuit(model, xs) for model, _ in trials]
+        assert sum(c.dense is not None for c in circuits) == 1
+        shapes = {c.factors.shape for c in circuits if c.dense is None}
+        assert len(shapes) >= 4
+        assert max(k for k, _ in shapes) > 8  # past NumPy's 8-element pairwise block
+        config = SpsaConfig(learning_rate=0.01, epochs=30)
+        traces = train_batch(trials, dataset, config)
+        ys = np.array([y for _, y in dataset])
+        for (model, seed), circuit, trace in zip(trials, circuits, traces):
+            alone = train(model, dataset, replace(config, seed=seed)).rmse_trace
+            assert np.array_equal(trace, alone)
+            # ... and the trace of spsa_step over the unstacked evaluator
+            reference = _spsa_reference(circuit, ys, replace(config, seed=seed))
+            assert np.array_equal(trace, reference)
+        monkeypatch.setattr(optimizer, "_GROUP_SIZE", 1)  # one group per trial
+        assert np.array_equal(train_batch(trials, dataset, config), traces)
+
+    def test_no_trials(self):
+        assert train_batch([], [(0.1, 0.2)], SpsaConfig(epochs=3)).shape == (0, 4)
+
+
 class TestTrialRecord:
     def test_rejects_negative_trace(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -273,6 +347,34 @@ class TestTrialRecord:
     def test_rejects_zero_initial(self):
         with pytest.raises(ValueError, match="initial RMSE"):
             TrialRecord("m", 0, (P("X"),), np.array([0.0, 0.1]))
+
+
+def _spsa_reference(circuit, ys, config):
+    """The trace of spsa_step on one compiled circuit, each cost evaluated
+    alone: NumPy's row sum of Phi times the term coefficients, or the dense
+    evaluator past the term limit."""
+    depth = circuit.depth
+
+    def cost(theta):
+        if circuit.dense is not None:
+            preds = circuit.dense(theta)
+        else:
+            trig = np.concatenate(
+                [np.ones(depth), np.cos(2 * theta), np.sin(2 * theta)]
+            )
+            coeff = trig[circuit.factors * depth + np.arange(depth)].prod(axis=1)
+            preds = (circuit.phi * coeff).sum(axis=1)
+        return float(np.sqrt(np.mean((preds - ys) ** 2)))
+
+    theta = np.random.default_rng([config.seed, 0]).uniform(
+        -config.init_range, config.init_range, depth
+    )
+    momentum = np.zeros(depth)
+    trace = [cost(theta)]
+    for epoch in range(1, config.epochs + 1):
+        theta, momentum = spsa_step(theta, momentum, cost, config, epoch)
+        trace.append(cost(theta))
+    return np.array(trace)
 
 
 def _pauli_amps(amps, n, g):

@@ -58,6 +58,24 @@ class TestBuildPool:
         full = build_pool(o)
         assert set(sub) <= set(full)
 
+    def test_equals_enumeration_listing(self, rng):
+        """Same strings in the same order as filtering the canonical listing,
+        in full and subsampled (the subsample keeps the listing's order)."""
+        for n in range(1, 6):
+            labels = {"Z" + "I" * (n - 1), "X" * n, "Y" + "Z" * (n - 1)}
+            labels |= {random_label(rng, n) for _ in range(3)}
+            for label in sorted(labels):
+                o = P(label)
+                listing = [p for p in pauli_strings(n) if not commutes(p, o)]
+                pool = build_pool(o)
+                assert pool == listing
+                assert [(p.x, p.z) for p in pool] == [(p.x, p.z) for p in listing]
+                size = len(listing) // 3
+                keep = np.random.default_rng(n).choice(len(listing), size, replace=False)
+                assert build_pool(o, subsample_size=size, seed=n) == [
+                    listing[i] for i in sorted(keep)
+                ]
+
     def test_subsample_too_large(self):
         with pytest.raises(ValueError, match="exceeds pool size"):
             build_pool(P("Z"), subsample_size=3, seed=0)

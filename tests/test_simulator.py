@@ -14,9 +14,11 @@ from gensel.simulator import (
     apply_ry_encoding,
     circuit_states,
     compile_batch,
+    compile_circuit,
     expectation,
     run_model,
     run_model_batch,
+    stack_circuits,
 )
 
 from conftest import dense_pauli, dense_ry_all, random_label
@@ -294,6 +296,44 @@ class TestCompiledEvaluator:
         evaluate = compile_batch(model, [0.1, 0.2])
         with pytest.raises(ValueError, match="shape"):
             evaluate([0.1])
+
+
+class TestStackCircuits:
+    def test_rows_reduce_as_numpy_row_sums(self, rng):
+        """Each row of a stacked evaluation equals, bit for bit, NumPy's row
+        sum of Phi times that row's coefficients (the one-circuit evaluator's
+        arithmetic) on either side of the 8-term pairwise block, and the
+        dense oracle to rounding; the dense fallback runs in the same stack.
+        """
+        shapes = ((1, 2), (2, 3), (3, 5), (4, 8), (4, 10), (4, 10), (4, 12), (3, 24))
+        models = [_random_model_with_y(rng, n, depth) for n, depth in shapes]
+        models += models[2:5]  # buckets of several circuits, too
+        xs = rng.uniform(0, 2 * np.pi, size=7)
+        circuits = [compile_circuit(model, xs) for model in models]
+        terms = [c.factors.shape[0] for c in circuits if c.dense is None]
+        assert min(terms) < 8 <= max(terms)
+        assert circuits[7].dense is not None
+        thetas = rng.uniform(-np.pi, np.pi, size=(2, len(models), 24))
+        evaluate = stack_circuits(circuits)
+        got = evaluate(thetas)
+        assert got.shape == (2, len(models), len(xs))
+        assert np.array_equal(evaluate(thetas[1:]), got[1:])
+        # Entries past the largest depth are ignored, too.
+        padding = rng.uniform(-np.pi, np.pi, size=(2, len(models), 5))
+        wider = np.concatenate([thetas, padding], axis=-1)
+        assert np.array_equal(evaluate(wider), got)
+        for t, (model, c) in enumerate(zip(models, circuits)):
+            depth = model.depth
+            for p in range(2):
+                theta = thetas[p, t, :depth]
+                if c.dense is None:
+                    trig = np.concatenate(
+                        [np.ones(depth), np.cos(2 * theta), np.sin(2 * theta)]
+                    )
+                    coeff = trig[c.factors * depth + np.arange(depth)].prod(axis=1)
+                    assert np.array_equal(got[p, t], (c.phi * coeff).sum(axis=1))
+                expected = [_dense_run_model(model, theta, x) for x in xs]
+                assert np.allclose(got[p, t], expected, atol=1e-10)
 
 
 class TestCircuitStates:
