@@ -3,10 +3,14 @@
 Subcommands: select, gen-data, train, expressibility, verify-theory, report.
 Every run resolves its configuration from defaults, an optional INI-style
 --config file (sections [dataset], [spsa], [expressibility], [genetic]) and
-command-line flags, in that order of precedence, and logs the resolved
-configuration next to its output for provenance.  All randomness flows from
+command-line flags, in that order of precedence.  All randomness flows from
 the master seed (--seed, or the GENSEL_SEED environment variable), so any
 subcommand rerun with identical flags produces byte-identical CSV output.
+
+Next to each CSV a run writes <csv>.config.txt: a "# subcommand = ..." line
+and a "# flag = value" line per parsed flag (the seed resolved), then one
+config section per settings dataclass the run resolved, every field set.
+Passed back as --config with the same flags, it reproduces the CSV.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
+    SELECTION_METHODS,
     DatasetSpec,
     ExpressibilityConfig,
     GeneticConfig,
@@ -48,7 +53,7 @@ from .theory import (
 
 __all__ = ["main", "parse_and_dispatch"]
 
-_METHOD_CHOICES = ("exact", "greedy", "genetic", "random", "grad-only", "pair-only")
+_METHOD_CHOICES = tuple(m.replace("_", "-") for m in SELECTION_METHODS)
 
 _TRACE_COLUMNS = ("method", "trial", "epoch", "rmse", "rmse_normalized")
 _EXPR_METRICS = ("n_commute_obs", "n_commute_pairs", "hellinger")
@@ -82,14 +87,6 @@ def _write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
-
-
-def _write_provenance(anchor: Path, subcommand: str, options: dict) -> None:
-    path = Path(str(anchor) + ".config.txt")
-    lines = [f"subcommand = {subcommand}"]
-    for key in sorted(options):
-        lines.append(f"{key} = {options[key]}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # Seeds come from --seed or GENSEL_SEED, so no config key sets these fields.
@@ -158,6 +155,28 @@ def _section(cfg, cls, **flags):
     return cls(**values)
 
 
+def _write_outputs(args, path, header, rows, *settings) -> None:
+    """Write the CSV ``path`` and its sidecar ``<path>.config.txt``.
+
+    The sidecar is a config file: ``# subcommand`` and ``# flag = value``
+    comments (the seed resolved), then one section per dataclass in
+    ``settings``, keyed as `_section` reads it.
+    """
+    _write_csv(path, header, rows)
+    lines = [f"# subcommand = {args.subcommand}"]
+    for flag, value in vars(args).items():
+        if flag not in ("subcommand", "handler"):
+            value = ",".join(value) if isinstance(value, list) else _cell(value)
+            lines.append(f"# {flag} = {value}")
+    for obj in settings:
+        lines += ["", f"[{_SECTIONS[type(obj)]}]"]
+        for f, keys in _config_fields(type(obj)):
+            value = getattr(obj, f.name)
+            values = value if isinstance(f.default, tuple) else (value,)
+            lines += [f"{key} = {_cell(v)}" for key, v in zip(keys, values)]
+    Path(f"{path}.config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
         seed = flag_value
@@ -194,9 +213,7 @@ def _method_tag(flag: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_select(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args.seed)
+def _cmd_select(args, cfg) -> int:
     n = args.n if args.n is not None else (len(args.observable) if args.observable else 5)
     label = args.observable if args.observable else "Z" + "I" * (n - 1)
     observable = _parse_observable(label, n)
@@ -206,7 +223,7 @@ def _cmd_select(args) -> int:
         method,
         observable,
         args.depth,
-        seed,
+        args.seed,
         genetic=genetic,
         pool_subsample=args.pool_subsample,
     )
@@ -217,47 +234,19 @@ def _cmd_select(args) -> int:
         + ["score", "n_commute_obs", "n_commute_pairs"]
     )
     row = (
-        [result.method, seed]
+        [result.method, args.seed]
         + [g.label for g in result.chosen]
         + [result.score, metrics.n_commute_obs, metrics.n_commute_pairs]
     )
-    _write_csv(args.out, header, [row])
-    _write_provenance(
-        Path(args.out),
-        "select",
-        {
-            "n": n,
-            "observable": observable.label,
-            "depth": args.depth,
-            "method": method,
-            "seed": seed,
-            "pool_subsample": args.pool_subsample,
-            "out": args.out,
-        },
-    )
+    _write_outputs(args, args.out, header, [row], genetic)
     return 0
 
 
-def _cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args.seed)
-    spec = _section(cfg, DatasetSpec, teacher_seed=seed)
+def _cmd_gen_data(args, cfg) -> int:
+    spec = _section(cfg, DatasetSpec, teacher_seed=args.seed)
     dataset, _ = generate_dataset(spec)
     rows = [[i, x, y] for i, (x, y) in enumerate(dataset)]
-    _write_csv(args.out, ["index", "x", "y"], rows)
-    _write_provenance(
-        Path(args.out),
-        "gen-data",
-        {
-            "n": spec.n,
-            "depth": spec.depth,
-            "samples": spec.samples,
-            "teacher_seed": seed,
-            "theta_range": spec.theta_range,
-            "input_range": spec.input_range,
-            "out": args.out,
-        },
-    )
+    _write_outputs(args, args.out, ["index", "x", "y"], rows, spec)
     return 0
 
 
@@ -278,9 +267,7 @@ def _train_chunk(payload) -> list[tuple]:
     return [row for (_, t), r in zip(cells, records) for row in trace_rows(r, t)]
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    master_seed = _resolve_seed(args.seed)
+def _cmd_train(args, cfg) -> int:
     table = _read_table(args.data, ("x", "y"))
     dataset = [(float(r["x"]), float(r["y"])) for r in table]
     spec = _section(cfg, DatasetSpec)
@@ -294,7 +281,7 @@ def _cmd_train(args) -> int:
     jobs = max(1, min(args.jobs, len(cells)))
     bounds = [len(cells) * k // jobs for k in range(jobs + 1)]
     payloads = [
-        (cells[lo:hi], master_seed, dataset, spec, spsa, genetic)
+        (cells[lo:hi], args.seed, dataset, spec, spsa, genetic)
         for lo, hi in zip(bounds, bounds[1:])
     ]
     if jobs > 1:
@@ -303,32 +290,11 @@ def _cmd_train(args) -> int:
     else:
         chunks = [_train_chunk(p) for p in payloads]
     rows = [row for chunk in chunks for row in chunk]
-    _write_csv(args.out, _TRACE_COLUMNS, rows)
-    _write_provenance(
-        Path(args.out),
-        "train",
-        {
-            "data": args.data,
-            "methods": ",".join(methods),
-            "trials": args.trials,
-            "epochs": spsa.epochs,
-            "seed": master_seed,
-            "jobs": args.jobs,
-            "learning_rate": spsa.learning_rate,
-            "momentum": spsa.momentum,
-            "perturbation": spsa.perturbation,
-            "init_range": spsa.init_range,
-            "n": spec.n,
-            "depth": spec.depth,
-            "out": args.out,
-        },
-    )
+    _write_outputs(args, args.out, _TRACE_COLUMNS, rows, spec, spsa, genetic)
     return 0
 
 
-def _cmd_expressibility(args) -> int:
-    cfg = _load_config(args.config)
-    master_seed = _resolve_seed(args.seed)
+def _cmd_expressibility(args, cfg) -> int:
     spec = _section(cfg, DatasetSpec)
     genetic = _section(cfg, GeneticConfig)
     expr_cfg = _section(
@@ -338,25 +304,12 @@ def _cmd_expressibility(args) -> int:
     rows = []
     for method in methods:
         for trial in range(args.trials):
-            seed, model = trial_model(method, trial, master_seed, spec, genetic)
+            seed, model = trial_model(method, trial, args.seed, spec, genetic)
             distance = expressibility_hellinger(model, replace(expr_cfg, seed=seed))
             metrics = evaluate_selection(model.generators, spec.observable)
             rows.append([method, trial, *metrics, float(distance)])
-    _write_csv(args.out, ("method", "trial", *_EXPR_METRICS), rows)
-    _write_provenance(
-        Path(args.out),
-        "expressibility",
-        {
-            "methods": ",".join(methods),
-            "trials": args.trials,
-            "samples": args.samples,
-            "bins": args.bins,
-            "seed": master_seed,
-            "n": spec.n,
-            "depth": spec.depth,
-            "out": args.out,
-        },
-    )
+    columns = ("method", "trial", *_EXPR_METRICS)
+    _write_outputs(args, args.out, columns, rows, spec, genetic, expr_cfg)
     return 0
 
 
@@ -394,14 +347,13 @@ def _verify_rows(observables, n):
     return rows
 
 
-def _cmd_verify_theory(args) -> int:
-    seed = _resolve_seed(args.seed)
+def _cmd_verify_theory(args, cfg) -> int:
     n = args.n
     observables = []
     if args.observable:
         p = _parse_observable(args.observable, n)
         observables.append(ObservableInAlgebra.single(p))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     max_terms = args.max_terms
     if max_terms is None and n >= 4:
         max_terms = 8
@@ -422,23 +374,11 @@ def _cmd_verify_theory(args) -> int:
         "upper_bound",
         "max_rel_err",
     ]
-    _write_csv(args.report, header, rows)
-    _write_provenance(
-        Path(args.report),
-        "verify-theory",
-        {
-            "n": n,
-            "trials": args.trials,
-            "seed": seed,
-            "max_terms": max_terms,
-            "observable": args.observable,
-            "report": args.report,
-        },
-    )
+    _write_outputs(args, args.report, header, rows)
     return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, cfg) -> int:
     traces = _read_table(args.traces, _TRACE_COLUMNS)
     if not traces:
         raise ValueError(f"no training traces in {args.traces}")
@@ -451,7 +391,9 @@ def _cmd_report(args) -> int:
         ),
         ((r["method"], k, float(r[k])) for r in expr for k in _EXPR_METRICS),
     )
-    _write_csv(args.out_table, ["method", "metric", "mean", "std"], report.table_rows())
+    _write_outputs(
+        args, args.out_table, ["method", "metric", "mean", "std"], report.table_rows()
+    )
     write_curves_svg(
         args.out_curves,
         report.curves(),
@@ -465,17 +407,6 @@ def _cmd_report(args) -> int:
             "t-test (exact vs random, final epoch): "
             f"t={report.t_statistic:.6g} p={report.p_value:.6g}"
         )
-    _write_provenance(
-        Path(args.out_table),
-        "report",
-        {
-            "traces": args.traces,
-            "expr": args.expr,
-            "out_table": args.out_table,
-            "out_curves": args.out_curves,
-            "deterministic": args.deterministic,
-        },
-    )
     return 0
 
 
@@ -570,12 +501,18 @@ def parse_and_dispatch(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag, low in (("trials", 0), ("jobs", 1)):
+            value = getattr(args, flag, low)
+            if value < low:
+                parser.error(f"--{flag} must be at least {low}, got {value}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args.seed = _resolve_seed(args.seed)
+        return args.handler(args, _load_config(args.config))
+    except (ValueError, RuntimeError, OSError, configparser.Error) as exc:
+        # Some messages (configparser's) span lines; an error prints as one.
+        print("error:", " ".join(str(exc).split()), file=sys.stderr)
         return 1
 
 

@@ -114,6 +114,11 @@ class TestSelect:
              "--pool-subsample", 64, "--seed", 3, "--out", out]
         ) == 0
 
+    def test_method_choices_follow_selection_methods(self):
+        assert cli._METHOD_CHOICES == (
+            "exact", "greedy", "genetic", "random", "grad-only", "pair-only"
+        )
+
     def test_provenance_written(self, tmp_path):
         out = tmp_path / "select.csv"
         _run(["select", "--observable", "ZII", "--depth", 2, "--seed", 0, "--out", out])
@@ -466,6 +471,15 @@ class TestConfigLoader:
                 "[dataset]\ntheta_min = low\n",
                 "[dataset] theta_min must be float, got 'low'",
             ),
+            (
+                "n = 3\n",
+                "File contains no section headers. file: '{cfg}', line: 1 'n = 3\\n'",
+            ),
+            (
+                "[dataset]\nn = 3\nn = 4\n",
+                "While reading from '{cfg}' [line 3]: "
+                "option 'n' in section 'dataset' already exists",
+            ),
         ],
     )
     def test_malformed_value_is_one_line(
@@ -479,7 +493,21 @@ class TestConfigLoader:
                      "--out", tmp_path / "t.csv"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
+        assert err == f"error: {message.format(cfg=cfg)}\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--traces", "traces.csv", "--expr", "expr.csv"],
+            ["verify-theory", "--n", 2],
+        ],
+        ids=["report", "verify-theory"],
+    )
+    def test_missing_config_file_fails_every_subcommand(self, tmp_path, capsys, argv):
+        missing = tmp_path / "nonexistent.ini"
+        assert _run([*argv, "--config", missing]) == 1
+        assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
 
     @pytest.mark.parametrize(
         "ini, message",
@@ -516,6 +544,110 @@ class TestConfigLoader:
         assert not (tmp_path / "t.csv").exists()
 
 
+class TestSidecar:
+    """`<csv>.config.txt` records every flag and setting and is a config file."""
+
+    INI = (
+        "[dataset]\nn = 3\ndepth = 3\nsamples = 10\ntheta_max = 2.5\n"
+        "[spsa]\nlearning_rate = 0.005\nepochs = 4\n"
+        "[expressibility]\nfidelity_samples = 40\nparam_min = -1.25\n"
+        "[genetic]\npopulation = 8\ngenerations = 6\nmutation_rate = 0.45\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, sections",
+        [
+            (["gen-data", "--seed", 3], ["dataset"]),
+            (
+                ["select", "--n", 4, "--depth", 4, "--method", "genetic", "--seed", 1],
+                ["genetic"],
+            ),
+            (
+                ["train", "--data", "DATA", "--method", "exact", "--method", "random",
+                 "--trials", 2, "--epochs", 3, "--seed", 7],
+                ["dataset", "spsa", "genetic"],
+            ),
+            (
+                ["expressibility", "--method", "genetic", "--trials", 2, "--bins", 10,
+                 "--seed", 4],
+                ["dataset", "genetic", "expressibility"],
+            ),
+        ],
+        ids=["gen-data", "select", "train", "expressibility"],
+    )
+    def test_sidecar_as_config_reproduces_the_csv(
+        self, small_setup, tmp_path, argv, sections
+    ):
+        _, data = small_setup
+        argv = [data if a == "DATA" else a for a in argv]
+        cfg = tmp_path / "settings.ini"
+        cfg.write_text(self.INI)
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert _run([*argv, "--config", cfg, "--out", first]) == 0
+        sidecar = Path(f"{first}.config.txt")
+        lines = sidecar.read_text().splitlines()
+        assert lines[0] == f"# subcommand = {argv[0]}"
+        assert f"# config = {cfg}" in lines
+        assert f"# out = {first}" in lines
+        parser = cli._load_config(sidecar)
+        assert parser.sections() == sections
+        classes = {name: cls for cls, name in cli._SECTIONS.items()}
+        for name in sections:
+            keys = {k for _, ks in cli._config_fields(classes[name]) for k in ks}
+            assert set(parser[name]) == keys
+        assert _run([*argv, "--config", sidecar, "--out", again]) == 0
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, ini",
+        [
+            (
+                ["select", "--n", 3, "--depth", 3, "--method", "genetic"],
+                ("[genetic]\npopulation = 8\n", "[genetic]\npopulation = 9\n"),
+            ),
+            (
+                ["expressibility", "--trials", 1, "--bins", 5],
+                (
+                    "[expressibility]\nfidelity_samples = 30\n",
+                    "[expressibility]\nfidelity_samples = 31\n",
+                ),
+            ),
+        ],
+        ids=["genetic-population", "fidelity-samples"],
+    )
+    def test_one_config_value_changes_the_sidecar(self, tmp_path, argv, ini):
+        cfg, out = tmp_path / "run.ini", tmp_path / "out.csv"
+        sidecars = []
+        for text in ini:
+            cfg.write_text(text)
+            assert _run([*argv, "--config", cfg, "--out", out]) == 0
+            sidecars.append(Path(f"{out}.config.txt").read_text())
+        assert sidecars[0] != sidecars[1]
+
+
+class TestFlagBounds:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--trials", -3], "--trials must be at least 0, got -3"),
+            (["expressibility", "--trials", -2], "--trials must be at least 0, got -2"),
+            (["verify-theory", "--trials", -1], "--trials must be at least 0, got -1"),
+            (["train", "--jobs", 0], "--jobs must be at least 1, got 0"),
+        ],
+    )
+    def test_negative_count_is_one_line(
+        self, small_setup, tmp_path, capsys, argv, message
+    ):
+        _, data = small_setup
+        out = tmp_path / "out.csv"
+        flag = "--report" if argv[0] == "verify-theory" else "--out"
+        extra = ["--data", data] if argv[0] == "train" else []
+        capsys.readouterr()
+        assert _run([*argv, *extra, flag, out]) == 2
+        assert capsys.readouterr().err == f"error: argument: {message}\n"
+        assert not out.exists()
+
+
 class TestSeedEnvironment:
     def test_gensel_seed_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GENSEL_SEED", "5")
@@ -534,6 +666,18 @@ class TestSeedEnvironment:
         monkeypatch.delenv("GENSEL_SEED")
         assert _run(["gen-data", "--seed", 6, "--out", out_b]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_env_seed_is_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GENSEL_SEED", "5")
+        out = tmp_path / "s.csv"
+        assert _run(["select", "--n", 3, "--depth", 2, "--out", out]) == 0
+        assert "# seed = 5" in Path(f"{out}.config.txt").read_text().splitlines()
+
+    def test_report_validates_the_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GENSEL_SEED", "x")
+        assert _run(["report", "--traces", tmp_path / "t.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: GENSEL_SEED must be an integer, got 'x'\n"
 
 
 def test_import_leaves_scipy_unloaded():
