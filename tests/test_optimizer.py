@@ -47,6 +47,29 @@ class TestSpsaConfig:
             SpsaConfig(epochs=-1)
         SpsaConfig(learning_rate=0.0)  # degenerate but allowed
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_stream_domain_is_one_line(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)") as err:
+            SpsaConfig(seed=seed)
+        assert "\n" not in str(err.value)
+        SpsaConfig(seed=2**64 - 1)
+
+
+def test_directions_match_default_rng():
+    """The direction kernel is NumPy's (seed, step) stream, bit for bit,
+    across one- and two-word seeds and steps and odd and even widths."""
+    extra = np.random.default_rng(2024).integers(0, 2**64, size=200, dtype=np.uint64)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [int(s) for s in extra]
+    steps = list(range(1, 8)) + [70_000, 0, 2**32 - 1, 2**32, 2**64 - 1]
+    for width in (1, 2, 5, 8, 11, 24, 40):
+        got = optimizer._directions(seeds, steps, width)
+        assert got.shape == (len(steps), len(seeds), width)
+        for s, step in enumerate(steps):
+            for t, seed in enumerate(seeds):
+                rng = np.random.default_rng([seed, step])
+                expected = rng.integers(0, 2, size=width) * 2 - 1
+                assert np.array_equal(got[s, t], expected), (seed, step, width)
+
 
 class TestRmseCost:
     def test_self_consistency_is_zero(self):
@@ -154,6 +177,11 @@ class TestSpsaStep:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="same shape"):
             spsa_step(np.zeros(2), np.zeros(3), lambda t: 0.0, SpsaConfig(), 1)
+
+    @pytest.mark.parametrize("step", [-1, 2**64])
+    def test_step_outside_stream_domain(self, step):
+        with pytest.raises(ValueError, match="step_index must be in"):
+            spsa_step(np.zeros(2), np.zeros(2), lambda t: 0.0, SpsaConfig(), step)
 
 
 class TestTrain:
@@ -337,6 +365,47 @@ class TestTrainBatch:
 
     def test_no_trials(self):
         assert train_batch([], [(0.1, 0.2)], SpsaConfig(epochs=3)).shape == (0, 4)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_trial_seed_outside_stream_domain(self, seed, monkeypatch):
+        """A seed outside [0, 2**64) fails in one line before any compile."""
+
+        def no_compile(*args):
+            raise AssertionError("compiled before the seeds were checked")
+
+        monkeypatch.setattr(optimizer, "compile_circuit", no_compile)
+        trials = [(_toy_model(), 3), (_toy_model(), seed)]
+        with pytest.raises(ValueError, match="trial seed must be in") as err:
+            train_batch(trials, [(0.1, 0.2)], SpsaConfig(epochs=3))
+        assert "\n" not in str(err.value)
+
+    def test_directions_drawn_in_bounded_blocks(self, rng, monkeypatch):
+        """A group draws its directions a block of epochs at a time, each
+        block at most _GROUP_SIZE / 16 entries or one epoch, and the traces
+        do not move."""
+        trials = self._trials(rng)[:6]
+        xs = rng.uniform(0, 2 * np.pi, size=10)
+        dataset = [(float(x), float(np.cos(x))) for x in xs]
+        config = SpsaConfig(learning_rate=0.01, epochs=23)
+        expected = train_batch(trials, dataset, config)
+        real = optimizer._directions
+        # 6 trials of up to 24 generators: 144 entries per epoch, and the
+        # tables of all six (848 floats) fill one group.
+        for group_size, longest in ((16 * 144 * 6, 6), (1, 1)):
+            draws = []
+
+            def recording(seeds, steps, width):
+                draws.append((list(steps), len(seeds) * width))
+                return real(seeds, steps, width)
+
+            monkeypatch.setattr(optimizer, "_directions", recording)
+            monkeypatch.setattr(optimizer, "_GROUP_SIZE", group_size)
+            assert np.array_equal(train_batch(trials, dataset, config), expected)
+            for steps, entries in draws:
+                assert 16 * len(steps) * entries <= group_size or len(steps) == 1
+            assert max(len(steps) for steps, _ in draws) == longest
+            steps = [step for block, _ in draws for step in block]
+            assert steps == list(range(1, 24)) * (len(steps) // 23)
 
 
 class TestTrialRecord:
