@@ -37,7 +37,7 @@ from .experiments import (
     summarize,
     trace_rows,
     train_cells,
-    trial_model,
+    trial_models,
 )
 from .optimizer import SpsaConfig
 from .pauli import PauliString
@@ -75,18 +75,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows) -> None:
+    """Write the rows as CSV; each float as its shortest round-trip repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 # Seeds come from --seed or GENSEL_SEED, so no config key sets these fields.
@@ -166,14 +160,14 @@ def _write_outputs(args, path, header, rows, *settings) -> None:
     lines = [f"# subcommand = {args.subcommand}"]
     for flag, value in vars(args).items():
         if flag not in ("subcommand", "handler"):
-            value = ",".join(value) if isinstance(value, list) else _cell(value)
+            value = ",".join(value) if isinstance(value, list) else value
             lines.append(f"# {flag} = {value}")
     for obj in settings:
         lines += ["", f"[{_SECTIONS[type(obj)]}]"]
         for f, keys in _config_fields(type(obj)):
             value = getattr(obj, f.name)
             values = value if isinstance(f.default, tuple) else (value,)
-            lines += [f"{key} = {_cell(v)}" for key, v in zip(keys, values)]
+            lines += [f"{key} = {v}" for key, v in zip(keys, values)]
     Path(f"{path}.config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -301,13 +295,14 @@ def _cmd_expressibility(args, cfg) -> int:
         cfg, ExpressibilityConfig, fidelity_samples=args.samples, bins=args.bins
     )
     methods = [_method_tag(m) for m in (args.method or ["exact"])]
+    cells = [(method, trial) for method in methods for trial in range(args.trials)]
     rows = []
-    for method in methods:
-        for trial in range(args.trials):
-            seed, model = trial_model(method, trial, args.seed, spec, genetic)
-            distance = expressibility_hellinger(model, replace(expr_cfg, seed=seed))
-            metrics = evaluate_selection(model.generators, spec.observable)
-            rows.append([method, trial, *metrics, float(distance)])
+    for (method, trial), (seed, model) in zip(
+        cells, trial_models(cells, args.seed, spec, genetic)
+    ):
+        distance = expressibility_hellinger(model, replace(expr_cfg, seed=seed))
+        metrics = evaluate_selection(model.generators, spec.observable)
+        rows.append([method, trial, *metrics, float(distance)])
     columns = ("method", "trial", *_EXPR_METRICS)
     _write_outputs(args, args.out, columns, rows, spec, genetic, expr_cfg)
     return 0

@@ -28,6 +28,7 @@ from .selection import (
     SelectionResult,
     build_pool,
     evaluate_selection,
+    seeded_order,
     select_baseline,
     solve_exact,
     solve_genetic,
@@ -50,6 +51,7 @@ __all__ = [
     "expressibility_hellinger",
     "select_for_method",
     "trial_model",
+    "trial_models",
     "train_cells",
     "trace_rows",
     "summarize",
@@ -58,7 +60,8 @@ __all__ = [
     "SELECTION_METHODS",
 ]
 
-SELECTION_METHODS = ("exact", "greedy", "genetic") + BASELINE_METHODS
+POOL_METHODS = ("exact", "greedy", "genetic")
+SELECTION_METHODS = POOL_METHODS + BASELINE_METHODS
 
 
 @dataclass(frozen=True)
@@ -197,34 +200,66 @@ def select_for_method(
     seed: int,
     genetic: GeneticConfig = GeneticConfig(),
     pool_subsample: int | None = None,
+    problem: SelectionProblem | None = None,
 ) -> SelectionResult:
     """Run the named selection method and return its chosen generators.
 
-    Pool-based methods see the candidate pool in a seed-derived random order.
-    The solvers are deterministic given candidate order, so each trial is
-    reproducible, while different seeds pick different (equally optimal)
-    generator sets; selecting with several seeds therefore varies the chosen
-    circuits the way repeated seeded selection runs do.
+    Pool-based methods see the candidate pool in a seed-derived random order
+    (``seeded_order``).  The solvers are deterministic given candidate order,
+    so each trial is reproducible, while different seeds pick different
+    (equally optimal) generator sets; selecting with several seeds therefore
+    varies the chosen circuits the way repeated seeded selection runs do.
+
+    ``problem`` is the observable's full pool and table at this budget, which
+    a run builds once for all its trials; without it, this call builds one
+    over just the candidates the seed's subsample keeps.
     """
     if method in BASELINE_METHODS:
         return select_baseline(method, observable.n, observable, budget, seed)
-    if method not in ("exact", "greedy", "genetic"):
+    if method not in POOL_METHODS:
         raise ValueError(f"unknown selection method {method!r}")
-    pool = build_pool(observable, subsample_size=pool_subsample, seed=seed)
-    order = np.random.default_rng(seed).permutation(len(pool))
-    pool = [pool[i] for i in order]
-    problem = SelectionProblem.build(observable, pool, budget)
+    if problem is None:
+        pool = build_pool(observable, subsample_size=pool_subsample, seed=seed)
+        problem, pool_subsample = SelectionProblem.build(observable, pool, budget), None
+    elif (problem.observable, problem.budget) != (observable, budget):
+        raise ValueError("the selection problem is for another observable or budget")
+    order = seeded_order(len(problem.candidates), seed, pool_subsample)
     if method == "exact":
-        return solve_exact(problem)
+        return solve_exact(problem, order=order)
     if method == "greedy":
-        return solve_greedy(problem)
+        return solve_greedy(problem, order=order)
     return solve_genetic(
         problem,
         population=genetic.population,
         generations=genetic.generations,
         mutation_rate=genetic.mutation_rate,
         seed=seed,
+        order=order,
     )
+
+
+def trial_models(
+    cells: Sequence[tuple[str, int]],
+    master_seed: int,
+    spec: DatasetSpec,
+    genetic: GeneticConfig = GeneticConfig(),
+) -> list[tuple[int, CircuitModel]]:
+    """Seed of each (method, trial) cell and the circuit its selection builds.
+
+    The pool-based cells share one selection problem, built here once: the
+    observable's pool and table at the spec's depth.
+    """
+    observable, problem = spec.observable, None
+    if any(method in POOL_METHODS for method, _ in cells):
+        problem = SelectionProblem.build(observable, build_pool(observable), spec.depth)
+    picked = []
+    for method, trial_index in cells:
+        seed = derive_seed(master_seed, method, trial_index)
+        selection = select_for_method(
+            method, observable, spec.depth, seed, genetic=genetic, problem=problem
+        )
+        picked.append((seed, CircuitModel(spec.n, selection.chosen, observable)))
+    return picked
 
 
 def trial_model(
@@ -235,11 +270,7 @@ def trial_model(
     genetic: GeneticConfig = GeneticConfig(),
 ) -> tuple[int, CircuitModel]:
     """Seed of one (method, trial) cell and the circuit its selection builds."""
-    seed = derive_seed(master_seed, method, trial_index)
-    selection = select_for_method(
-        method, spec.observable, spec.depth, seed, genetic=genetic
-    )
-    return seed, CircuitModel(spec.n, selection.chosen, spec.observable)
+    return trial_models([(method, trial_index)], master_seed, spec, genetic)[0]
 
 
 def train_cells(
@@ -251,7 +282,7 @@ def train_cells(
     genetic: GeneticConfig = GeneticConfig(),
 ) -> list[TrialRecord]:
     """Select every (method, trial) cell's circuit and train them in one batch."""
-    picked = [trial_model(m, t, master_seed, spec, genetic) for m, t in cells]
+    picked = trial_models(cells, master_seed, spec, genetic)
     trials = [(model, seed) for seed, model in picked]
     traces = train_batch(trials, dataset, spsa_config)
     return [

@@ -6,10 +6,14 @@ pairs among L chosen generators:
 
     max sum_{j<k} c_jk x_j x_k   s.t.  sum_j x_j = L,  x_j in {0, 1}
 
-with c_jk = 1 iff candidates j and k anticommute.  The exact solver is one
-depth-first search on bitsets that minimizes the commuting pairs: run first
-with none allowed, it finds an L-clique (score L(L-1)/2, provably optimal) if
-one exists, else it runs again as a branch-and-bound over all subsets.
+with c_jk = 1 iff candidates j and k anticommute.  The table depends only on
+O, so a run builds the pool and table once, as one SelectionProblem, and each
+trial hands the solvers its candidates' indices in its seeded order
+(``seeded_order``).  The exact solver is one depth-first search on bitsets
+that minimizes the commuting pairs: run first with none allowed, it finds an
+L-clique (score L(L-1)/2, provably optimal) if one exists, else it runs again
+as a branch-and-bound over all subsets.  It packs a table row into a bitset
+only when the search first reaches that candidate.
 Heuristic solvers (greedy, genetic) and the comparison baselines live here too.
 """
 
@@ -36,6 +40,7 @@ __all__ = [
     "SelectionResult",
     "SelectionMetrics",
     "build_pool",
+    "seeded_order",
     "score_matrix",
     "solve_exact",
     "solve_greedy",
@@ -140,15 +145,28 @@ def build_pool(
         symplectic_parity(x, z, np.uint64(observable.x), np.uint64(observable.z))
     )
     if subsample_size is not None:
-        if subsample_size > len(members):
-            raise ValueError(
-                f"subsample size {subsample_size} exceeds pool size {len(members)}"
-            )
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(len(members), size=subsample_size, replace=False)
-        members = members[np.sort(keep)]
+        members = members[np.sort(seeded_order(len(members), seed, subsample_size))]
     masks = zip(x[members].tolist(), z[members].tolist())
     return [PauliString._mk(n, xm, zm) for xm, zm in masks]
+
+
+def seeded_order(
+    size: int, seed: int | None, subsample_size: int | None = None
+) -> np.ndarray:
+    """Indices into a canonical pool of ``size`` in one seeded trial's order.
+
+    A seeded uniform subsample of ``subsample_size`` indices (all of them
+    without one), shuffled by ``default_rng(seed).permutation``.  Since
+    ``score_matrix(pool[idx]) == score_matrix(pool)[idx][:, idx]``, a trial
+    reads the pool's table in this order instead of building its own.
+    """
+    keep = np.arange(size)
+    if subsample_size is not None:
+        if subsample_size > size:
+            raise ValueError(f"subsample size {subsample_size} exceeds pool size {size}")
+        keep = np.random.default_rng(seed).choice(size, subsample_size, replace=False)
+        keep.sort()
+    return keep[np.random.default_rng(seed).permutation(len(keep))]
 
 
 def score_matrix(candidates: Sequence[PauliString]) -> np.ndarray:
@@ -173,14 +191,33 @@ def score_matrix(candidates: Sequence[PauliString]) -> np.ndarray:
     return c
 
 
-def _adjacency_masks(coefficients: np.ndarray) -> list[int]:
-    """Row j as an int whose bit k is set iff coefficients[j, k] != 0."""
-    packed = np.packbits(coefficients, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _indices(problem: SelectionProblem, order) -> np.ndarray:
+    """The candidates a solver searches, in its order (all in pool order if None).
+
+    Position v is candidate ``order[v]``, so ties break in ``order``.
+    """
+    order = np.arange(len(problem.candidates)) if order is None else np.asarray(order)
+    if problem.budget > len(order):
+        raise ValueError(f"budget {problem.budget} infeasible for pool of {len(order)}")
+    return order
+
+
+class _AdjacencyRows(dict):
+    """Row v as an int whose bit k is set iff table[order[v], order[k]] != 0,
+    packed on first use: the clique search reaches only a few rows."""
+
+    def __init__(self, table: np.ndarray, order: np.ndarray):
+        super().__init__()
+        self.table, self.order = table, order
+
+    def __missing__(self, v: int) -> int:
+        row = np.packbits(self.table[self.order[v]].take(self.order), bitorder="little")
+        mask = self[v] = int.from_bytes(row.tobytes(), "little")
+        return mask
 
 
 def _search(
-    adj: list[int], m: int, size: int, budget: int
+    adj: _AdjacencyRows, m: int, size: int, budget: int
 ) -> tuple[list[int], int] | None:
     """Lexicographically first ``size``-subset with the fewest commuting pairs.
 
@@ -230,36 +267,40 @@ def _search(
     return found
 
 
-def solve_exact(problem: SelectionProblem) -> SelectionResult:
+def solve_exact(problem: SelectionProblem, *, order=None) -> SelectionResult:
     """Provably optimal subset of size L maximizing anticommuting pairs.
 
     ``_search`` minimizes the commuting pairs, first with none allowed: that
     finds an L-clique (score L(L-1)/2, the trivial upper bound) if there is
     one.  A pool has none past L = 2n, so the search then runs again with
     every subset allowed.  Ties break to the lexicographically smallest
-    subset in candidate order; the result is deterministic.
+    subset in candidate order (see ``_indices``); the result is deterministic.
     """
     L = problem.budget
     if L < 2:
         raise ValueError(f"budget must be at least 2, got {L}")
-    m = len(problem.candidates)
-    adj = _adjacency_masks(problem.coefficients)
+    index = _indices(problem, order)
+    adj, m = _AdjacencyRows(problem.coefficients, index), len(index)
     pairs = L * (L - 1) // 2
     picks, commuting = _search(adj, m, L, 0) or _search(adj, m, L, pairs)
-    chosen = tuple(problem.candidates[i] for i in picks)
+    chosen = tuple(problem.candidates[i] for i in index[picks])
     return SelectionResult(chosen, pairs - commuting, "exact", True)
 
 
-def solve_greedy(problem: SelectionProblem) -> SelectionResult:
+def solve_greedy(problem: SelectionProblem, *, order=None) -> SelectionResult:
     """Deterministic greedy heuristic: best marginal-gain growth from every start.
 
     For each possible seed vertex, grow a subset by repeatedly adding the
     candidate with the largest number of anticommutation edges into the
-    current subset (lowest index on ties); keep the best subset found.
+    current subset (first in candidate order, see ``_indices``, on ties);
+    keep the best subset found.
     """
     L = problem.budget
-    m = len(problem.candidates)
+    index = _indices(problem, order)
+    m = len(index)
     coeff = problem.coefficients  # uint8 rows, summed into an int64 vector
+    if order is not None:
+        coeff = coeff[index][:, index]
     best_score = -1
     best_subset: list[int] = []
     for start in range(m):
@@ -275,7 +316,7 @@ def solve_greedy(problem: SelectionProblem) -> SelectionResult:
         if score > best_score or (score == best_score and sorted(chosen) < best_subset):
             best_score = score
             best_subset = sorted(chosen)
-    chosen = tuple(problem.candidates[i] for i in best_subset)
+    chosen = tuple(problem.candidates[i] for i in index[best_subset])
     return SelectionResult(chosen, best_score, "greedy", best_score == L * (L - 1) // 2)
 
 
@@ -285,10 +326,13 @@ def solve_genetic(
     generations: int = 120,
     mutation_rate: float = 0.3,
     seed: int | None = None,
+    *,
+    order=None,
 ) -> SelectionResult:
     """Genetic-algorithm heuristic for the subset selection problem.
 
-    Chromosomes are index subsets of size L.  Crossover takes the union of
+    Chromosomes are subsets of size L of the positions in candidate order
+    (see ``_indices``).  Crossover takes the union of
     two parents and randomly trims it back to L; mutation swaps one chosen
     index for an unchosen one.  The best individual ever seen is kept
     (elitism).  Deterministic given the seed.
@@ -296,9 +340,13 @@ def solve_genetic(
     if population < 2:
         raise ValueError(f"population size must be at least 2, got {population}")
     L = problem.budget
-    m = len(problem.candidates)
+    index = _indices(problem, order)
+    m = len(index)
     max_score = L * (L - 1) // 2
-    fitness = problem.subset_score
+
+    def fitness(subset: tuple[int, ...]) -> int:
+        return problem.subset_score(index[list(subset)])
+
     rng = np.random.default_rng(seed)
 
     def random_subset() -> tuple[int, ...]:
@@ -333,7 +381,7 @@ def solve_genetic(
         if fits[gen_best] > best_fit:
             best, best_fit = pop[gen_best], fits[gen_best]
 
-    chosen = tuple(problem.candidates[i] for i in best)
+    chosen = tuple(problem.candidates[i] for i in index[list(best)])
     return SelectionResult(chosen, best_fit, "genetic", best_fit == max_score)
 
 

@@ -127,6 +127,17 @@ class TestSelect:
         assert "subcommand = select" in prov.read_text()
 
 
+def test_csv_cells_round_trip(tmp_path):
+    """Quoted strings and float reprs read back as written."""
+    path = tmp_path / "t.csv"
+    rows = [["a,b", 'say "hi"', "two\nlines", 0.1, 1e-300, -2.5e17, 7]]
+    cli._write_csv(path, ["s1", "s2", "s3", "f1", "f2", "f3", "i"], rows)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, row = list(csv.reader(fh))
+    assert row == ["a,b", 'say "hi"', "two\nlines", "0.1", "1e-300", "-2.5e+17", "7"]
+    assert [float(v) for v in row[3:6]] == rows[0][3:6]
+
+
 class TestGenData:
     def test_shape_and_determinism(self, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -240,6 +251,29 @@ class TestExpressibility:
             "method", "trial", "n_commute_obs", "n_commute_pairs", "hellinger"
         }
         assert all(0.0 <= float(r["hellinger"]) <= 1.0 for r in rows)
+
+
+    def test_one_table_per_run(self, small_setup, tmp_path, monkeypatch):
+        """Two pool-based methods x 20 trials read one table of the pool."""
+        from gensel import selection
+
+        sizes = []
+
+        def counted(candidates):
+            sizes.append(len(candidates))
+            return score_matrix(candidates)
+
+        monkeypatch.setattr(selection, "score_matrix", counted)
+        cfg, _ = small_setup
+        assert _run(
+            ["expressibility", "--config", cfg, "--method", "exact", "--method",
+             "greedy", "--trials", 20, "--samples", 20, "--bins", 10, "--seed", 1,
+             "--out", tmp_path / "expr.csv"]
+        ) == 0
+        assert len(_read_csv(tmp_path / "expr.csv")) == 40
+        # evaluate_selection scores each trial's 3 generators on its own
+        pool = build_pool(PauliString.from_label("ZII"))
+        assert [s for s in sizes if s != 3] == [len(pool)]
 
 
 class TestVerifyTheory:

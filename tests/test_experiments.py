@@ -1,12 +1,16 @@
 """Tests for the comparison harness, expressibility and the t-test."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from gensel import selection
 from gensel.experiments import (
     DatasetSpec,
     ExpressibilityConfig,
+    GeneticConfig,
     derive_seed,
     expressibility_hellinger,
     generate_dataset,
@@ -18,11 +22,20 @@ from gensel.experiments import (
     trace_rows,
     train_cells,
     trial_model,
+    trial_models,
     two_sample_t_test,
 )
 from gensel.optimizer import SpsaConfig, rmse_cost
 from gensel.pauli import PauliString
-from gensel.selection import evaluate_selection
+from gensel.selection import (
+    SelectionProblem,
+    build_pool,
+    evaluate_selection,
+    score_matrix,
+    solve_exact,
+    solve_genetic,
+    solve_greedy,
+)
 from gensel.simulator import CircuitModel
 
 P = PauliString.from_label
@@ -162,6 +175,119 @@ class TestTrialModel:
         (record,) = train_cells([("exact", 1)], 5, dataset, SMALL_SPEC, config)
         assert record.seed == seed
         assert record.chosen == tuple(model.generators)
+
+
+SMALL_GENETIC = GeneticConfig(population=16, generations=15)
+
+
+def _per_trial_selection(method, observable, budget, seed, subsample):
+    """The reference: a fresh pool in the seed's order, with its own table."""
+    pool = build_pool(observable, subsample_size=subsample, seed=seed)
+    order = np.random.default_rng(seed).permutation(len(pool))
+    problem = SelectionProblem.build(observable, [pool[i] for i in order], budget)
+    if method == "exact":
+        return solve_exact(problem)
+    if method == "greedy":
+        return solve_greedy(problem)
+    return solve_genetic(
+        problem,
+        population=SMALL_GENETIC.population,
+        generations=SMALL_GENETIC.generations,
+        mutation_rate=SMALL_GENETIC.mutation_rate,
+        seed=seed,
+    )
+
+
+class TestRunScopedPool:
+    """Selections that read one run-wide pool and table in each trial's order
+    equal those that rebuild the pool and table per trial."""
+
+    CASES = [  # (observable, budget, pool subsample)
+        ("ZII", 2, None),
+        ("ZII", 4, None),
+        ("ZII", 6, None),
+        ("XZIY", 3, None),
+        ("XZIY", 8, None),
+        ("ZIIII", 5, None),
+        ("ZIIII", 10, None),
+        ("ZIIII", 5, 64),
+        # Past L = 2n no L-clique exists: the exact solver's branch-and-bound.
+        ("ZI", 5, 6),
+        ("ZII", 7, 14),
+        ("ZII", 8, 16),
+        ("XZIY", 9, 12),
+    ]
+
+    @staticmethod
+    def _check(method, label, budget, subsample, seeds):
+        o = P(label)
+        problem = SelectionProblem.build(o, build_pool(o), budget)
+        for seed in seeds:
+            want = _per_trial_selection(method, o, budget, seed, subsample)
+            for given in (problem, None):
+                got = select_for_method(
+                    method, o, budget, seed, SMALL_GENETIC, subsample, given
+                )
+                assert got == want, (method, label, budget, subsample, seed)
+
+    @pytest.mark.parametrize("method", ["exact", "greedy", "genetic"])
+    @pytest.mark.parametrize("label, budget, subsample", CASES)
+    def test_matches_per_trial_pool(self, method, label, budget, subsample):
+        self._check(method, label, budget, subsample, seeds=(0, 1, 2**63 + 5))
+
+    @pytest.mark.parametrize("method", ["exact", "greedy", "genetic"])
+    def test_matches_per_trial_pool_on_readme_seeds(self, method):
+        seeds = [derive_seed(42, method, t) for t in range(20)]
+        self._check(method, "ZIIII", 5, None, seeds)
+
+    def test_budget_past_the_subsample_rejected(self):
+        o = P("ZII")
+        problem = SelectionProblem.build(o, build_pool(o), 6)
+        with pytest.raises(ValueError, match="budget 6 infeasible for pool of 5"):
+            select_for_method("exact", o, 6, 0, pool_subsample=5, problem=problem)
+
+    def test_problem_for_another_budget_rejected(self):
+        o = P("ZII")
+        problem = SelectionProblem.build(o, build_pool(o), 4)
+        with pytest.raises(ValueError, match="another observable or budget"):
+            select_for_method("exact", o, 3, 0, problem=problem)
+
+    def test_one_table_per_run(self, monkeypatch):
+        sizes = []
+
+        def counted(candidates):
+            sizes.append(len(candidates))
+            return score_matrix(candidates)
+
+        monkeypatch.setattr(selection, "score_matrix", counted)
+        dataset, _ = generate_dataset(SMALL_SPEC)
+        cells = [(m, t) for m in ("exact", "greedy") for t in range(20)]
+        records = train_cells(cells, 7, dataset, SMALL_SPEC, SpsaConfig(epochs=1))
+        assert sizes == [len(build_pool(SMALL_SPEC.observable))]
+        assert [r.chosen for r in records] == [
+            tuple(trial_model(m, t, 7, SMALL_SPEC)[1].generators) for m, t in cells
+        ]
+
+    def test_no_pool_for_baselines_only(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            selection.SelectionProblem, "build", lambda *a: built.append(a)
+        )
+        picked = trial_models([("random", 0), ("pair_only", 1)], 3, SMALL_SPEC)
+        assert len(picked) == 2 and built == []
+
+    def test_exact_trial_makes_no_table_copy(self):
+        o = P("ZIIII")
+        problem = SelectionProblem.build(o, build_pool(o), 5)  # 512 x 512 uint8
+        select_for_method("exact", o, 5, 0, problem=problem)
+        tracemalloc.start()
+        try:
+            for seed in range(1, 6):
+                select_for_method("exact", o, 5, seed, problem=problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < problem.coefficients.nbytes // 8
 
 
 class TestSummarize:

@@ -11,11 +11,12 @@ from gensel import pauli
 from gensel.pauli import PauliString, commutes, pauli_strings
 from gensel.selection import (
     SelectionProblem,
-    _adjacency_masks,
+    _AdjacencyRows,
     _random_clique,
     build_pool,
     evaluate_selection,
     score_matrix,
+    seeded_order,
     select_baseline,
     solve_exact,
     solve_genetic,
@@ -75,6 +76,18 @@ class TestBuildPool:
                 assert build_pool(o, subsample_size=size, seed=n) == [
                     listing[i] for i in sorted(keep)
                 ]
+
+    def test_seeded_order_lists_the_seeded_subsample_shuffled(self):
+        o = P("ZIIX")
+        pool = build_pool(o)
+        for seed, size in ((0, None), (4, None), (4, 50), (2**64 - 1, 7)):
+            sub = build_pool(o, subsample_size=size, seed=seed)
+            shuffle = np.random.default_rng(seed).permutation(len(sub))
+            assert [pool[i] for i in seeded_order(len(pool), seed, size)] == [
+                sub[i] for i in shuffle
+            ]
+        with pytest.raises(ValueError, match="exceeds pool size"):
+            seeded_order(len(pool), 0, len(pool) + 1)
 
     def test_subsample_too_large(self):
         with pytest.raises(ValueError, match="exceeds pool size"):
@@ -148,14 +161,18 @@ class TestScoreMatrix:
         assert c[-1, -2] == c[-2, -1] == 1
 
 
-def test_adjacency_masks_match_bit_loop(rng):
+def test_adjacency_rows_match_bit_loop(rng):
+    """Every row, packed on demand, in pool order, permuted and subsampled."""
     for m in (1, 7, 8, 9, 512):
         upper = np.triu(rng.integers(0, 2, size=(m, m)), 1)
         coefficients = (upper + upper.T).astype(np.uint8)
-        expected = [
-            sum(1 << int(k) for k in np.flatnonzero(row)) for row in coefficients
-        ]
-        assert _adjacency_masks(coefficients) == expected
+        keep = np.sort(rng.choice(m, size=(m + 1) // 2, replace=False))
+        for order in (np.arange(m), rng.permutation(m), rng.permutation(keep)):
+            table = coefficients[order][:, order]
+            expected = [sum(1 << int(k) for k in np.flatnonzero(row)) for row in table]
+            rows = _AdjacencyRows(coefficients, order)
+            assert [rows[v] for v in reversed(range(len(order)))] == expected[::-1]
+            assert len(rows) == len(order)
 
 
 class TestSelectionProblem:
