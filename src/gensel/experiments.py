@@ -62,6 +62,8 @@ __all__ = [
 
 POOL_METHODS = ("exact", "greedy", "genetic")
 SELECTION_METHODS = POOL_METHODS + BASELINE_METHODS
+# The epochs where the paper claims exact selection trains faster.
+EARLY_EPOCHS = range(10, 151)
 
 
 @dataclass(frozen=True)
@@ -365,13 +367,19 @@ class ExperimentReport:
     ``metrics[method][name]`` holds the per-trial values of one metric
     (commuting counts, Hellinger distance); the t-test compares final-epoch
     raw RMSEs of 'exact' versus 'random' and is None when either method is
-    absent or has fewer than two trials.
+    absent or has fewer than two trials.  ``early_share`` is the fraction
+    of the epochs ``early_epochs`` (EARLY_EPOCHS clipped to the epochs both
+    methods have) where the exact mean normalized RMSE is at or below the
+    random one; both are None when either method is absent or the window is
+    empty.
     """
 
     summaries: dict[str, MethodSummary]
     metrics: dict[str, dict[str, np.ndarray]]
     t_statistic: float | None
     p_value: float | None
+    early_share: float | None
+    early_epochs: range | None
 
     def table_rows(self) -> list[tuple[str, str, float, float]]:
         """(method, metric, mean, std) rows: the traces first, then the metrics."""
@@ -428,7 +436,15 @@ def summarize(traces, metrics) -> ExperimentReport:
     final = {m: s.final_rmse for m, s in summaries.items() if s.final_rmse.size >= 2}
     if "exact" in final and "random" in final:
         t_stat, p_value = two_sample_t_test(final["exact"], final["random"])
-    return ExperimentReport(summaries, by_name, t_stat, p_value)
+    share = epochs = None
+    if "exact" in summaries and "random" in summaries:
+        exact = summaries["exact"].trace_mean
+        random = summaries["random"].trace_mean
+        stop = min(EARLY_EPOCHS.stop, len(exact), len(random))
+        if stop > EARLY_EPOCHS.start:
+            epochs = range(EARLY_EPOCHS.start, stop)
+            share = float(np.mean(exact[epochs] <= random[epochs]))
+    return ExperimentReport(summaries, by_name, t_stat, p_value, share, epochs)
 
 
 def run_comparison(

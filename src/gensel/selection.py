@@ -417,11 +417,12 @@ def select_baseline(
         idx = rng.choice(everyone, size=budget, replace=False)
         chosen = tuple(pauli_string_at(n, int(i) + 1) for i in sorted(idx))
     elif method == "grad_only":
-        pool = build_pool(observable)
-        if budget > len(pool):
-            raise ValueError(f"budget {budget} exceeds pool size {len(pool)}")
-        idx = rng.choice(len(pool), size=budget, replace=False)
-        chosen = tuple(pool[i] for i in sorted(idx))
+        # Half of all 4^n strings anticommute with a non-identity observable.
+        if budget > 4**n // 2:
+            raise ValueError(f"budget {budget} exceeds pool size {4**n // 2}")
+        # The pool's seeded subsample is this uniform draw of L distinct
+        # members, and builds only the L strings it returns.
+        chosen = tuple(build_pool(observable, subsample_size=budget, seed=seed))
     else:  # pair_only scans a permutation of all strings, so list them once
         if budget > 2 * n + 1:
             raise ValueError(

@@ -33,8 +33,11 @@ index bit q corresponds to qubit q, so |0..0> is index 0.  A Pauli string
 acts via bit flips (X components) and phase factors (Z/Y components) in
 O(2^n), as (P @ amps)[b] = (phase*signs)[b] * amps[src[b]] with
 src = b ^ x-mask; no gate is ever materialized as a matrix.  Those tables,
-built once per gate, serve the dense fallback, the single-state helpers
-and ``circuit_states``, which expressibility needs.
+built once per gate, serve the dense fallback and the single-state helpers.
+``circuit_states``, which expressibility needs, starts every row at |0..0>
+and so keeps only the amplitudes on the F2-span of the X masks applied so
+far: its work per row is sum_l 2^rank_l, rank_l the rank of the first l
+X masks, not L * 2^n.
 """
 
 from __future__ import annotations
@@ -125,10 +128,15 @@ def _pauli_table(n: int, p: PauliString) -> tuple[np.ndarray | None, np.ndarray]
     identity.
     """
     src = np.arange(1 << n) ^ p.x
+    return (src if p.x else None), _phase_signs(p, src)
+
+
+def _phase_signs(p: PauliString, src: np.ndarray) -> np.ndarray:
+    """The factor P applies to the amplitude it moves from each index in src."""
     parity = (np.bitwise_count(np.uint64(p.z) & src.astype(np.uint64)) & 1).astype(int)
     signs = 1 - 2 * parity
     phase = 1j ** ((p.x & p.z).bit_count() % 4)
-    return (src if p.x else None), phase * signs
+    return phase * signs
 
 
 def _apply_pauli(amps: np.ndarray, table) -> np.ndarray:
@@ -419,16 +427,63 @@ def run_model(model: CircuitModel, theta, x: float) -> float:
 def circuit_states(model: CircuitModel, thetas) -> np.ndarray:
     """The circuit's states at input angle 0, one row per parameter row.
 
-    R_Y(0) is the identity, so row r is U(thetas[r]) |0..0>.  Each column
-    of thetas rotates every row at once.
+    R_Y(0) is the identity, so row r is U(thetas[r]) |0..0>.  A gate
+    exp(-i theta G) moves amplitude only along G's X mask x, so after gate
+    l the state lives on the F2-span S of the first l X masks, and the work
+    per row is sum_l 2^rank_l, rank_l the rank of those masks, not L * 2^n.
+    The live amplitudes form a contiguous (rows, |S|) block at the start of
+    a buffer of rows * 2^n, column j holding basis index S[j].  A gate with
+    x outside S doubles it: the old columns are scaled by cos theta and new
+    column |S| + j, index S[j] ^ x, gets -i sin theta times G's factor times
+    column j.  A gate with x in S (x = 0 included) rotates the columns with
+    their partners found through a position map.  Each amplitude gets the
+    bits the full-width rotation gives it, and one gather at the end puts
+    the rows in basis order, so the states are bitwise those of rotating
+    all 2^n amplitudes at every gate, up to the sign of zero amplitudes.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != model.depth:
         raise ValueError(
             f"thetas has shape {thetas.shape}, expected (rows, {model.depth})"
         )
-    amps = np.zeros((len(thetas), 1 << model.n), dtype=complex)
-    amps[:, 0] = 1.0
-    for l, g in enumerate(model.generators):
-        amps = _rotate(amps, _pauli_table(model.n, g), thetas[:, l])
-    return amps
+    rows, size = len(thetas), 1 << model.n
+    # The second buffer takes the doubled state, the gathered partners or,
+    # at the end, the states in basis order.
+    live = np.empty(rows * size, dtype=complex)
+    spare = np.empty(rows * size, dtype=complex)
+    live[:rows] = 1.0
+    support = np.zeros(1, dtype=np.intp)
+    position = np.full(size, -1, dtype=np.intp)
+    position[0] = 0
+    for g, theta in zip(model.generators, thetas.T):
+        k = len(support)
+        amps = live[: rows * k].reshape(rows, k)
+        cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        if position[g.x] < 0:
+            doubled = spare[: 2 * rows * k].reshape(rows, 2 * k)
+            new = doubled[:, k:]
+            # Where the full-width rotation's partner amplitude is 0.  Each
+            # part of -i sin theta times G's factor is one rounded product,
+            # the negation of the bits that i sin theta gives.
+            np.multiply(_phase_signs(g, support), amps, out=new)
+            np.multiply(-1j * sin_t, new, out=new)
+            np.multiply(cos_t, amps, out=doubled[:, :k])
+            moved = support ^ g.x
+            position[moved] = np.arange(k, 2 * k)
+            support = np.concatenate([support, moved])
+            live, spare = spare, live
+            continue
+        # cos * amps - (i sin) * (G @ amps) in _rotate's operand order.
+        partner = support ^ g.x
+        flipped = spare[: rows * k].reshape(rows, k)
+        # Every position is valid; mode="wrap" skips take's bounds buffer.
+        amps.take(position[partner], axis=1, out=flipped, mode="wrap")
+        np.multiply(_phase_signs(g, partner), flipped, out=flipped)
+        np.multiply(1j * sin_t, flipped, out=flipped)
+        np.multiply(cos_t, amps, out=amps)
+        np.subtract(amps, flipped, out=amps)
+    states = spare.reshape(rows, size)
+    amps = live[: rows * len(support)].reshape(rows, len(support))
+    amps.take(position, axis=1, out=states, mode="clip")
+    np.copyto(states, 0, where=position < 0)
+    return states

@@ -267,6 +267,8 @@ def test_criterion_6_training_comparison():
     window = slice(10, 151)
     frac = float(np.mean(mean_exact[window] <= mean_random[window]))
     assert frac >= 0.60, f"exact <= random on only {frac:.0%} of epochs [10,150]"
+    assert report.early_share == frac
+    assert report.early_epochs == range(10, 151)
     assert mean_exact[-1] < mean_exact[0]
     assert mean_random[-1] < mean_random[0]
     print(

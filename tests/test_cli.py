@@ -3,6 +3,7 @@
 import csv
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -337,6 +338,48 @@ class TestReport:
         assert svg.startswith("<?xml")
         assert "polyline" in svg
         assert "generated:" not in svg
+
+    def test_prints_early_training_share(self, small_setup, tmp_path, capsys):
+        cfg, data = small_setup
+        traces = tmp_path / "traces.csv"
+        expr = tmp_path / "expr.csv"
+        _run(["train", "--data", data, "--config", cfg, "--method", "exact",
+              "--method", "random", "--trials", 3, "--epochs", 20, "--seed", 5,
+              "--out", traces])
+        _run(["expressibility", "--config", cfg, "--method", "exact", "--trials", 1,
+              "--samples", 60, "--bins", 10, "--seed", 5, "--out", expr])
+        report = ["report", "--traces", traces, "--expr", expr,
+                  "--out-table", tmp_path / "t.csv", "--out-curves", tmp_path / "c.svg"]
+        capsys.readouterr()
+        assert _run(report) == 0
+        out = capsys.readouterr().out
+        rows = _read_csv(traces)
+        mean = {
+            m: np.array(
+                [float(r["rmse_normalized"]) for r in rows if r["method"] == m]
+            ).reshape(3, 21).mean(axis=0)
+            for m in ("exact", "random")
+        }
+        # Epochs 10-150, clipped to the 0-20 that were trained.
+        share = np.mean(mean["exact"][10:] <= mean["random"][10:])
+        t_line, early_line = out.splitlines()
+        assert t_line.startswith("t-test (exact vs random, final epoch): t=")
+        assert early_line == (
+            "early training (exact vs random, epochs 10-20): exact mean at or "
+            f"below random on a share of {share:.6g}"
+        )
+        # The t-test's is the only p= token the report prints.
+        assert re.findall(r"\bp=(\S+)", out) == [t_line.split("p=")[1]]
+
+        # Without random trials, or with too few epochs, there is no share.
+        for methods, epochs in ((["exact"], 20), (["exact", "random"], 9)):
+            flags = [flag for m in methods for flag in ("--method", m)]
+            _run(["train", "--data", data, "--config", cfg, *flags, "--trials", 2,
+                  "--epochs", epochs, "--seed", 5, "--out", traces])
+            capsys.readouterr()
+            assert _run(report) == 0
+            out = capsys.readouterr().out
+            assert out.endswith("early training (exact vs random): not available\n")
 
     def test_deterministic_outputs(self, small_setup, tmp_path):
         cfg, data = small_setup
@@ -715,9 +758,13 @@ class TestSeedEnvironment:
 
 
 def test_import_leaves_scipy_unloaded():
-    """Only the t-test of `report` needs scipy, so the other commands skip it."""
+    """Only the t-test of `report` needs scipy and only `train --jobs` above 1
+    a process pool, so the other commands import neither."""
     env = dict(os.environ, PYTHONPATH=str(Path(gensel.__file__).parents[1]))
-    code = "import sys, gensel.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, gensel.cli; print(sorted(m for m in sys.modules"
+        " if m.startswith('scipy') or m == 'concurrent.futures.process'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

@@ -385,6 +385,22 @@ class TestBaselines:
             metrics = evaluate_selection(result.chosen, o)
             assert metrics.n_commute_obs == 0
 
+    def test_grad_only_is_a_uniform_draw_from_the_full_pool(self):
+        """The seeded subsample it builds is the draw over the whole pool."""
+        for label in ("Z", "XY", "ZIX", "IYZI", "ZIIII"):
+            o = P(label)
+            pool = build_pool(o)
+            for budget in {1, len(label), min(2 * len(label) + 2, len(pool))}:
+                for seed in range(6):
+                    idx = np.random.default_rng(seed).choice(
+                        len(pool), size=budget, replace=False
+                    )
+                    want = tuple(pool[i] for i in sorted(idx))
+                    got = select_baseline("grad_only", len(label), o, budget, seed)
+                    assert got.chosen == want
+        with pytest.raises(ValueError, match="budget 3 exceeds pool size 2"):
+            select_baseline("grad_only", 1, P("Z"), 3, 0)
+
     def test_pair_only_has_no_commuting_pairs(self):
         o = P("ZIIII")
         for seed in range(10):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gensel.experiments as experiments
 import gensel.simulator as simulator
 from gensel.pauli import PauliString, ScaledPauli, commutator, multiply
 from gensel.selection import SelectionProblem, build_pool, solve_exact
@@ -336,10 +337,49 @@ class TestStackCircuits:
                 assert np.allclose(got[p, t], expected, atol=1e-10)
 
 
+def _full_width_states(model: CircuitModel, thetas) -> np.ndarray:
+    """Reference for circuit_states: _rotate over all 2^n amplitudes per gate."""
+    thetas = np.asarray(thetas, dtype=float)
+    amps = np.zeros((len(thetas), 1 << model.n), dtype=complex)
+    amps[:, 0] = 1.0
+    for l, g in enumerate(model.generators):
+        amps = simulator._rotate(amps, simulator._pauli_table(model.n, g), thetas[:, l])
+    return amps
+
+
+def _span_model(rng, n: int, depth: int) -> CircuitModel:
+    """Random generators mixed with repeats, Z-only ones (x = 0) and ones
+    whose X mask is the XOR of two earlier masks, so inside the span."""
+    generators = []
+    while len(generators) < depth:
+        kind = rng.integers(4) if len(generators) >= 2 else 0
+        if kind == 1:
+            generators.append(generators[int(rng.integers(len(generators)))])
+            continue
+        z = int(rng.integers(1 << n))
+        if kind == 2:
+            x = 0
+            z = z or 1
+        elif kind == 3:
+            a, b = rng.choice(len(generators), size=2, replace=False)
+            x = generators[a].x ^ generators[b].x
+            z = z if x or z else 1
+        else:
+            x = int(rng.integers(1 << n))
+            z = z if x or z else 1
+        generators.append(PauliString(n, x, z))
+    return CircuitModel(n, generators, P(random_label(rng, n)))
+
+
 class TestCircuitStates:
     def test_against_dense_oracle(self, rng):
-        for n in (1, 2, 3):
-            model = _random_model_with_y(rng, n, 4)
+        models = [_random_model_with_y(rng, n, 4) for n in (1, 2, 3)]
+        # A Z-only generator and a repeated one at n = 4.
+        models.append(
+            CircuitModel(4, (P("XYIZ"), P("ZIZI"), P("IXXY"), P("XYIZ")), P("ZIII"))
+        )
+        for model in models:
+            n = model.n
             thetas = rng.uniform(-np.pi, np.pi, size=(6, 4))
             states = circuit_states(model, thetas)
             for row, theta in zip(states, thetas):
@@ -348,6 +388,31 @@ class TestCircuitStates:
                 for g, t in zip(model.generators, theta):
                     state = _dense_rotation(g.label, t) @ state
                 assert np.allclose(row, state, atol=1e-12)
+
+    def test_bitwise_equal_to_full_width_rotation(self, rng):
+        for n in range(1, 9):
+            for depth in (0, 1, n, 2 * n + 2):
+                model = _span_model(rng, n, depth)
+                thetas = rng.uniform(-np.pi, np.pi, size=(5, depth))
+                got = circuit_states(model, thetas)
+                assert got.shape == (5, 1 << n)
+                # array_equal counts -0.0 == 0.0: zero amplitudes may differ
+                # in sign only.
+                assert np.array_equal(got, _full_width_states(model, thetas))
+        # Exact zeros inside the span (theta = 0) and no rows at all.
+        model = _span_model(rng, 4, 10)
+        for thetas in (np.zeros((3, 10)), np.zeros((0, 10))):
+            assert np.array_equal(
+                circuit_states(model, thetas), _full_width_states(model, thetas)
+            )
+
+    def test_expressibility_matches_full_width_rotation(self, rng, monkeypatch):
+        generators = tuple(P(random_label(rng, 8)) for _ in range(8))
+        model = CircuitModel(8, generators, P("ZIIIIIII"))
+        config = experiments.ExpressibilityConfig(seed=5)
+        got = experiments.expressibility_hellinger(model, config)
+        monkeypatch.setattr(experiments, "circuit_states", _full_width_states)
+        assert got == experiments.expressibility_hellinger(model, config)
 
     def test_shape_checked(self):
         model = CircuitModel(2, (P("XI"), P("IY")), P("ZI"))
