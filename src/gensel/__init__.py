@@ -37,16 +37,16 @@ from .simulator import (
     apply_pauli_rotation,
     apply_ry_encoding,
     circuit_states,
-    compile_batch,
+    compile_circuit,
     expectation,
     run_model,
     run_model_batch,
+    stack_circuits,
 )
 from .optimizer import (
     SpsaConfig,
     TrialRecord,
     rmse_cost,
-    spsa_step,
     train,
     train_batch,
 )

@@ -50,7 +50,6 @@ __all__ = [
     "hellinger_distance",
     "expressibility_hellinger",
     "select_for_method",
-    "trial_model",
     "trial_models",
     "train_cells",
     "trace_rows",
@@ -262,17 +261,6 @@ def trial_models(
         )
         picked.append((seed, CircuitModel(spec.n, selection.chosen, observable)))
     return picked
-
-
-def trial_model(
-    method: str,
-    trial_index: int,
-    master_seed: int,
-    spec: DatasetSpec,
-    genetic: GeneticConfig = GeneticConfig(),
-) -> tuple[int, CircuitModel]:
-    """Seed of one (method, trial) cell and the circuit its selection builds."""
-    return trial_models([(method, trial_index)], master_seed, spec, genetic)[0]
 
 
 def train_cells(

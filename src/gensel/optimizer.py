@@ -18,16 +18,14 @@ call of ``_directions``: the (seed, t) direction is still, bit for bit,
 ``np.random.default_rng([seed, t]).integers(0, 2, size=depth) * 2 - 1``,
 but the seeding and draws of every (seed, t) pair are computed at once
 instead of building one generator per trial and step.
-``train`` is the one-trial case, and ``spsa_step`` applies the same update
-rule, through the same kernel, to one parameter vector and any cost
-function.
+``train`` is the one-trial case.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +35,6 @@ __all__ = [
     "SpsaConfig",
     "TrialRecord",
     "rmse_cost",
-    "spsa_step",
     "train",
     "train_batch",
 ]
@@ -234,7 +231,7 @@ def rmse_cost(model: CircuitModel, theta, dataset) -> float:
 
 
 def _spsa_update(theta, momentum, costs, delta, config):
-    """One SPSA step for every row of theta (T, W); the rule spsa_step applies.
+    """One SPSA step for every row of theta (T, W).
 
     Row t moves along its Rademacher direction delta[t] (0 past the trial's
     depth), gets the costs of theta_t + c delta_t and theta_t - c delta_t
@@ -248,38 +245,6 @@ def _spsa_update(theta, momentum, costs, delta, config):
     grad = ((plus - minus) / (2.0 * c))[:, None] * delta
     momentum = config.momentum * momentum + grad
     return theta - config.learning_rate * momentum, momentum
-
-
-def spsa_step(
-    theta: np.ndarray,
-    momentum_state: np.ndarray,
-    cost: Callable[[np.ndarray], float],
-    config: SpsaConfig,
-    step_index: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One SPSA update; exactly two cost evaluations.
-
-    Draws a Rademacher direction Delta from (config.seed, step_index),
-    step_index in [0, 2**64), through the kernel ``train_batch`` uses;
-    estimates the gradient as the symmetric finite difference along Delta
-    divided elementwise by Delta (note 1/Delta_j = Delta_j), folds it into
-    the momentum state m <- beta m + g, and moves theta <- theta - a m.
-    """
-    theta = np.asarray(theta, dtype=float)
-    momentum_state = np.asarray(momentum_state, dtype=float)
-    if theta.shape != momentum_state.shape:
-        raise ValueError("theta and momentum_state must have the same shape")
-    shape = theta.shape
-    step = _stream_key(step_index, "step_index")
-    delta = _directions([config.seed], [step], theta.size)[0]
-
-    def costs(rows):
-        return np.array([[cost(row[0].reshape(shape))] for row in rows])
-
-    new_theta, new_momentum = _spsa_update(
-        theta.reshape(1, -1), momentum_state.reshape(1, -1), costs, delta, config
-    )
-    return new_theta.reshape(shape), new_momentum.reshape(shape)
 
 
 # A group of trials closes once its compiled tables reach this many floats

@@ -27,6 +27,7 @@ __all__ = [
     "PauliString",
     "ScaledPauli",
     "anticommutation_table",
+    "canonical_masks",
     "commutes",
     "mask_arrays",
     "multiply",
@@ -322,6 +323,20 @@ def pauli_string_at(n: int, index: int) -> PauliString:
 def _string_at(n: int, index: int, spec: str) -> PauliString:
     bits = format(index, spec)  # bits[i] is bit i of (x_0..x_{n-1}, z_0..z_{n-1})
     return PauliString._mk(n, int(bits[n - 1 :: -1], 2), int(bits[: n - 1 : -1], 2))
+
+
+def canonical_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint64 x and z masks of the 4^n - 1 non-identity strings, in
+    canonical order: position i holds the string at index i + 1.
+
+    Canonical index (h << n) | l holds x_q at bit n-1-q of h and z_q at
+    bit n-1-q of l (see pauli_string_at), so both masks are bit reversals.
+    """
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
+    fields = np.arange(1 << n, dtype=np.uint64)
+    reverse = sum((fields >> q & 1) << (n - 1 - q) for q in range(n))
+    return np.repeat(reverse, 1 << n)[1:], np.tile(reverse, 1 << n)[1:]
 
 
 def pauli_strings(n: int, include_identity: bool = False) -> Iterator[PauliString]:

@@ -27,10 +27,10 @@ import numpy as np
 from .pauli import (
     PauliString,
     anticommutation_table,
+    canonical_masks,
     commutes,
     mask_arrays,
     pauli_string_at,
-    pauli_strings,
     row_blocks,
     symplectic_parity,
 )
@@ -135,12 +135,7 @@ def build_pool(
     if n is not None and n != observable.n:
         raise ValueError(f"qubit-count mismatch: {n} vs observable.n={observable.n}")
     n = observable.n
-    # Canonical index (h << n) | l holds x_q at bit n-1-q of h and z_q at
-    # bit n-1-q of l (see pauli_string_at); index 0, the identity, is left out.
-    fields = np.arange(1 << n, dtype=np.uint64)
-    reverse = sum((fields >> q & 1) << (n - 1 - q) for q in range(n))
-    x = np.repeat(reverse, 1 << n)[1:]
-    z = np.tile(reverse, 1 << n)[1:]
+    x, z = canonical_masks(n)
     members = np.flatnonzero(
         symplectic_parity(x, z, np.uint64(observable.x), np.uint64(observable.z))
     )
@@ -162,6 +157,8 @@ def seeded_order(
     """
     keep = np.arange(size)
     if subsample_size is not None:
+        if subsample_size < 0:
+            raise ValueError(f"subsample size must be non-negative, got {subsample_size}")
         if subsample_size > size:
             raise ValueError(f"subsample size {subsample_size} exceeds pool size {size}")
         keep = np.random.default_rng(seed).choice(size, subsample_size, replace=False)
@@ -399,9 +396,10 @@ def select_baseline(
     grad_only: L distinct strings uniform over the pool anticommuting with
                the observable; mutual relations unconstrained.
     pair_only: an L-clique of mutually anticommuting strings over all
-               non-identity strings, by seeded randomized greedy search;
-               no constraint versus the observable.  No such set has more
-               than 2n+1 strings, so a larger budget is a ValueError.
+               non-identity strings, by seeded randomized greedy search
+               on their masks (``_random_clique``); no constraint versus
+               the observable.  No such set has more than 2n+1 strings,
+               so a larger budget is a ValueError.
     """
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
@@ -423,33 +421,44 @@ def select_baseline(
         # The pool's seeded subsample is this uniform draw of L distinct
         # members, and builds only the L strings it returns.
         chosen = tuple(build_pool(observable, subsample_size=budget, seed=seed))
-    else:  # pair_only scans a permutation of all strings, so list them once
+    else:
         if budget > 2 * n + 1:
             raise ValueError(
                 f"budget {budget} exceeds 2n+1 = {2 * n + 1}, the largest set of "
                 f"mutually anticommuting {n}-qubit Pauli strings"
             )
-        chosen = _random_clique(list(pauli_strings(n)), budget, rng)
+        # Position i of the canonical masks is canonical index i + 1.
+        picks = _random_clique(*canonical_masks(n), budget, rng)
+        chosen = tuple(pauli_string_at(n, i + 1) for i in picks)
 
     score = int(score_matrix(chosen).sum()) // 2
     return SelectionResult(chosen, score, method, score == budget * (budget - 1) // 2)
 
 
 def _random_clique(
-    candidates: list[PauliString],
+    x: np.ndarray,
+    z: np.ndarray,
     size: int,
     rng: np.random.Generator,
     attempts: int = 200,
-) -> tuple[PauliString, ...]:
+) -> list[int]:
+    """Positions of ``size`` mutually anticommuting strings among masks (x, z).
+
+    Each attempt scans a seeded permutation and keeps every string that
+    anticommutes with all kept so far: the first one still ``free``, since a
+    string passed over or kept is never freed again.
+    """
     for _ in range(attempts):
-        order = rng.permutation(len(candidates))
-        clique: list[PauliString] = []
-        for i in order:
-            p = candidates[i]
-            if all(not commutes(p, q) for q in clique):
-                clique.append(p)
-                if len(clique) == size:
-                    return tuple(clique)
+        order = rng.permutation(len(x))
+        px, pz = x[order], z[order]
+        free = np.ones(len(order), dtype=bool)
+        picks: list[int] = []
+        while free.any():
+            i = int(free.argmax())
+            picks.append(int(order[i]))
+            if len(picks) == size:
+                return picks
+            free &= symplectic_parity(px, pz, px[i], pz[i]) == 1
     raise RuntimeError(
         f"no mutually anticommuting set of size {size} found in "
         f"{attempts} randomized attempts"

@@ -9,7 +9,7 @@ Compile, then evaluate, in the Heisenberg picture.  Conjugating a Pauli
 term P by a rotation about G keeps P when the two commute and splits it
 into cos(2 theta) P and +-sin(2 theta) Q, Q the Pauli string of P G, when
 they anticommute.  Which terms U^dag O U holds therefore depends on the
-generators alone: ``compile_batch`` walks O back through the gates once on
+generators alone: ``compile_circuit`` walks O back through the gates once on
 the bit masks, drops every term holding a Y (its expectation on the R_Y
 product state is 0) and tabulates each remaining term's closed-form
 expectation prod_q {I: 1, X: sin x, Z: cos x} over the input batch.  Each
@@ -18,15 +18,14 @@ input; no statevector is built, and qubits no gate touches cost nothing.
 An exact selection (generators anticommuting with O and with each other)
 gives L + 1 terms.  Random generators give up to 2^L; past 4 * L * 2^n
 terms (measured against the dense kernel, whose work per input is
-L * 2^n) or 2^16 terms, ``compile_batch`` builds the dense evaluator
+L * 2^n) or 2^16 terms, ``compile_circuit`` builds the dense evaluator
 instead, a choice made from the generators alone, and raises RuntimeError
 when the dense state would exceed 20 qubits.
 ``compile_circuit`` builds one circuit's tables and ``stack_circuits``
 evaluates many compiled circuits at many parameter rows in one call, with
 term tables of equal shape stacked so that every row still reduces
-exactly as it would alone; ``compile_batch`` is its one-circuit case, and
-``run_model_batch`` and ``run_model`` are single calls of a fresh
-compilation.
+exactly as it would alone; ``run_model_batch`` and ``run_model`` evaluate
+one parameter row of a fresh compilation.
 
 The dense kernel acts on amplitude vectors.  Basis convention: amplitude
 index bit q corresponds to qubit q, so |0..0> is index 0.  A Pauli string
@@ -58,7 +57,6 @@ __all__ = [
     "CompiledCircuit",
     "compile_circuit",
     "stack_circuits",
-    "compile_batch",
     "run_model",
     "run_model_batch",
     "circuit_states",
@@ -211,7 +209,7 @@ def expectation(state: StateVector, o: PauliString) -> float:
     return float(_expectation_amps(state.amplitudes, _pauli_table(state.n, o)))
 
 
-# Past _TERMS_PER_DENSE_WORK * L * 2^n live terms, compile_batch builds the
+# Past _TERMS_PER_DENSE_WORK * L * 2^n live terms, compile_circuit builds the
 # dense evaluator.  On random generators (n = 5, 6, 8; L = 18..27; B = 100;
 # one core of a 2-vCPU Xeon VM) a training run of 601 evaluations cost the
 # same on both paths at 8-10 * L * 2^n terms, and the Heisenberg path won
@@ -221,7 +219,7 @@ def expectation(state: StateVector, o: PauliString) -> float:
 _TERMS_PER_DENSE_WORK = 4
 # The Heisenberg tables never hold more terms than this (about 20 MB at
 # L = 40); past it the dense evaluator is built while its 2^n amplitudes per
-# input and per gate table still fit, and compile_batch raises beyond that.
+# input and per gate table still fit, and compile_circuit raises beyond that.
 _MAX_TERMS = 1 << 16
 _MAX_DENSE_QUBITS = 20
 
@@ -316,7 +314,8 @@ class CompiledCircuit:
 
 
 def compile_circuit(model: CircuitModel, xs) -> CompiledCircuit:
-    """Compile one circuit for a fixed input batch (see ``compile_batch``)."""
+    """Compile one circuit for a fixed input batch, for ``stack_circuits``:
+    its Y-free Heisenberg terms, or the dense evaluator past the term limit."""
     xs = np.asarray(xs, dtype=float)
     terms = _heisenberg_terms(model)
     if terms is not None:
@@ -389,34 +388,12 @@ def stack_circuits(
     return evaluate
 
 
-def compile_batch(model: CircuitModel, xs) -> Callable[..., np.ndarray]:
-    """Compile the circuit for a fixed input batch: returns theta -> predictions.
-
-    The observable's Heisenberg terms and the theta-independent matrix
-    Phi[b, k] = sign_k sin(x_b)^#X_k cos(x_b)^#Z_k are built here, once; a
-    term holding a Y is dropped, as its expectation on the R_Y product state
-    is 0.  Each call of the returned function checks theta's shape,
-    multiplies each term's factors from (1, cos 2theta, sin 2theta) and
-    reduces Phi times those coefficients row by row, through the one-circuit
-    case of ``stack_circuits``.  When the terms outnumber 4 * L * 2^n or
-    2^16, the dense statevector evaluator is built instead; RuntimeError if
-    that would need more than 20 qubits.
-    """
-    depth = model.depth
-    stacked = stack_circuits([compile_circuit(model, xs)])
-
-    def evaluate(theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (depth,):
-            raise ValueError(f"theta has shape {theta.shape}, expected ({depth},)")
-        return stacked(theta[None, None])[0, 0]
-
-    return evaluate
-
-
 def run_model_batch(model: CircuitModel, theta, xs) -> np.ndarray:
     """Expectations of the circuit at parameters theta for each input in xs."""
-    return compile_batch(model, xs)(theta)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.depth,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({model.depth},)")
+    return stack_circuits([compile_circuit(model, xs)])(theta[None, None])[0, 0]
 
 
 def run_model(model: CircuitModel, theta, x: float) -> float:

@@ -40,7 +40,7 @@ import numpy as np
 from .pauli import (
     PauliString,
     anticommutation_table,
-    mask_arrays,
+    canonical_masks,
     multiply_masks,
     pauli_strings,
     row_blocks,
@@ -175,7 +175,7 @@ class Lemma2Theorem2Result(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _basis_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, z = mask_arrays(_basis(n))
+    x, z = canonical_masks(n)
     x.setflags(write=False)
     z.setflags(write=False)
     return x, z
@@ -375,6 +375,10 @@ def random_observable(
     unit_norm: bool = True,
 ) -> ObservableInAlgebra:
     """Random observable in the algebra, optionally sparse and unit-norm."""
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
+    if max_terms is not None and max_terms < 1:
+        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     size = 4**n - 1
     coeffs = np.zeros(size)
     if max_terms is None or max_terms >= size:

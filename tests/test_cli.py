@@ -724,6 +724,30 @@ class TestFlagBounds:
         assert capsys.readouterr().err == f"error: argument: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify-theory", "--n", -1], "qubit count must be positive, got -1"),
+            (
+                ["verify-theory", "--n", 1, "--max-terms", 0, "--trials", 1],
+                "max_terms must be at least 1, got 0",
+            ),
+            (
+                ["select", "--n", 3, "--pool-subsample", -1],
+                "subsample size must be non-negative, got -1",
+            ),
+        ],
+    )
+    def test_bad_count_is_one_line(self, tmp_path, capsys, argv, message):
+        """Counts the parser cannot bound fail in the library, in one line."""
+        out = tmp_path / "out.csv"
+        flag = "--report" if argv[0] == "verify-theory" else "--out"
+        capsys.readouterr()
+        assert _run([*argv, flag, out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert not list(tmp_path.iterdir())
+
 
 class TestSeedEnvironment:
     def test_gensel_seed_env(self, tmp_path, monkeypatch):

@@ -21,7 +21,6 @@ from gensel.experiments import (
     summarize,
     trace_rows,
     train_cells,
-    trial_model,
     trial_models,
     two_sample_t_test,
 )
@@ -169,7 +168,7 @@ class TestRunTrial:
 class TestTrialModel:
     def test_run_trial_trains_the_trial_model(self):
         dataset, _ = generate_dataset(SMALL_SPEC)
-        seed, model = trial_model("exact", 1, 5, SMALL_SPEC)
+        seed, model = trial_models([("exact", 1)], 5, SMALL_SPEC)[0]
         assert seed == derive_seed(5, "exact", 1)
         config = SpsaConfig(epochs=2)
         (record,) = train_cells([("exact", 1)], 5, dataset, SMALL_SPEC, config)
@@ -265,7 +264,8 @@ class TestRunScopedPool:
         records = train_cells(cells, 7, dataset, SMALL_SPEC, SpsaConfig(epochs=1))
         assert sizes == [len(build_pool(SMALL_SPEC.observable))]
         assert [r.chosen for r in records] == [
-            tuple(trial_model(m, t, 7, SMALL_SPEC)[1].generators) for m, t in cells
+            tuple(trial_models([(m, t)], 7, SMALL_SPEC)[0][1].generators)
+            for m, t in cells
         ]
 
     def test_no_pool_for_baselines_only(self, monkeypatch):
@@ -377,7 +377,7 @@ class TestRunComparison:
         )
         recomputed = [
             evaluate_selection(
-                trial_model("random", t, 4, SMALL_SPEC)[1].generators,
+                trial_models([("random", t)], 4, SMALL_SPEC)[0][1].generators,
                 SMALL_SPEC.observable,
             ).n_commute_obs
             for t in range(3)

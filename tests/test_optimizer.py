@@ -11,7 +11,6 @@ from gensel.optimizer import (
     SpsaConfig,
     TrialRecord,
     rmse_cost,
-    spsa_step,
     train,
     train_batch,
 )
@@ -98,12 +97,21 @@ class TestRmseCost:
             rmse_cost(_toy_model(), [0.1], [])
 
 
+def _quadratic_costs(rows):
+    """Costs of theta -> theta . theta for _spsa_update: (2, T, W) -> (2, T)."""
+    return (rows**2).sum(axis=-1)
+
+
 class TestSpsaStep:
+    """The update rule train_batch applies, ``_spsa_update``, on directions
+    from ``_directions``; each row of theta is one trial."""
+
     def test_zero_learning_rate_freezes_theta_but_not_momentum(self):
         cfg = SpsaConfig(learning_rate=0.0, momentum=0.5, perturbation=0.1)
-        theta = np.array([0.3, -0.4])
-        new_theta, new_momentum = spsa_step(
-            theta, np.zeros(2), lambda t: float(t @ t), cfg, step_index=1
+        theta = np.array([[0.3, -0.4]])
+        delta = optimizer._directions([cfg.seed], [1], 2)[0]
+        new_theta, new_momentum = optimizer._spsa_update(
+            theta, np.zeros((1, 2)), _quadratic_costs, delta, cfg
         )
         assert np.array_equal(new_theta, theta)
         assert np.any(new_momentum != 0.0)
@@ -113,75 +121,70 @@ class TestSpsaStep:
         v = 1.7
         cfg = SpsaConfig(learning_rate=0.25, momentum=0.0, perturbation=0.05, seed=3)
         for k in range(1, 21):
-            theta = np.array([0.0])
-            new_theta, momentum = spsa_step(
-                theta, np.zeros(1), lambda t: v * float(t[0]), cfg, step_index=k
+            delta = optimizer._directions([cfg.seed], [k], 1)[0]
+            new_theta, momentum = optimizer._spsa_update(
+                np.zeros((1, 1)), np.zeros((1, 1)), lambda r: v * r[..., 0], delta, cfg
             )
-            recovered = float(momentum[0])  # beta = 0, so momentum == estimate
+            recovered = float(momentum[0, 0])  # beta = 0, so momentum == estimate
             assert recovered == pytest.approx(v, abs=1e-12)
-            assert new_theta[0] == pytest.approx(-cfg.learning_rate * v)
+            assert new_theta[0, 0] == pytest.approx(-cfg.learning_rate * v)
 
     def test_unbiased_on_linear_cost(self):
         """Mean of estimates over many direction draws recovers the slope."""
         v = np.array([0.8, -1.3, 0.4])
         cfg = SpsaConfig(learning_rate=1.0, momentum=0.0, perturbation=0.02, seed=11)
-        estimates = []
-        for k in range(1, 2001):
-            _, momentum = spsa_step(
-                np.zeros(3), np.zeros(3), lambda t: float(v @ t), cfg, step_index=k
-            )
-            estimates.append(momentum)
-        mean = np.mean(estimates, axis=0)
-        assert np.allclose(mean, v, atol=0.08)
+        # Steps 1..2000 of one seed, as 2000 rows of one update.
+        delta = optimizer._directions([cfg.seed], range(1, 2001), 3)[:, 0]
+        _, momentum = optimizer._spsa_update(
+            np.zeros((2000, 3)), np.zeros((2000, 3)), lambda r: r @ v, delta, cfg
+        )
+        assert np.allclose(momentum.mean(axis=0), v, atol=0.08)
 
     def test_two_cost_evaluations_per_step(self):
+        """One call of ``costs`` per step, with two rows per trial:
+        theta + c Delta and theta - c Delta."""
         calls = []
 
-        def cost(theta):
-            calls.append(theta.copy())
-            return float(theta @ theta)
+        def costs(rows):
+            calls.append(rows.copy())
+            return _quadratic_costs(rows)
 
-        spsa_step(np.zeros(4), np.zeros(4), cost, SpsaConfig(), step_index=5)
-        assert len(calls) == 2
+        cfg = SpsaConfig()
+        theta = np.zeros((3, 4))
+        delta = optimizer._directions([0, 1, 2], [5], 4)[0]
+        optimizer._spsa_update(theta, np.zeros((3, 4)), costs, delta, cfg)
+        assert len(calls) == 1
+        shift = cfg.perturbation * delta
+        assert np.array_equal(calls[0], np.array([theta + shift, theta - shift]))
 
     def test_momentum_geometric_accumulation(self):
         """Constant estimate g0 drives momentum toward g0 / (1 - beta) = 2 g0."""
         v = 0.9
         cfg = SpsaConfig(learning_rate=0.0, momentum=0.5, perturbation=0.05, seed=2)
-        momentum = np.zeros(1)
+        deltas = optimizer._directions([cfg.seed], range(1, 30), 1)
+        momentum = np.zeros((1, 1))
         values = []
-        for k in range(1, 30):
-            _, momentum = spsa_step(
-                np.zeros(1), momentum, lambda t: v * float(t[0]), cfg, step_index=k
+        for delta in deltas:
+            _, momentum = optimizer._spsa_update(
+                np.zeros((1, 1)), momentum, lambda r: v * r[..., 0], delta, cfg
             )
-            values.append(float(momentum[0]))
+            values.append(float(momentum[0, 0]))
         # L = 1 makes every estimate exactly v, so the limit is exactly 2v
         assert values[-1] == pytest.approx(2 * v, rel=1e-6)
         gaps = [abs(val - 2 * v) for val in values]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_quadratic_descent(self):
-        """SPSA shrinks ||theta|| on a quadratic bowl across 10 seeds."""
-        for seed in range(10):
-            cfg = SpsaConfig(
-                learning_rate=0.1, momentum=0.0, perturbation=0.01, seed=seed
+        """SPSA shrinks ||theta|| on a quadratic bowl for each of 10 seeds."""
+        cfg = SpsaConfig(learning_rate=0.1, momentum=0.0, perturbation=0.01)
+        deltas = optimizer._directions(range(10), range(1, 101), 2)
+        theta = np.ones((10, 2))
+        momentum = np.zeros((10, 2))
+        for delta in deltas:
+            theta, momentum = optimizer._spsa_update(
+                theta, momentum, _quadratic_costs, delta, cfg
             )
-            theta = np.array([1.0, 1.0])
-            momentum = np.zeros(2)
-            for k in range(1, 101):
-                theta, momentum = spsa_step(
-                    theta, momentum, lambda t: float(t @ t), cfg, step_index=k
-                )
-            assert np.linalg.norm(theta) < 0.5
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="same shape"):
-            spsa_step(np.zeros(2), np.zeros(3), lambda t: 0.0, SpsaConfig(), 1)
-
-    @pytest.mark.parametrize("step", [-1, 2**64])
-    def test_step_outside_stream_domain(self, step):
-        with pytest.raises(ValueError, match="step_index must be in"):
-            spsa_step(np.zeros(2), np.zeros(2), lambda t: 0.0, SpsaConfig(), step)
+        assert np.all(np.linalg.norm(theta, axis=1) < 0.5)
 
 
 class TestTrain:
@@ -279,15 +282,8 @@ class TestTrain:
             preds = batch(model, theta, xs)
             return float(np.sqrt(np.mean((preds - ys) ** 2)))
 
-        theta = np.random.default_rng([config.seed, 0]).uniform(
-            -config.init_range, config.init_range, model.depth
-        )
-        momentum = np.zeros(model.depth)
-        expected = [cost(theta)]
-        for epoch in range(1, config.epochs + 1):
-            theta, momentum = spsa_step(theta, momentum, cost, config, epoch)
-            expected.append(cost(theta))
-        return train(model, dataset, config).rmse_trace, np.array(expected)
+        expected = _spsa_loop(cost, model.depth, config)
+        return train(model, dataset, config).rmse_trace, expected
 
     def test_trace_equals_per_evaluation_reference(self, rng):
         """The trace matches a dense statevector SPSA loop to rounding.
@@ -357,7 +353,7 @@ class TestTrainBatch:
         for (model, seed), circuit, trace in zip(trials, circuits, traces):
             alone = train(model, dataset, replace(config, seed=seed)).rmse_trace
             assert np.array_equal(trace, alone)
-            # ... and the trace of spsa_step over the unstacked evaluator
+            # ... and the reference SPSA loop over the unstacked evaluator
             reference = _spsa_reference(circuit, ys, replace(config, seed=seed))
             assert np.array_equal(trace, reference)
         monkeypatch.setattr(optimizer, "_GROUP_SIZE", 1)  # one group per trial
@@ -418,9 +414,33 @@ class TestTrialRecord:
             TrialRecord("m", 0, (P("X"),), np.array([0.0, 0.1]))
 
 
+def _spsa_loop(cost, depth, config):
+    """The RMSE trace of SPSA with momentum on ``cost``, one step at a time.
+
+    Written out independently of the optimizer: theta_0 from (seed, 0), the
+    step-t direction from NumPy's own (seed, t) stream, two costs per step,
+    m <- beta m + g and theta <- theta - a m.
+    """
+    c = config.perturbation
+    theta = np.random.default_rng([config.seed, 0]).uniform(
+        -config.init_range, config.init_range, depth
+    )
+    momentum = np.zeros(depth)
+    trace = [cost(theta)]
+    for t in range(1, config.epochs + 1):
+        rng = np.random.default_rng([config.seed, t])
+        delta = rng.integers(0, 2, size=depth) * 2 - 1
+        shift = c * delta
+        grad = (cost(theta + shift) - cost(theta - shift)) / (2.0 * c) * delta
+        momentum = config.momentum * momentum + grad
+        theta = theta - config.learning_rate * momentum
+        trace.append(cost(theta))
+    return np.array(trace)
+
+
 def _spsa_reference(circuit, ys, config):
-    """The trace of spsa_step on one compiled circuit, each cost evaluated
-    alone: NumPy's row sum of Phi times the term coefficients, or the dense
+    """The SPSA trace of one compiled circuit, each cost evaluated alone:
+    NumPy's row sum of Phi times the term coefficients, or the dense
     evaluator past the term limit."""
     depth = circuit.depth
 
@@ -435,15 +455,7 @@ def _spsa_reference(circuit, ys, config):
             preds = (circuit.phi * coeff).sum(axis=1)
         return float(np.sqrt(np.mean((preds - ys) ** 2)))
 
-    theta = np.random.default_rng([config.seed, 0]).uniform(
-        -config.init_range, config.init_range, depth
-    )
-    momentum = np.zeros(depth)
-    trace = [cost(theta)]
-    for epoch in range(1, config.epochs + 1):
-        theta, momentum = spsa_step(theta, momentum, cost, config, epoch)
-        trace.append(cost(theta))
-    return np.array(trace)
+    return _spsa_loop(cost, depth, config)
 
 
 def _pauli_amps(amps, n, g):

@@ -9,6 +9,7 @@ from gensel import pauli
 from gensel.pauli import (
     PauliString,
     anticommutation_table,
+    canonical_masks,
     commutator,
     commutator_norm_sq,
     commutes,
@@ -303,6 +304,16 @@ class TestEnumeration:
             assert list(pauli_strings(n)) == [
                 pauli_string_at(n, k) for k in range(1, 4**n)
             ]
+
+    def test_canonical_masks_follow_the_listing(self):
+        """Position i of the masks is the listed string at index i + 1."""
+        for n in range(1, 6):
+            x, z = canonical_masks(n)
+            assert x.dtype == z.dtype == np.uint64
+            expected = mask_arrays(list(pauli_strings(n)))
+            assert np.array_equal(x, expected[0]) and np.array_equal(z, expected[1])
+        with pytest.raises(ValueError, match="positive"):
+            canonical_masks(0)
 
     def test_index_range_checked(self):
         assert pauli_string_at(2, 0).is_identity

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gensel import pauli
+from gensel import pauli, selection
 from gensel.pauli import PauliString, commutes, pauli_strings
 from gensel.selection import (
     SelectionProblem,
@@ -26,6 +26,19 @@ from gensel.selection import (
 from conftest import random_label
 
 P = PauliString.from_label
+
+
+def _pairwise_clique(strings, size, rng, attempts=200):
+    """The pair_only reference: scan a seeded permutation of the listed
+    strings and keep each that anticommutes with every string kept so far."""
+    for _ in range(attempts):
+        clique = []
+        for i in rng.permutation(len(strings)):
+            if all(not commutes(strings[i], q) for q in clique):
+                clique.append(strings[i])
+                if len(clique) == size:
+                    return tuple(clique)
+    raise RuntimeError("no clique found")
 
 
 class TestBuildPool:
@@ -430,13 +443,36 @@ class TestBaselines:
 
     def test_infeasible_clique_reported(self):
         # XI and ZI anticommute, IX commutes with both: no 3-clique
+        x, z = pauli.mask_arrays([P("XI"), P("IX"), P("ZI")])
         with pytest.raises(RuntimeError, match="anticommuting"):
-            _random_clique([P("XI"), P("IX"), P("ZI")], 3, np.random.default_rng(0))
+            _random_clique(x, z, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+    def test_pair_only_matches_pairwise_scan(self, n):
+        """The mask scan keeps, draw for draw, the strings that a scan over
+        the listed strings, checking each against every pick, keeps."""
+        strings = list(pauli_strings(n))
+        o = P("Z" + "I" * (n - 1))
+        for budget in sorted({1, 2, n, 2 * n, 2 * n + 1}):
+            for seed in range(6):
+                result = select_baseline("pair_only", n, o, budget, seed)
+                rng = np.random.default_rng(seed)
+                assert result.chosen == _pairwise_clique(strings, budget, rng)
+                assert result.score == budget * (budget - 1) // 2
+
+    def test_pair_only_lists_no_strings(self, monkeypatch):
+        def no_listing(*args, **kwargs):
+            raise AssertionError("pair_only listed the strings")
+
+        monkeypatch.setattr(pauli, "pauli_strings", no_listing)
+        monkeypatch.setattr(selection, "pauli_strings", no_listing, raising=False)
+        result = select_baseline("pair_only", 6, P("ZIIIII"), 13, 0)
+        assert result.score == 13 * 12 // 2
 
     def test_pair_only_budget_past_bound(self):
         """More than 2n+1 mutually anticommuting strings never exist.
 
-        The check comes before the 4^n strings are listed, so n = 10 fails
+        The check comes before the 4^n masks are built, so n = 10 fails
         at once.
         """
         with pytest.raises(ValueError, match=r"exceeds 2n\+1 = 3,"):

@@ -14,7 +14,6 @@ from gensel.simulator import (
     apply_pauli_rotation,
     apply_ry_encoding,
     circuit_states,
-    compile_batch,
     compile_circuit,
     expectation,
     run_model,
@@ -205,27 +204,30 @@ class TestCompiledEvaluator:
             for depth in range(1, 9):
                 model = _random_model_with_y(rng, n, depth)
                 xs = rng.uniform(0, 2 * np.pi, size=9)
-                evaluate = compile_batch(model, xs)
                 for _ in range(3):
                     theta = rng.uniform(-np.pi, np.pi, size=depth)
                     expected = [_dense_run_model(model, theta, x) for x in xs]
-                    assert np.allclose(evaluate(theta), expected, atol=1e-10)
+                    got = run_model_batch(model, theta, xs)
+                    assert np.allclose(got, expected, atol=1e-10)
 
     def test_repeated_calls_identical_to_fresh_batches(self, rng):
+        """One compilation evaluated again and again gives, bit for bit,
+        what a fresh compilation per call gives."""
         model = _random_model_with_y(rng, 4, 5)
         xs = rng.uniform(0, 2 * np.pi, size=30)
-        evaluate = compile_batch(model, xs)
+        evaluate = stack_circuits([compile_circuit(model, xs)])
         for _ in range(4):
             theta = rng.uniform(-np.pi, np.pi, size=5)
-            assert np.array_equal(evaluate(theta), run_model_batch(model, theta, xs))
+            got = evaluate(theta[None, None])[0, 0]
+            assert np.array_equal(got, run_model_batch(model, theta, xs))
 
     def _assert_matches_oracle(self, rng, model):
         xs = rng.uniform(0, 2 * np.pi, size=9)
-        evaluate = compile_batch(model, xs)
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, size=model.depth)
             expected = [_dense_run_model(model, theta, x) for x in xs]
-            assert np.allclose(evaluate(theta), expected, atol=1e-10)
+            got = run_model_batch(model, theta, xs)
+            assert np.allclose(got, expected, atol=1e-10)
 
     def test_dense_fallback_against_dense_oracle(self, rng):
         """Past 4 * L * 2^n Heisenberg terms the statevector evaluator takes over."""
@@ -241,13 +243,13 @@ class TestCompiledEvaluator:
         self._assert_matches_oracle(rng, model)
         monkeypatch.setattr(simulator, "_MAX_DENSE_QUBITS", 3)
         with pytest.raises(RuntimeError, match="over 64 Pauli terms and n = 4"):
-            compile_batch(model, [0.3])
+            compile_circuit(model, [0.3])
 
     def test_deep_random_circuit_at_30_qubits_fails_fast(self, rng):
         """Random generators split ~1.5x per gate; no 2^30 state is attempted."""
         model = _random_model_with_y(rng, 30, 40)
         with pytest.raises(RuntimeError, match="30-qubit|exceeds the 20-qubit"):
-            compile_batch(model, rng.uniform(0, 2 * np.pi, size=100))
+            compile_circuit(model, rng.uniform(0, 2 * np.pi, size=100))
 
     def test_exact_selection_has_depth_plus_one_terms(self):
         """Mutually anticommuting generators that anticommute with O.
@@ -278,8 +280,8 @@ class TestCompiledEvaluator:
         )
         xs = rng.uniform(0, 2 * np.pi, size=9)
         theta = rng.uniform(-np.pi, np.pi, size=4)
-        got = compile_batch(wide, xs)(theta)
-        assert np.array_equal(got, compile_batch(small, xs)(theta))
+        got = run_model_batch(wide, theta, xs)
+        assert np.array_equal(got, run_model_batch(small, theta, xs))
         expected = [_dense_run_model(small, theta, x) for x in xs]
         assert np.allclose(got, expected, atol=1e-10)
 
@@ -290,13 +292,13 @@ class TestCompiledEvaluator:
         )
         model = CircuitModel(1, (P("X"),), P("Z"))
         with pytest.raises(RuntimeError, match="is not"):
-            compile_batch(model, [0.3])
+            compile_circuit(model, [0.3])
 
     def test_theta_shape_checked_per_call(self):
         model = CircuitModel(2, (P("XI"), P("IY")), P("ZI"))
-        evaluate = compile_batch(model, [0.1, 0.2])
-        with pytest.raises(ValueError, match="shape"):
-            evaluate([0.1])
+        with pytest.raises(ValueError, match=r"theta has shape \(1,\), expected \(2,\)"):
+            run_model_batch(model, [0.1], [0.1, 0.2])
+        assert run_model_batch(model, [0.1, 0.2], [0.1, 0.2]).shape == (2,)
 
 
 class TestStackCircuits:
