@@ -52,7 +52,6 @@ from .optimizer import (
 )
 from .theory import (
     ObservableInAlgebra,
-    OrthonormalBasis,
     TheoryVerificationError,
     casimir_constant,
     g_purity,

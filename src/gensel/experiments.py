@@ -216,7 +216,7 @@ def select_for_method(
     over just the candidates the seed's subsample keeps.
     """
     if method in BASELINE_METHODS:
-        return select_baseline(method, observable.n, observable, budget, seed)
+        return select_baseline(method, observable, budget, seed)
     if method not in POOL_METHODS:
         raise ValueError(f"unknown selection method {method!r}")
     if problem is None:

@@ -27,6 +27,7 @@ __all__ = [
     "PauliString",
     "ScaledPauli",
     "anticommutation_table",
+    "canonical_index",
     "canonical_masks",
     "commutes",
     "mask_arrays",
@@ -318,6 +319,15 @@ def pauli_string_at(n: int, index: int) -> PauliString:
     if not 0 <= index < 1 << (2 * n):
         raise ValueError(f"index {index} out of range for n={n}")
     return _string_at(n, index, f"0{2 * n}b")
+
+
+def canonical_index(p: PauliString) -> int:
+    """Position of ``p`` in the canonical order; inverts ``pauli_string_at``.
+
+    The high n bits of the index are x reversed, the low n bits z reversed.
+    """
+    spec = f"0{p.n}b"
+    return int(format(p.x, spec)[::-1] + format(p.z, spec)[::-1], 2)
 
 
 def _string_at(n: int, index: int, spec: str) -> PauliString:

@@ -120,11 +120,10 @@ class SelectionMetrics(NamedTuple):
 
 def build_pool(
     observable: PauliString,
-    n: int | None = None,
     subsample_size: int | None = None,
     seed: int | None = None,
 ) -> list[PauliString]:
-    """All non-identity n-qubit strings anticommuting with the observable.
+    """All non-identity ``observable.n``-qubit strings anticommuting with it.
 
     Returned in canonical enumeration order.  If ``subsample_size`` is given,
     a uniformly random subset of that size is drawn with ``seed`` and returned
@@ -132,8 +131,6 @@ def build_pool(
     """
     if observable.is_identity:
         raise ValueError("observable must be non-identity")
-    if n is not None and n != observable.n:
-        raise ValueError(f"qubit-count mismatch: {n} vs observable.n={observable.n}")
     n = observable.n
     x, z = canonical_masks(n)
     members = np.flatnonzero(
@@ -384,12 +381,11 @@ def solve_genetic(
 
 def select_baseline(
     method: str,
-    n: int,
     observable: PauliString,
     budget: int,
     seed: int | None = None,
 ) -> SelectionResult:
-    """Baseline selection methods used for comparison.
+    """Baseline selection of ``budget`` >= 1 strings on ``observable.n`` qubits.
 
     random:    L distinct strings uniform over all non-identity strings
                (no anticommutation constraint at all).
@@ -401,10 +397,11 @@ def select_baseline(
                the observable.  No such set has more than 2n+1 strings,
                so a larger budget is a ValueError.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
-    if observable.n != n:
-        raise ValueError(f"qubit-count mismatch: {n} vs observable.n={observable.n}")
+    n = observable.n
     rng = np.random.default_rng(seed)
 
     if method == "random":

@@ -18,6 +18,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 860, 520
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 170, 40, 55
+_XLABEL, _YLABEL = "epoch", "normalized RMSE"
 
 
 def _fmt(v: float) -> str:
@@ -35,8 +36,6 @@ def write_curves_svg(
     path,
     series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     title: str = "",
-    xlabel: str = "epoch",
-    ylabel: str = "normalized RMSE",
     deterministic: bool = False,
 ) -> None:
     """Write one SVG with a (label, mean, std) band per series.
@@ -115,12 +114,12 @@ def write_curves_svg(
         )
     lines.append(
         f'<text x="{x0 + plot_w // 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="13">{_XLABEL}</text>'
     )
     lines.append(
         f'<text x="18" y="{_MARGIN_T + plot_h // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {_MARGIN_T + plot_h // 2})">{ylabel}</text>'
+        f'transform="rotate(-90 18 {_MARGIN_T + plot_h // 2})">{_YLABEL}</text>'
     )
 
     # Bands then curves, so every mean line stays visible.

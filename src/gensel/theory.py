@@ -15,14 +15,15 @@ measured (never assumed) by applying sum_j ad_{G_j}^2 to every basis element.
 All sums are evaluated symbolically: a commutator of Pauli strings is either
 zero or a single scaled Pauli string, and distinct Pauli strings are
 Frobenius-orthogonal, so each term reduces to exact bit-mask arithmetic.
-The basis is held as cached uint64 (x, z) mask arrays, and the sums are
-NumPy sweeps over them: the commutation of every (j, k) pair (every
-(j, m) pair for the Casimir constant) is still evaluated, a block of rows
-at a time, by popcount parity in ``pauli.anticommutation_table``, and the
-products P_j P_m with their i^e phases by ``pauli.multiply_masks``.  The
-anticommuting pairs are counted per term of O, exactly, and weighted by the
-squared coefficients only at the end.  Nothing is counted in closed form:
-c is measured, not taken to be 2d.
+The basis is held only as cached uint64 (x, z) mask arrays (a string is
+built from its canonical index on demand, to name a term or an error), and
+the sums are NumPy sweeps over them: the commutation of every (j, k) pair
+(every (j, m) pair for the Casimir constant) is still evaluated, a block of
+rows at a time, by popcount parity in ``pauli.anticommutation_table``, and
+the products P_j P_m with their i^e phases by ``pauli.multiply_masks``.
+The anticommuting pairs are counted per term of O, exactly, and weighted
+by the squared coefficients only at the end.  Nothing is counted in closed
+form: c is measured, not taken to be 2d.
 
 No 2^n-dimensional matrix is ever formed on this path; the only dense code
 here is ``g_purity``, which projects an observable matrix onto the span of
@@ -40,16 +41,16 @@ import numpy as np
 from .pauli import (
     PauliString,
     anticommutation_table,
+    canonical_index,
     canonical_masks,
     multiply_masks,
-    pauli_strings,
+    pauli_string_at,
     row_blocks,
     symplectic_parity,
 )
 
 __all__ = [
     "TheoryVerificationError",
-    "OrthonormalBasis",
     "ObservableInAlgebra",
     "casimir_constant",
     "verify_theorem1",
@@ -77,30 +78,6 @@ class TheoryVerificationError(RuntimeError):
     """
 
 
-@lru_cache(maxsize=None)
-def _basis(n: int) -> tuple[PauliString, ...]:
-    return tuple(pauli_strings(n))
-
-
-@dataclass(frozen=True)
-class OrthonormalBasis:
-    """The full normalized Pauli basis of su(2^n)."""
-
-    n: int
-    elements: tuple[PauliString, ...]
-
-    @classmethod
-    def full(cls, n: int) -> "OrthonormalBasis":
-        return cls(n, _basis(n))
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
-
-    def matrices(self) -> list[np.ndarray]:
-        return normalized_pauli_matrices(self.elements)
-
-
 @dataclass
 class ObservableInAlgebra:
     """An observable expressed in the normalized Pauli basis.
@@ -126,12 +103,13 @@ class ObservableInAlgebra:
     def from_terms(
         cls, n: int, terms: Mapping[PauliString, float]
     ) -> "ObservableInAlgebra":
-        index = {p: m for m, p in enumerate(_basis(n))}
         coeffs = np.zeros(4**n - 1)
         for p, w in terms.items():
+            if p.n != n:
+                raise ValueError(f"qubit-count mismatch: {p.n} vs n={n} for {p}")
             if p.is_identity:
                 raise ValueError("identity has no component in the traceless basis")
-            coeffs[index[p]] = w
+            coeffs[canonical_index(p) - 1] = w
         return cls(n, coeffs)
 
     @classmethod
@@ -139,8 +117,10 @@ class ObservableInAlgebra:
         return cls.from_terms(p.n, {p: coeff})
 
     def terms(self) -> list[tuple[PauliString, float]]:
-        basis = _basis(self.n)
-        return [(basis[m], float(w)) for m, w in enumerate(self.coeffs) if w != 0.0]
+        return [
+            (pauli_string_at(self.n, int(m) + 1), float(self.coeffs[m]))
+            for m in np.flatnonzero(self.coeffs)
+        ]
 
     def norm_sq(self) -> float:
         return float(self.coeffs @ self.coeffs)
@@ -220,7 +200,7 @@ def casimir_constant(n: int) -> float:
         unmapped = np.abs(alpha) <= 1e-12
         unmapped[m[(rx != mx[m]) | (rz != mz[m])]] = True
         if unmapped.any():
-            p_m = _basis(n)[block.start + int(np.argmax(unmapped))]
+            p_m = pauli_string_at(n, block.start + int(np.argmax(unmapped)) + 1)
             raise TheoryVerificationError(
                 f"sum_j ad^2(G_j) did not map {p_m} onto itself"
             )
@@ -229,7 +209,7 @@ def casimir_constant(n: int) -> float:
             i = int(np.argmax(nonreal))
             raise TheoryVerificationError(
                 f"non-real proportionality constant {alpha[i]} "
-                f"for {_basis(n)[block.start + i]}"
+                f"for {pauli_string_at(n, block.start + i + 1)}"
             )
         # [G_j, [G_j, G_m]] carries 1/d relative to [P_j, [P_j, P_m]].
         constants[block] = alpha.real / d

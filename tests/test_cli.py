@@ -736,6 +736,17 @@ class TestFlagBounds:
                 ["select", "--n", 3, "--pool-subsample", -1],
                 "subsample size must be non-negative, got -1",
             ),
+            (
+                ["select", "--n", 3, "--depth", -2, "--method", "random"],
+                "budget must be at least 1, got -2",
+            ),
+            *(
+                (
+                    ["select", "--n", 3, "--depth", 0, "--method", method],
+                    "budget must be at least 1, got 0",
+                )
+                for method in ("random", "grad-only", "pair-only")
+            ),
         ],
     )
     def test_bad_count_is_one_line(self, tmp_path, capsys, argv, message):

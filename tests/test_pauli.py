@@ -9,6 +9,7 @@ from gensel import pauli
 from gensel.pauli import (
     PauliString,
     anticommutation_table,
+    canonical_index,
     canonical_masks,
     commutator,
     commutator_norm_sq,
@@ -297,10 +298,11 @@ class TestEnumeration:
 
     def test_index_matches_lexicographic_bit_order(self):
         """Index k is the k-th (x_0..x_{n-1}, z_0..z_{n-1}) vector in lexicographic order."""
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             for k, bits in enumerate(product((0, 1), repeat=2 * n)):
                 expected = PauliString.from_bits(bits[:n], bits[n:])
                 assert pauli_string_at(n, k) == expected
+                assert canonical_index(expected) == k
             assert list(pauli_strings(n)) == [
                 pauli_string_at(n, k) for k in range(1, 4**n)
             ]
@@ -314,6 +316,15 @@ class TestEnumeration:
             assert np.array_equal(x, expected[0]) and np.array_equal(z, expected[1])
         with pytest.raises(ValueError, match="positive"):
             canonical_masks(0)
+
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_canonical_index_past_uint64(self, rng, n):
+        """Python ints carry the index past the 63 qubits of the mask arrays."""
+        for _ in range(200):
+            k = int("".join(map(str, rng.integers(0, 2, size=2 * n))), 2)
+            assert canonical_index(pauli_string_at(n, k)) == k
+        for k in (0, 1, 4**n - 1):
+            assert canonical_index(pauli_string_at(n, k)) == k
 
     def test_index_range_checked(self):
         assert pauli_string_at(2, 0).is_identity

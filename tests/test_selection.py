@@ -110,10 +110,6 @@ class TestBuildPool:
         with pytest.raises(ValueError, match="non-identity"):
             build_pool(P("II"))
 
-    def test_n_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            build_pool(P("ZZ"), n=3)
-
 
 class TestScoreMatrix:
     def test_anticommuting_pair(self):
@@ -394,7 +390,7 @@ class TestBaselines:
     def test_grad_only_never_commutes_with_observable(self):
         o = P("ZIIII")
         for seed in range(10):
-            result = select_baseline("grad_only", 5, o, 5, seed)
+            result = select_baseline("grad_only", o, 5, seed)
             metrics = evaluate_selection(result.chosen, o)
             assert metrics.n_commute_obs == 0
 
@@ -409,15 +405,15 @@ class TestBaselines:
                         len(pool), size=budget, replace=False
                     )
                     want = tuple(pool[i] for i in sorted(idx))
-                    got = select_baseline("grad_only", len(label), o, budget, seed)
+                    got = select_baseline("grad_only", o, budget, seed)
                     assert got.chosen == want
         with pytest.raises(ValueError, match="budget 3 exceeds pool size 2"):
-            select_baseline("grad_only", 1, P("Z"), 3, 0)
+            select_baseline("grad_only", P("Z"), 3, 0)
 
     def test_pair_only_has_no_commuting_pairs(self):
         o = P("ZIIII")
         for seed in range(10):
-            result = select_baseline("pair_only", 5, o, 5, seed)
+            result = select_baseline("pair_only", o, 5, seed)
             metrics = evaluate_selection(result.chosen, o)
             assert metrics.n_commute_pairs == 0
             assert result.score == 10
@@ -427,7 +423,7 @@ class TestBaselines:
         o = P("ZIIII")
         obs_counts, pair_counts = [], []
         for seed in range(20):
-            result = select_baseline("random", 5, o, 5, seed)
+            result = select_baseline("random", o, 5, seed)
             metrics = evaluate_selection(result.chosen, o)
             obs_counts.append(metrics.n_commute_obs)
             pair_counts.append(metrics.n_commute_pairs)
@@ -437,8 +433,8 @@ class TestBaselines:
     def test_deterministic_per_seed(self):
         o = P("ZIIII")
         for method in ("random", "grad_only", "pair_only"):
-            a = select_baseline(method, 5, o, 5, 3)
-            b = select_baseline(method, 5, o, 5, 3)
+            a = select_baseline(method, o, 5, 3)
+            b = select_baseline(method, o, 5, 3)
             assert a.chosen == b.chosen
 
     def test_infeasible_clique_reported(self):
@@ -455,7 +451,7 @@ class TestBaselines:
         o = P("Z" + "I" * (n - 1))
         for budget in sorted({1, 2, n, 2 * n, 2 * n + 1}):
             for seed in range(6):
-                result = select_baseline("pair_only", n, o, budget, seed)
+                result = select_baseline("pair_only", o, budget, seed)
                 rng = np.random.default_rng(seed)
                 assert result.chosen == _pairwise_clique(strings, budget, rng)
                 assert result.score == budget * (budget - 1) // 2
@@ -466,7 +462,7 @@ class TestBaselines:
 
         monkeypatch.setattr(pauli, "pauli_strings", no_listing)
         monkeypatch.setattr(selection, "pauli_strings", no_listing, raising=False)
-        result = select_baseline("pair_only", 6, P("ZIIIII"), 13, 0)
+        result = select_baseline("pair_only", P("ZIIIII"), 13, 0)
         assert result.score == 13 * 12 // 2
 
     def test_pair_only_budget_past_bound(self):
@@ -476,14 +472,14 @@ class TestBaselines:
         at once.
         """
         with pytest.raises(ValueError, match=r"exceeds 2n\+1 = 3,"):
-            select_baseline("pair_only", 1, P("Z"), 4, 0)
+            select_baseline("pair_only", P("Z"), 4, 0)
         with pytest.raises(ValueError, match=r"exceeds 2n\+1 = 21,"):
-            select_baseline("pair_only", 10, P("Z" + "I" * 9), 22, 0)
-        assert select_baseline("pair_only", 1, P("Z"), 3, 0).score == 3
+            select_baseline("pair_only", P("Z" + "I" * 9), 22, 0)
+        assert select_baseline("pair_only", P("Z"), 3, 0).score == 3
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown baseline"):
-            select_baseline("best", 1, P("Z"), 1, 0)
+            select_baseline("best", P("Z"), 1, 0)
 
 
 class TestEvaluateSelection:

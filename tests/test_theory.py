@@ -7,7 +7,6 @@ from gensel import pauli, theory
 from gensel.pauli import PauliString, commutator, commutes, pauli_strings
 from gensel.theory import (
     ObservableInAlgebra,
-    OrthonormalBasis,
     TheoryVerificationError,
     _double_commutator_sums,
     casimir_constant,
@@ -303,8 +302,7 @@ class TestScaling:
 
 class TestGPurity:
     def test_observable_in_span(self):
-        basis = OrthonormalBasis.full(1)
-        mats = basis.matrices()
+        mats = normalized_pauli_matrices(list(pauli_strings(1)))
         obs = _dense_observable(
             ObservableInAlgebra(1, np.array([0.6, 0.8, 0.0]))
         )
@@ -317,7 +315,7 @@ class TestGPurity:
 
     def test_unnormalized_two_qubit_example(self):
         obs = dense_pauli("ZI")  # squared Frobenius norm 4
-        mats = normalized_pauli_matrices(list(OrthonormalBasis.full(2).elements))
+        mats = normalized_pauli_matrices(list(pauli_strings(2)))
         assert g_purity(obs, mats) == pytest.approx(4.0, abs=1e-10)
 
     def test_basis_independent_under_remixing(self, rng):
@@ -345,6 +343,39 @@ class TestObservableInAlgebra:
     def test_identity_term_rejected(self):
         with pytest.raises(ValueError, match="identity"):
             ObservableInAlgebra.from_terms(1, {P("I"): 1.0})
+
+    def test_qubit_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="qubit-count mismatch: 1 vs n=2"):
+            ObservableInAlgebra.from_terms(2, {P("Z"): 1.0})
+        with pytest.raises(ValueError, match="qubit-count mismatch: 2 vs n=1"):
+            ObservableInAlgebra.from_terms(1, {P("ZX"): 1.0})
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_terms_follow_the_listing(self, rng, n):
+        """from_terms places each string at its position in pauli_strings."""
+        strings = list(pauli_strings(n))
+        for _ in range(20):
+            size = int(rng.integers(1, min(len(strings), 6) + 1))
+            picks = rng.choice(len(strings), size=size, replace=False)
+            weights = rng.standard_normal(size)
+            o = ObservableInAlgebra.from_terms(
+                n, {strings[m]: w for m, w in zip(picks, weights)}
+            )
+            expected = np.zeros(len(strings))
+            expected[picks] = weights
+            assert np.array_equal(o.coeffs, expected)
+            assert o.terms() == [
+                (strings[m], float(expected[m])) for m in sorted(picks)
+            ]
+
+    def test_single_lists_no_strings(self, monkeypatch):
+        def no_listing(*args, **kwargs):
+            raise AssertionError("the observable listed the strings")
+
+        monkeypatch.setattr(pauli, "pauli_strings", no_listing)
+        monkeypatch.setattr(theory, "pauli_strings", no_listing, raising=False)
+        p = P("XYZIZYXI")
+        assert ObservableInAlgebra.single(p).terms() == [(p, 1.0)]
 
     def test_norm_and_terms(self):
         o = ObservableInAlgebra.from_terms(1, {P("Z"): 0.6, P("X"): 0.8})
