@@ -36,12 +36,12 @@ from .simulator import (
     StateVector,
     apply_pauli_rotation,
     apply_ry_encoding,
-    circuit_states,
     compile_circuit,
     expectation,
     run_model,
     run_model_batch,
     stack_circuits,
+    state_overlaps,
 )
 from .optimizer import (
     SpsaConfig,

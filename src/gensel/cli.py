@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -124,10 +125,13 @@ def _option(cfg, section: str, key: str, default):
         return default
     raw = cfg.get(section, key)
     try:
-        return type(default)(raw)
+        value = type(default)(raw)
     except ValueError:
         kind = type(default).__name__
         raise ValueError(f"[{section}] {key} must be {kind}, got {raw!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
 def _section(cfg, cls, **flags):

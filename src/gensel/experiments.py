@@ -34,7 +34,7 @@ from .selection import (
     solve_genetic,
     solve_greedy,
 )
-from .simulator import CircuitModel, circuit_states, run_model_batch
+from .simulator import CircuitModel, run_model_batch, state_overlaps
 
 __all__ = [
     "DatasetSpec",
@@ -65,6 +65,12 @@ SELECTION_METHODS = POOL_METHODS + BASELINE_METHODS
 EARLY_EPOCHS = range(10, 151)
 
 
+def _check_range(name: str, bounds: tuple[float, float]) -> None:
+    """lo < hi with hi - lo finite, as ``rng.uniform`` needs; NaN fails."""
+    if not 0.0 < bounds[1] - bounds[0] < math.inf:
+        raise ValueError(f"{name} {bounds} is not well-ordered with a finite width")
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """Teacher-circuit and sampling parameters for the synthetic dataset."""
@@ -77,10 +83,8 @@ class DatasetSpec:
     teacher_seed: int = 0
 
     def __post_init__(self):
-        if self.theta_range[0] >= self.theta_range[1]:
-            raise ValueError(f"theta_range {self.theta_range} is not well-ordered")
-        if self.input_range[0] >= self.input_range[1]:
-            raise ValueError(f"input_range {self.input_range} is not well-ordered")
+        _check_range("theta_range", self.theta_range)
+        _check_range("input_range", self.input_range)
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.n < 1 or self.depth < 1:
@@ -101,6 +105,7 @@ class ExpressibilityConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_range("param_range", self.param_range)
         if self.bins < 2:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
         if self.fidelity_samples < self.bins:
@@ -176,13 +181,12 @@ def expressibility_hellinger(
     rng = np.random.default_rng(config.seed)
     s = config.fidelity_samples
     thetas = rng.uniform(*config.param_range, size=(2 * s, model.depth))
-    size = 1 << model.n
-    amps = circuit_states(model, thetas)
-    overlaps = np.sum(np.conj(amps[:s]) * amps[s:], axis=1)
-    fidelities = np.abs(overlaps) ** 2
+    overlaps = state_overlaps(model, thetas[:s], thetas[s:])
+    # A fidelity that rounds past 1 would fall outside the histogram's range.
+    fidelities = np.clip(np.abs(overlaps) ** 2, 0.0, 1.0)
     counts, _ = np.histogram(fidelities, bins=config.bins, range=(0.0, 1.0))
     p = counts / float(s)
-    q = haar_bin_probs(size, config.bins)
+    q = haar_bin_probs(1 << model.n, config.bins)
     return hellinger_distance(p, q)
 
 

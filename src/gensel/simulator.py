@@ -33,15 +33,18 @@ acts via bit flips (X components) and phase factors (Z/Y components) in
 O(2^n), as (P @ amps)[b] = (phase*signs)[b] * amps[src[b]] with
 src = b ^ x-mask; no gate is ever materialized as a matrix.  Those tables,
 built once per gate, serve the dense fallback and the single-state helpers.
-``circuit_states``, which expressibility needs, starts every row at |0..0>
-and so keeps only the amplitudes on the F2-span of the X masks applied so
-far: its work per row is sum_l 2^rank_l, rank_l the rank of the first l
-X masks, not L * 2^n.
+``state_overlaps`` gives expressibility <0|U(theta)^dag U(phi)|0> without a
+state of width 2^n.  Every row starts at |0..0>, so only the amplitudes on
+the F2-span of the X masks applied so far are live, and the overlap sums
+those; a trailing gate whose X mask is outside the span of the masks before
+it multiplies the overlap by cos(theta - phi) and is not simulated.  Rows
+run in chunks of a fixed number of amplitudes, so the memory a call takes
+does not grow with the rank of the span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,7 +62,7 @@ __all__ = [
     "stack_circuits",
     "run_model",
     "run_model_batch",
-    "circuit_states",
+    "state_overlaps",
 ]
 
 ENCODING_RY_UNIFORM = "ry-uniform"
@@ -401,42 +404,58 @@ def run_model(model: CircuitModel, theta, x: float) -> float:
     return float(run_model_batch(model, theta, [x])[0])
 
 
-def circuit_states(model: CircuitModel, thetas) -> np.ndarray:
-    """The circuit's states at input angle 0, one row per parameter row.
+def _span_coords(masks) -> list[int | None]:
+    """Per X mask, None if it lies outside the F2-span of the masks before
+    it (its gate doubles the support), else the bit set of the earlier such
+    masks that XOR to it.  One elimination pass over Python ints."""
+    basis: dict[int, tuple[int, int]] = {}  # bit length -> (reduced mask, coords)
+    coords = []
+    for x in map(int, masks):
+        coord = 0
+        while x and x.bit_length() in basis:
+            reduced, reduced_coord = basis[x.bit_length()]
+            x, coord = x ^ reduced, coord ^ reduced_coord
+        if x:
+            basis[x.bit_length()] = (x, coord | 1 << len(basis))
+            coords.append(None)
+        else:
+            coords.append(coord)
+    return coords
+
+
+def _span_states(model: CircuitModel, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit's states at input angle 0 on their live support.
 
     R_Y(0) is the identity, so row r is U(thetas[r]) |0..0>.  A gate
     exp(-i theta G) moves amplitude only along G's X mask x, so after gate
     l the state lives on the F2-span S of the first l X masks, and the work
     per row is sum_l 2^rank_l, rank_l the rank of those masks, not L * 2^n.
-    The live amplitudes form a contiguous (rows, |S|) block at the start of
-    a buffer of rows * 2^n, column j holding basis index S[j].  A gate with
-    x outside S doubles it: the old columns are scaled by cos theta and new
-    column |S| + j, index S[j] ^ x, gets -i sin theta times G's factor times
-    column j.  A gate with x in S (x = 0 included) rotates the columns with
-    their partners found through a position map.  Each amplitude gets the
-    bits the full-width rotation gives it, and one gather at the end puts
-    the rows in basis order, so the states are bitwise those of rotating
-    all 2^n amplitudes at every gate, up to the sign of zero amplitudes.
+    Returns the live amplitudes, a (rows, |S|) block, and ``support``, the
+    basis index of each column.  A gate with x outside S doubles it: the old
+    columns are scaled by cos theta and new column |S| + j, index
+    S[j] ^ x, gets -i sin theta times G's factor times column j.  Column j
+    holds the XOR of the doubling masks picked by the bits of j, so a gate
+    with x inside S (x = 0 included) finds the partner of column j at
+    j ^ coords(x).  Each amplitude gets the bits the full-width rotation
+    gives it, up to the sign of zero amplitudes.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != model.depth:
         raise ValueError(
             f"thetas has shape {thetas.shape}, expected (rows, {model.depth})"
         )
-    rows, size = len(thetas), 1 << model.n
-    # The second buffer takes the doubled state, the gathered partners or,
-    # at the end, the states in basis order.
+    coords = _span_coords(g.x for g in model.generators)
+    rows, size = len(thetas), 1 << coords.count(None)
+    # The second buffer takes the doubled state or the gathered partners.
     live = np.empty(rows * size, dtype=complex)
     spare = np.empty(rows * size, dtype=complex)
     live[:rows] = 1.0
     support = np.zeros(1, dtype=np.intp)
-    position = np.full(size, -1, dtype=np.intp)
-    position[0] = 0
-    for g, theta in zip(model.generators, thetas.T):
+    for g, coord, theta in zip(model.generators, coords, thetas.T):
         k = len(support)
         amps = live[: rows * k].reshape(rows, k)
         cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
-        if position[g.x] < 0:
+        if coord is None:
             doubled = spare[: 2 * rows * k].reshape(rows, 2 * k)
             new = doubled[:, k:]
             # Where the full-width rotation's partner amplitude is 0.  Each
@@ -445,22 +464,56 @@ def circuit_states(model: CircuitModel, thetas) -> np.ndarray:
             np.multiply(_phase_signs(g, support), amps, out=new)
             np.multiply(-1j * sin_t, new, out=new)
             np.multiply(cos_t, amps, out=doubled[:, :k])
-            moved = support ^ g.x
-            position[moved] = np.arange(k, 2 * k)
-            support = np.concatenate([support, moved])
+            support = np.concatenate([support, support ^ g.x])
             live, spare = spare, live
             continue
         # cos * amps - (i sin) * (G @ amps) in _rotate's operand order.
-        partner = support ^ g.x
         flipped = spare[: rows * k].reshape(rows, k)
         # Every position is valid; mode="wrap" skips take's bounds buffer.
-        amps.take(position[partner], axis=1, out=flipped, mode="wrap")
-        np.multiply(_phase_signs(g, partner), flipped, out=flipped)
+        amps.take(np.arange(k) ^ coord, axis=1, out=flipped, mode="wrap")
+        np.multiply(_phase_signs(g, support ^ g.x), flipped, out=flipped)
         np.multiply(1j * sin_t, flipped, out=flipped)
         np.multiply(cos_t, amps, out=amps)
         np.subtract(amps, flipped, out=amps)
-    states = spare.reshape(rows, size)
-    amps = live[: rows * len(support)].reshape(rows, len(support))
-    amps.take(position, axis=1, out=states, mode="clip")
-    np.copyto(states, 0, where=position < 0)
-    return states
+    return live[: rows * len(support)].reshape(rows, len(support)), support
+
+
+# Complex entries per _span_states buffer in one chunk of state_overlaps
+# rows (1 MiB): the memory a call takes stays the same whatever the rank.
+_SPAN_CHUNK = 1 << 16
+
+
+def state_overlaps(model: CircuitModel, thetas, phis) -> np.ndarray:
+    """<0|U(thetas[r])^dag U(phis[r])|0> for each row r, at input angle 0.
+
+    For a last gate whose X mask x is outside the span S of the masks before
+    it, R(theta)^dag R(phi) = cos(theta - phi) I + i sin(theta - phi) G and G
+    maps S onto the coset S ^ x, which misses S: the gate only multiplies the
+    overlap by cos(theta - phi).  Such trailing gates are never simulated; the
+    rest run on their live support, in chunks of rows of about _SPAN_CHUNK
+    amplitudes, and the overlap sums only its columns.  Rows are independent,
+    so the chunking leaves every bit of the result as it is.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != model.depth or phis.shape != thetas.shape:
+        raise ValueError(
+            f"thetas and phis have shapes {thetas.shape} and {phis.shape}, "
+            f"expected (rows, {model.depth}) each"
+        )
+    coords = _span_coords(g.x for g in model.generators)
+    split = len(coords)
+    while split and coords[split - 1] is None:
+        split -= 1
+    prefix = replace(model, generators=model.generators[:split])
+    step = max(1, _SPAN_CHUNK >> (coords[:split].count(None) + 1))
+    overlaps = np.empty(len(thetas), dtype=complex)
+    for start in range(0, len(thetas), step):
+        chunk = slice(start, start + step)
+        rows = len(thetas[chunk])
+        amps, _ = _span_states(
+            prefix, np.concatenate([thetas[chunk, :split], phis[chunk, :split]])
+        )
+        np.vecdot(amps[:rows], amps[rows:], out=overlaps[chunk])
+        del amps  # before the next chunk takes its buffers
+    return overlaps * np.cos(thetas[:, split:] - phis[:, split:]).prod(axis=1)

@@ -574,6 +574,63 @@ class TestConfigLoader:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize(
+        "subcommand, ini, message",
+        [
+            (
+                "gen-data",
+                "[dataset]\ninput_min = nan\n",
+                "[dataset] input_min must be finite, got 'nan'",
+            ),
+            (
+                "expressibility",
+                "[expressibility]\nparam_min = nan\n",
+                "[expressibility] param_min must be finite, got 'nan'",
+            ),
+            (
+                "train",
+                "[spsa]\nlearning_rate = nan\n",
+                "[spsa] learning_rate must be finite, got 'nan'",
+            ),
+            (
+                "train",
+                "[spsa]\nlearning_rate = -inf\n",
+                "[spsa] learning_rate must be finite, got '-inf'",
+            ),
+            (
+                "expressibility",
+                "[expressibility]\nparam_min = 2.0\nparam_max = 1.0\n",
+                "param_range (2.0, 1.0) is not well-ordered with a finite width",
+            ),
+            (
+                "expressibility",
+                "[expressibility]\nparam_min = -1e308\nparam_max = 1e308\n",
+                "param_range (-1e+308, 1e+308) is not well-ordered with a finite width",
+            ),
+            (
+                "gen-data",
+                "[dataset]\ninput_min = -1e308\ninput_max = 1e308\n",
+                "input_range (-1e+308, 1e+308) is not well-ordered with a finite width",
+            ),
+        ],
+    )
+    def test_bad_float_is_one_line(
+        self, small_setup, tmp_path, capsys, subcommand, ini, message
+    ):
+        _, data = small_setup
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "out.csv"
+        argv = {
+            "gen-data": ["gen-data"],
+            "expressibility": ["expressibility", "--trials", 1],
+            "train": ["train", "--data", data, "--trials", 1],
+        }[subcommand]
+        capsys.readouterr()
+        assert _run([*argv, "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["report", "--traces", "traces.csv", "--expr", "expr.csv"],

@@ -1,5 +1,6 @@
 """Tests for the comparison harness, expressibility and the t-test."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,7 +36,7 @@ from gensel.selection import (
     solve_genetic,
     solve_greedy,
 )
-from gensel.simulator import CircuitModel
+from gensel.simulator import CircuitModel, state_overlaps
 
 P = PauliString.from_label
 
@@ -70,6 +71,11 @@ class TestGenerateDataset:
             DatasetSpec(samples=0)
         with pytest.raises(ValueError):
             DatasetSpec(theta_range=(1.0, -1.0))
+        for bad in ((math.nan, 1.0), (0.0, math.nan), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="theta_range"):
+                DatasetSpec(theta_range=bad)
+            with pytest.raises(ValueError, match="input_range"):
+                DatasetSpec(input_range=bad)
 
 
 class TestHaarBinProbs:
@@ -131,11 +137,27 @@ class TestExpressibility:
         h = hellinger_distance(counts / samples, haar_bin_probs(d, bins))
         assert h < 0.15
 
+    def test_fidelities_past_one_land_in_the_last_bin(self):
+        """Z-only gates leave |0..0> fixed: every fidelity is 1 up to rounding,
+        some of it above 1, and all of it counts in the last bin."""
+        model = CircuitModel(2, (P("ZI"), P("IZ"), P("ZZ")), P("ZI"))
+        cfg = ExpressibilityConfig(seed=3)
+        rng = np.random.default_rng(cfg.seed)
+        thetas = rng.uniform(*cfg.param_range, size=(2 * cfg.fidelity_samples, 3))
+        s = cfg.fidelity_samples
+        fidelities = np.abs(state_overlaps(model, thetas[:s], thetas[s:])) ** 2
+        assert np.any(fidelities > 1.0)
+        q = haar_bin_probs(4, cfg.bins)
+        assert expressibility_hellinger(model, cfg) == math.sqrt(1.0 - math.sqrt(q[-1]))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExpressibilityConfig(bins=1)
         with pytest.raises(ValueError):
             ExpressibilityConfig(fidelity_samples=10, bins=50)
+        for bad in ((1.0, -1.0), (0.0, 0.0), (math.nan, 1.0), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="param_range"):
+                ExpressibilityConfig(param_range=bad)
 
 
 class TestDeriveSeed:

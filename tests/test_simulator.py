@@ -1,5 +1,7 @@
 """Tests for the simulator, Heisenberg and statevector, against dense-matrix oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,12 @@ from gensel.simulator import (
     _heisenberg_terms,
     apply_pauli_rotation,
     apply_ry_encoding,
-    circuit_states,
     compile_circuit,
     expectation,
     run_model,
     run_model_batch,
     stack_circuits,
+    state_overlaps,
 )
 
 from conftest import dense_pauli, dense_ry_all, random_label
@@ -339,14 +341,33 @@ class TestStackCircuits:
                 assert np.allclose(got[p, t], expected, atol=1e-10)
 
 
+def _dense_overlaps(model: CircuitModel, thetas, phis) -> np.ndarray:
+    """Dense-matrix oracle for state_overlaps: <0|U(theta)^dag U(phi)|0> per row."""
+
+    def state(theta):
+        out = np.zeros(1 << model.n, dtype=complex)
+        out[0] = 1.0
+        for g, t in zip(model.generators, theta):
+            out = _dense_rotation(g.label, t) @ out
+        return out
+
+    return np.array([np.vdot(state(a), state(b)) for a, b in zip(thetas, phis)])
+
+
 def _full_width_states(model: CircuitModel, thetas) -> np.ndarray:
-    """Reference for circuit_states: _rotate over all 2^n amplitudes per gate."""
+    """Reference for _span_states: _rotate over all 2^n amplitudes per gate."""
     thetas = np.asarray(thetas, dtype=float)
     amps = np.zeros((len(thetas), 1 << model.n), dtype=complex)
     amps[:, 0] = 1.0
     for l, g in enumerate(model.generators):
         amps = simulator._rotate(amps, simulator._pauli_table(model.n, g), thetas[:, l])
     return amps
+
+
+def _full_width_overlaps(model: CircuitModel, thetas, phis) -> np.ndarray:
+    """The overlaps as summed over all 2^n amplitudes of the full-width states."""
+    a, b = _full_width_states(model, thetas), _full_width_states(model, phis)
+    return np.sum(np.conj(a) * b, axis=1)
 
 
 def _span_model(rng, n: int, depth: int) -> CircuitModel:
@@ -373,53 +394,169 @@ def _span_model(rng, n: int, depth: int) -> CircuitModel:
     return CircuitModel(n, generators, P(random_label(rng, n)))
 
 
+def _doubling_model(rng, n: int) -> CircuitModel:
+    """n gates whose X masks are independent: every gate doubles the support."""
+    generators = [
+        PauliString(n, 1 << q | int(rng.integers(1 << q)), int(rng.integers(1 << n)))
+        for q in map(int, rng.permutation(n))
+    ]
+    return CircuitModel(n, generators, P(random_label(rng, n)))
+
+
+def _split(model: CircuitModel, monkeypatch) -> int:
+    """The number of gates state_overlaps simulates, read off _span_states."""
+    seen = []
+    span_states = simulator._span_states
+
+    def spy(prefix, thetas):
+        seen.append(prefix.depth)
+        return span_states(prefix, thetas)
+
+    monkeypatch.setattr(simulator, "_span_states", spy)
+    zeros = np.zeros((1, model.depth))
+    state_overlaps(model, zeros, zeros)
+    monkeypatch.setattr(simulator, "_span_states", span_states)
+    return seen[0]
+
+
 class TestCircuitStates:
+    """The states on their live span (``_span_states``) and their overlaps
+    (``state_overlaps``)."""
+
     def test_against_dense_oracle(self, rng):
-        models = [_random_model_with_y(rng, n, 4) for n in (1, 2, 3)]
-        # A Z-only generator and a repeated one at n = 4.
-        models.append(
-            CircuitModel(4, (P("XYIZ"), P("ZIZI"), P("IXXY"), P("XYIZ")), P("ZIII"))
-        )
+        for n in (1, 2, 3, 4):
+            models = [
+                _random_model_with_y(rng, n, 4),
+                _doubling_model(rng, n),
+                # Z-only gates, then one that doubles the support.
+                CircuitModel(n, (P("Z" * n), P("I" * (n - 1) + "Z"), P("X" * n)), P("Z" * n)),
+            ]
+            models += [_span_model(rng, n, depth) for depth in (0, 1, n, 2 * n + 2)]
+            for model in models:
+                for rows in (6, 0):
+                    thetas = rng.uniform(-np.pi, np.pi, size=(rows, model.depth))
+                    phis = rng.uniform(-np.pi, np.pi, size=(rows, model.depth))
+                    got = state_overlaps(model, thetas, phis)
+                    assert got.shape == (rows,)
+                    want = _dense_overlaps(model, thetas, phis)
+                    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_whole_circuit_in_closed_form(self, rng, monkeypatch):
+        """With every X mask new, nothing is simulated and the overlap is
+        prod_l cos(theta_l - phi_l), as the dense oracle reads it."""
+        for n in (1, 2, 3, 4):
+            model = _doubling_model(rng, n)
+            assert _split(model, monkeypatch) == 0
+            thetas = rng.uniform(-np.pi, np.pi, size=(8, n))
+            phis = rng.uniform(-np.pi, np.pi, size=(8, n))
+            got = state_overlaps(model, thetas, phis)
+            assert np.allclose(got, np.cos(thetas - phis).prod(axis=1), rtol=0, atol=1e-15)
+            assert np.allclose(got, _dense_overlaps(model, thetas, phis), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "labels, split",
+        [
+            (("XII", "IXI", "IIX"), 0),
+            (("XII", "YII", "IXI"), 2),
+            (("XII", "IXI", "XXZ"), 3),
+            (("ZII", "XII", "IYI"), 1),
+            (("XII", "IZI", "IXI"), 2),
+            ((), 0),
+        ],
+    )
+    def test_trailing_doubling_gates_are_not_simulated(self, labels, split, monkeypatch):
+        model = CircuitModel(3, tuple(P(g) for g in labels), P("ZII"))
+        assert _split(model, monkeypatch) == split
+
+    def test_no_full_width_array(self, rng):
+        """At n = 40 a state of 2^n amplitudes cannot be built.  Gates on four
+        qubits, then new X masks far up: the overlap is the four-qubit one
+        times a cos factor per trailing gate."""
+        small = _span_model(rng, 4, 8)
+        wide = [PauliString(40, g.x, g.z) for g in small.generators]
+        wide += [PauliString(40, 1 << q, 1 << q) for q in (10, 20, 39)]
+        model = CircuitModel(40, wide, PauliString(40, 0, 1))
+        thetas = rng.uniform(-np.pi, np.pi, size=(6, 11))
+        phis = rng.uniform(-np.pi, np.pi, size=(6, 11))
+        tracemalloc.start()
+        got = state_overlaps(model, thetas, phis)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 16
+        want = _dense_overlaps(small, thetas[:, :8], phis[:, :8])
+        want *= np.cos(thetas[:, 8:] - phis[:, 8:]).prod(axis=1)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_rows_run_in_chunks(self, rng, monkeypatch):
+        """Rows run in chunks of about _SPAN_CHUNK amplitudes per buffer:
+        every bit of the overlaps is kept, and the memory a call takes does
+        not grow with the rank of the span."""
+        models = [_span_model(rng, n, 2 * n + 2) for n in (1, 3, 5, 7)]
+        models.append(CircuitModel(2, (P("ZI"), P("XI")), P("ZI")))
         for model in models:
-            n = model.n
-            thetas = rng.uniform(-np.pi, np.pi, size=(6, 4))
-            states = circuit_states(model, thetas)
-            for row, theta in zip(states, thetas):
-                state = np.zeros(1 << n, dtype=complex)
-                state[0] = 1.0
-                for g, t in zip(model.generators, theta):
-                    state = _dense_rotation(g.label, t) @ state
-                assert np.allclose(row, state, atol=1e-12)
+            thetas = rng.uniform(-np.pi, np.pi, size=(37, model.depth))
+            phis = rng.uniform(-np.pi, np.pi, size=(37, model.depth))
+            whole = state_overlaps(model, thetas, phis)
+            monkeypatch.setattr(simulator, "_SPAN_CHUNK", 1 << 6)
+            assert np.array_equal(state_overlaps(model, thetas, phis), whole)
+            monkeypatch.undo()
+        # Rank 9 before an in-span last gate: unchunked, 500 pairs would take
+        # two buffers of 1000 x 512 amplitudes, 16 MiB.
+        gens = [PauliString(9, 1 << q, int(rng.integers(1 << 9))) for q in range(9)]
+        model = CircuitModel(9, gens + [P("XXIIIIIII")], P("ZIIIIIIII"))
+        thetas = rng.uniform(-np.pi, np.pi, size=(1000, 10))
+        tracemalloc.start()
+        state_overlaps(model, thetas[:500], thetas[500:])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 3 << 20
 
     def test_bitwise_equal_to_full_width_rotation(self, rng):
         for n in range(1, 9):
             for depth in (0, 1, n, 2 * n + 2):
                 model = _span_model(rng, n, depth)
                 thetas = rng.uniform(-np.pi, np.pi, size=(5, depth))
-                got = circuit_states(model, thetas)
-                assert got.shape == (5, 1 << n)
+                amps, support = simulator._span_states(model, thetas)
+                assert len(np.unique(support)) == len(support) == amps.shape[1]
+                got = np.zeros((5, 1 << n), dtype=complex)
+                got[:, support] = amps
                 # array_equal counts -0.0 == 0.0: zero amplitudes may differ
                 # in sign only.
                 assert np.array_equal(got, _full_width_states(model, thetas))
         # Exact zeros inside the span (theta = 0) and no rows at all.
         model = _span_model(rng, 4, 10)
         for thetas in (np.zeros((3, 10)), np.zeros((0, 10))):
-            assert np.array_equal(
-                circuit_states(model, thetas), _full_width_states(model, thetas)
-            )
+            amps, support = simulator._span_states(model, thetas)
+            got = np.zeros((len(thetas), 16), dtype=complex)
+            got[:, support] = amps
+            assert np.array_equal(got, _full_width_states(model, thetas))
 
     def test_expressibility_matches_full_width_rotation(self, rng, monkeypatch):
-        generators = tuple(P(random_label(rng, 8)) for _ in range(8))
-        model = CircuitModel(8, generators, P("ZIIIIIII"))
+        models = []
+        for n in range(2, 9):
+            models += [_span_model(rng, n, int(rng.integers(1, 2 * n + 3))) for _ in range(4)]
+            models += [
+                CircuitModel(n, [P(random_label(rng, n)) for _ in range(n)], P("Z" * n))
+                for _ in range(4)
+            ]
+        suffix = sum(_split(m, monkeypatch) < m.depth for m in models)
+        assert len(models) >= 50 and suffix >= 10
         config = experiments.ExpressibilityConfig(seed=5)
-        got = experiments.expressibility_hellinger(model, config)
-        monkeypatch.setattr(experiments, "circuit_states", _full_width_states)
-        assert got == experiments.expressibility_hellinger(model, config)
+        got = [experiments.expressibility_hellinger(m, config) for m in models]
+        monkeypatch.setattr(experiments, "state_overlaps", _full_width_overlaps)
+        assert got == [experiments.expressibility_hellinger(m, config) for m in models]
 
     def test_shape_checked(self):
         model = CircuitModel(2, (P("XI"), P("IY")), P("ZI"))
+        for thetas, phis in (
+            (np.zeros((3, 3)), np.zeros((3, 3))),
+            (np.zeros((3, 2)), np.zeros((4, 2))),
+            (np.zeros(2), np.zeros(2)),
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                state_overlaps(model, thetas, phis)
         with pytest.raises(ValueError, match="shape"):
-            circuit_states(model, np.zeros((3, 3)))
+            simulator._span_states(model, np.zeros((3, 3)))
 
 
 class TestDerivativeIdentities:
