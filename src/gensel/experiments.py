@@ -288,9 +288,9 @@ def train_cells(
 def trace_rows(record: TrialRecord, trial_index: int) -> list[tuple]:
     """One (method, trial, epoch, rmse, rmse_normalized) row per trace point."""
     return [
-        (record.method, trial_index, epoch, float(rmse), float(norm))
+        (record.method, trial_index, epoch, rmse, norm)
         for epoch, (rmse, norm) in enumerate(
-            zip(record.rmse_trace, record.normalized_trace)
+            zip(record.rmse_trace.tolist(), record.normalized_trace.tolist())
         )
     ]
 

@@ -11,8 +11,10 @@ config, seed).  Seeds and steps lie in [0, 2**64).
 ``train_batch`` trains a list of trials on one dataset in one loop: their
 parameters, momenta and directions are (T, W) arrays, and each epoch
 evaluates theta, theta + c Delta and theta - c Delta of every trial in one
-stacked call of ``simulator.stack_circuits``.  Each row reduces as it
-would alone, so batching changes no bit of any trace.  The directions of a
+stacked call of ``simulator.stack_circuits``.  Each prediction is the
+left-to-right sum of its circuit's terms whatever is stacked with it, so
+batching changes no bit of any trace.  A run whose trace is not finite
+raises RuntimeError instead of returning it.  The directions of a
 whole group of trials, a block of epochs at a time, come from one NumPy
 call of ``_directions``: the (seed, t) direction is still, bit for bit,
 ``np.random.default_rng([seed, t]).integers(0, 2, size=depth) * 2 - 1``,
@@ -253,12 +255,16 @@ def _spsa_update(theta, momentum, costs, delta, config):
 # keeps memory growing with the largest group, not with the number of
 # trials, as it did when each trial trained alone; it does not bound a
 # group: one circuit may pass the limit alone, and an evaluation holds
-# three (B x K) product rows per circuit of the group.
+# 3 x B x 2K products per circuit of the group (its bucket pads the K terms
+# to under 2K, or to at most 8).
 _GROUP_SIZE = 1 << 20
 
 
+# A diverging run overflows; the finite check at the end reports it once.
+@np.errstate(over="ignore", invalid="ignore")
 def _train_group(circuits, seeds, ys, config) -> np.ndarray:
-    """The (epochs + 1, T) RMSE traces of compiled circuits trained together."""
+    """The (epochs + 1, T) RMSE traces of compiled circuits trained together;
+    RuntimeError if a trace is not finite."""
     depths = [c.depth for c in circuits]
     evaluate = stack_circuits(circuits)
     evaluations = 0
@@ -305,6 +311,11 @@ def _train_group(circuits, seeds, ys, config) -> np.ndarray:
         raise RuntimeError(
             f"evaluation counter mismatch: {evaluations} != {expected}"
         )
+    if not np.isfinite(trace).all():
+        raise RuntimeError(
+            "training diverged to a non-finite RMSE; lower [spsa] "
+            "learning_rate or perturbation"
+        )
     return trace
 
 
@@ -322,9 +333,10 @@ def train_batch(
     theta + c Delta and theta - c Delta of all trials in one stacked call,
     and one more call takes the last trace point: exactly 3 * epochs + 1
     full-dataset cost evaluations per trial (RuntimeError otherwise).  Each
-    row reduces as it would alone, so a trial's trace is bitwise the same
-    whatever it is batched with.  Every seed must lie in [0, 2**64)
-    (ValueError before anything is compiled).
+    prediction is the left-to-right sum of its circuit's terms, so a
+    trial's trace is bitwise the same whatever it is batched with.  A trace
+    that is not finite raises RuntimeError.  Every seed must lie in
+    [0, 2**64) (ValueError before anything is compiled).
     """
     for _, seed in trials:
         _stream_key(seed, "trial seed")

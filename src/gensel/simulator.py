@@ -13,8 +13,8 @@ generators alone: ``compile_circuit`` walks O back through the gates once on
 the bit masks, drops every term holding a Y (its expectation on the R_Y
 product state is 0) and tabulates each remaining term's closed-form
 expectation prod_q {I: 1, X: sin x, Z: cos x} over the input batch.  Each
-evaluation then multiplies L trig factors per term and sums one row per
-input; no statevector is built, and qubits no gate touches cost nothing.
+evaluation then multiplies L trig factors per term and sums the terms for
+each input; no statevector is built, and qubits no gate touches cost nothing.
 An exact selection (generators anticommuting with O and with each other)
 gives L + 1 terms.  Random generators give up to 2^L; past 4 * L * 2^n
 terms (measured against the dense kernel, whose work per input is
@@ -22,10 +22,17 @@ L * 2^n) or 2^16 terms, ``compile_circuit`` builds the dense evaluator
 instead, a choice made from the generators alone, and raises RuntimeError
 when the dense state would exceed 20 qubits.
 ``compile_circuit`` builds one circuit's tables and ``stack_circuits``
-evaluates many compiled circuits at many parameter rows in one call, with
-term tables of equal shape stacked so that every row still reduces
-exactly as it would alone; ``run_model_batch`` and ``run_model`` evaluate
-one parameter row of a fresh compilation.
+evaluates many compiled circuits at many parameter rows in one call;
+``run_model_batch`` and ``run_model`` evaluate one parameter row of a fresh
+compilation.  Each prediction is the left-to-right sum of its circuit's
+terms in compile order, from +0.0 as NumPy's sums start.  The stacked
+tables are term-major, so one multiply runs over the inputs and the sum
+adds whole term slices in order.  Circuits share a bucket when their term
+counts round up to the same power of two (at least 8), which keeps the
+padding under 2x; a bucket pads to its largest term count with terms of
+Phi = -0.0 and to its largest depth with factors of 1.0.  As x + (-0.0) = x
+for every x, a circuit's predictions do not depend on the circuits stacked
+with it.
 
 The dense kernel acts on amplitude vectors.  Basis convention: amplitude
 index bit q corresponds to qubit q, so |0..0> is index 0.  A Pauli string
@@ -342,50 +349,50 @@ def stack_circuits(
     """One evaluator for circuits compiled on the same inputs.
 
     The returned function maps thetas (P, T, W) to predictions (P, T, B):
-    row thetas[p, t, :L_t] parameterises circuit t, W is at least the
-    largest depth, and entries past a circuit's depth are ignored.  Term
-    tables of equal shape (K, L) are stacked, so one gather, one product
-    over L and one sum over K serve every row of a bucket.  Each row
-    reduces exactly as it would alone (NumPy's pairwise sum changes its
-    association with K, hence the buckets), so a circuit's predictions do
-    not depend on the circuits stacked with it.  Dense circuits run row by
-    row.
+    row thetas[p, t, :L_t] parameterises circuit t, the rest is ignored,
+    and W is at least every depth.  Each prediction is the left-to-right
+    sum of its terms in compile order, whatever is stacked with it (see the
+    module docstring).  Dense circuits run row by row.
     """
     width = max((c.depth for c in circuits), default=0)
     inputs = circuits[0].inputs if circuits else 0
-    by_shape: dict[tuple[int, int], list[int]] = {}
+    by_size: dict[int, list[int]] = {}  # term counts up to 8, 16, 32, ...
     for t, c in enumerate(circuits):
         if c.dense is None:
-            by_shape.setdefault(c.factors.shape, []).append(t)
+            by_size.setdefault(max(3, (len(c.factors) - 1).bit_length()), []).append(t)
     buckets = []
-    for (_, depth), members in by_shape.items():
-        # gather[i, k, l]: factor l of term k of circuit members[i], as an
-        # index into one row's trig block of 3 * width per circuit.
-        gather = np.array(
-            [circuits[t].factors * width + 3 * width * t for t in members]
-        )
-        phi = np.array([circuits[t].phi for t in members])
-        buckets.append((np.array(members), phi, gather + np.arange(depth)))
+    for members in by_size.values():
+        shapes = np.array([circuits[t].factors.shape for t in members])
+        terms, depth = np.maximum(shapes.max(axis=0), (1, 0))  # a term at least
+        # gather[l, k, i] indexes factor l of term k of circuit members[i] in
+        # its trig block; padded terms and layers read the block's first 1.0.
+        gather = np.zeros((depth, terms, len(members)), dtype=np.intp)
+        phi = np.full((terms, len(members), inputs), -0.0)
+        for i, ((k, d), t) in enumerate(zip(shapes, members)):
+            gather[:d, :k, i] = (circuits[t].factors * width + np.arange(d)).T
+            phi[:k, i] = circuits[t].phi.T
+        buckets.append((members, phi, gather + 3 * width * np.array(members)))
     dense = [(t, c) for t, c in enumerate(circuits) if c.dense is not None]
 
     def evaluate(thetas: np.ndarray) -> np.ndarray:
-        rows = len(thetas)
-        # The gather indices address trig blocks of 3 * width per circuit.
+        # One trig block (1, cos 2theta, sin 2theta) of 3 * width per circuit
         thetas = thetas[..., :width]
-        doubled = 2 * thetas
         trig = np.concatenate(
-            [np.ones_like(thetas), np.cos(doubled), np.sin(doubled)], axis=-1
-        ).reshape(rows, -1)
-        out = np.empty((rows, len(circuits), inputs))
+            [np.ones_like(thetas), np.cos(2 * thetas), np.sin(2 * thetas)], axis=-1
+        ).reshape(len(thetas), -1)
+        out = np.empty(thetas.shape[:2] + (inputs,))
         for members, phi, gather in buckets:
-            coeff = trig.take(gather, axis=1).prod(axis=-1)
-            # Each row sums its K contiguous products (order="C") as NumPy's
-            # row sum of phi[b] * coeff does, whatever rows surround it.
-            products = np.multiply(phi, coeff[:, :, None, :], order="C")
-            out[:, members] = products.sum(axis=-1)
+            products = phi * trig.take(gather, axis=1).prod(axis=1)[..., None]
+            # NumPy sums from +0.0, term slices in order, but a lone axis
+            # pairwise; a running sum differs only in -0.0, hence the + 0.0.
+            sums = products.sum(axis=1)
+            if phi[0].size == 1:
+                sums = np.add.accumulate(products, axis=1)[:, -1] + 0.0
+            if len(members) == len(circuits):
+                return sums
+            out[:, members] = sums
         for t, c in dense:
-            for p in range(rows):
-                out[p, t] = c.dense(thetas[p, t, : c.depth])
+            out[:, t] = [c.dense(theta[: c.depth]) for theta in thetas[:, t]]
         return out
 
     return evaluate

@@ -19,10 +19,12 @@ from gensel.experiments import (
     ExpressibilityConfig,
     GeneticConfig,
     run_comparison,
+    trial_models,
 )
 from gensel.optimizer import SpsaConfig
 from gensel.pauli import PauliString
 from gensel.selection import build_pool, score_matrix
+from gensel.simulator import compile_circuit
 
 
 def _read_csv(path):
@@ -207,6 +209,50 @@ class TestTrain:
         assert _run(args + ["--out", one, "--jobs", 1]) == 0
         assert _run(args + ["--out", three, "--jobs", 3]) == 0
         assert one.read_bytes() == three.read_bytes()
+
+    def test_job_chunks_identical_across_buckets(self, tmp_path):
+        """Random depth-8 cells at n = 4 stack circuits of under and over 8
+        terms (several buckets, each padded); any --jobs writes one batch's
+        bytes."""
+        cfg = tmp_path / "deep.ini"
+        cfg.write_text(
+            "[dataset]\nn = 4\ndepth = 8\nsamples = 10\n[spsa]\nepochs = 4\n"
+        )
+        data = tmp_path / "data.csv"
+        assert _run(["gen-data", "--seed", 2, "--config", cfg, "--out", data]) == 0
+        cells = [("random", t) for t in range(5)]
+        spec = DatasetSpec(n=4, depth=8, samples=10)
+        terms = {
+            len(compile_circuit(model, [0.1]).factors)
+            for _, model in trial_models(cells, 2, spec)
+        }
+        assert min(terms) < 8 and len(terms & set(range(17, 33))) >= 2
+        args = ["train", "--data", data, "--config", cfg, "--method", "random",
+                "--trials", 5, "--seed", 2]
+        one, three = tmp_path / "one.csv", tmp_path / "three.csv"
+        assert _run(args + ["--out", one, "--jobs", 1]) == 0
+        assert _run(args + ["--out", three, "--jobs", 3]) == 0
+        assert one.read_bytes() == three.read_bytes()
+
+    @pytest.mark.filterwarnings("error")  # NumPy's overflow warnings fail it
+    def test_diverging_run_is_one_line_error(self, tmp_path, capsys):
+        """A finite but huge learning rate trains to NaN: exit 1, one error
+        line and no warning on stderr, no traces.csv."""
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            "[dataset]\nn = 3\ndepth = 3\nsamples = 10\n"
+            "[spsa]\nlearning_rate = 1e308\nepochs = 3\n"
+        )
+        data, out = tmp_path / "data.csv", tmp_path / "traces.csv"
+        assert _run(["gen-data", "--seed", 2, "--config", cfg, "--out", data]) == 0
+        capsys.readouterr()
+        code = _run(["train", "--data", data, "--config", cfg, "--method", "exact",
+                     "--method", "random", "--trials", 2, "--out", out])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged to a non-finite RMSE")
+        assert err.count("\n") == 1
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = _run(["train", "--data", tmp_path / "nope.csv", "--trials", 1])

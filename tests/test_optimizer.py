@@ -1,5 +1,6 @@
 """Tests for the RMSE cost and SPSA-with-momentum training loop."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -346,7 +347,7 @@ class TestTrainBatch:
         assert sum(c.dense is not None for c in circuits) == 1
         shapes = {c.factors.shape for c in circuits if c.dense is None}
         assert len(shapes) >= 4
-        assert max(k for k, _ in shapes) > 8  # past NumPy's 8-element pairwise block
+        assert max(k for k, _ in shapes) > 8  # where NumPy's row sum goes pairwise
         config = SpsaConfig(learning_rate=0.01, epochs=30)
         traces = train_batch(trials, dataset, config)
         ys = np.array([y for _, y in dataset])
@@ -358,6 +359,15 @@ class TestTrainBatch:
             assert np.array_equal(trace, reference)
         monkeypatch.setattr(optimizer, "_GROUP_SIZE", 1)  # one group per trial
         assert np.array_equal(train_batch(trials, dataset, config), traces)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "perturbation"])
+    def test_non_finite_trace_raises(self, field):
+        """A finite but huge step trains to inf or NaN: RuntimeError, not a trace."""
+        model = CircuitModel(2, (P("XI"), P("YZ")), P("ZI"))
+        dataset = [(0.1, 0.2), (0.7, -0.3), (2.0, 0.5)]
+        config = replace(SpsaConfig(epochs=3), **{field: 1e308})
+        with pytest.raises(RuntimeError, match="non-finite RMSE"):
+            train_batch([(model, 1), (model, 2)], dataset, config)
 
     def test_no_trials(self):
         assert train_batch([], [(0.1, 0.2)], SpsaConfig(epochs=3)).shape == (0, 4)
@@ -440,8 +450,8 @@ def _spsa_loop(cost, depth, config):
 
 def _spsa_reference(circuit, ys, config):
     """The SPSA trace of one compiled circuit, each cost evaluated alone:
-    NumPy's row sum of Phi times the term coefficients, or the dense
-    evaluator past the term limit."""
+    Phi times the term coefficients summed left to right over the terms
+    from +0.0, or the dense evaluator past the term limit."""
     depth = circuit.depth
 
     def cost(theta):
@@ -452,7 +462,8 @@ def _spsa_reference(circuit, ys, config):
                 [np.ones(depth), np.cos(2 * theta), np.sin(2 * theta)]
             )
             coeff = trig[circuit.factors * depth + np.arange(depth)].prod(axis=1)
-            preds = (circuit.phi * coeff).sum(axis=1)
+            terms = (circuit.phi * coeff).T
+            preds = functools.reduce(np.add, terms, np.zeros(len(ys)))
         return float(np.sqrt(np.mean((preds - ys) ** 2)))
 
     return _spsa_loop(cost, depth, config)

@@ -1,5 +1,6 @@
 """Tests for the simulator, Heisenberg and statevector, against dense-matrix oracles."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -303,12 +304,33 @@ class TestCompiledEvaluator:
         assert run_model_batch(model, [0.1, 0.2], [0.1, 0.2]).shape == (2,)
 
 
+def _term_products(circuit, theta) -> np.ndarray:
+    """Phi times each term's coefficient (B x K), for one circuit alone."""
+    depth = circuit.depth
+    trig = np.concatenate([np.ones(depth), np.cos(2 * theta), np.sin(2 * theta)])
+    return circuit.phi * trig[circuit.factors * depth + np.arange(depth)].prod(axis=1)
+
+
+def _term_sum(circuit, theta) -> np.ndarray:
+    """One circuit's predictions alone: its term products added left to right
+    in compile order, starting from +0.0."""
+    columns = _term_products(circuit, theta).T
+    return functools.reduce(np.add, columns, np.zeros(circuit.inputs))
+
+
+def _buckets(evaluate) -> list:
+    """The (members, phi, gather) buckets an evaluator of stack_circuits holds."""
+    cells = (cell.cell_contents for cell in evaluate.__closure__)
+    return dict(zip(evaluate.__code__.co_freevars, cells))["buckets"]
+
+
 class TestStackCircuits:
-    def test_rows_reduce_as_numpy_row_sums(self, rng):
-        """Each row of a stacked evaluation equals, bit for bit, NumPy's row
-        sum of Phi times that row's coefficients (the one-circuit evaluator's
-        arithmetic) on either side of the 8-term pairwise block, and the
-        dense oracle to rounding; the dense fallback runs in the same stack.
+    def test_rows_reduce_left_to_right(self, rng):
+        """Each row of a stacked evaluation equals, bit for bit, the
+        left-to-right sum over its terms of Phi times that row's
+        coefficients, on either side of 8 terms and with a single input, and
+        the dense oracle to rounding; the dense fallback runs in the same
+        stack.
         """
         shapes = ((1, 2), (2, 3), (3, 5), (4, 8), (4, 10), (4, 10), (4, 12), (3, 24))
         models = [_random_model_with_y(rng, n, depth) for n, depth in shapes]
@@ -332,13 +354,61 @@ class TestStackCircuits:
             for p in range(2):
                 theta = thetas[p, t, :depth]
                 if c.dense is None:
-                    trig = np.concatenate(
-                        [np.ones(depth), np.cos(2 * theta), np.sin(2 * theta)]
-                    )
-                    coeff = trig[c.factors * depth + np.arange(depth)].prod(axis=1)
-                    assert np.array_equal(got[p, t], (c.phi * coeff).sum(axis=1))
+                    assert got[p, t].tobytes() == _term_sum(c, theta).tobytes()
+                    # One input alone: NumPy would sum that lone row pairwise.
+                    one = stack_circuits([compile_circuit(model, xs[:1])])
+                    alone = one(theta[None, None])[0, 0]
+                    assert alone.tobytes() == got[p, t, :1].tobytes()
                 expected = [_dense_run_model(model, theta, x) for x in xs]
                 assert np.allclose(got[p, t], expected, atol=1e-10)
+
+    def test_padding_keeps_signed_zeros(self, rng):
+        """Circuits of 0 to 8 terms stacked with circuits past 8, at inputs
+        and angles where sin gives exact zeros of either sign: every row is,
+        byte for byte, the circuit evaluated alone, with all its inputs or
+        with one (so the sign of every zero is checked), and no bucket pads a
+        circuit to 2x its terms or more unless to at most 8."""
+        # At x = 0 and theta = -pi/2 every term of these two is -0.0.
+        xs = np.array([0.0, -0.0, np.pi / 2, np.pi, 1.3, 4.1])
+        models = [
+            CircuitModel(1, (P("Z"),), P("X")),
+            CircuitModel(2, (P("YI"),), P("XX")),
+        ]
+        by_terms = {len(compile_circuit(model, xs).factors): model for model in models}
+        assert set(by_terms) == {1, 2}
+        while not set(range(9)) < set(by_terms) or max(by_terms) < 16:
+            n, depth = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+            generators = [P(random_label(rng, n)) for _ in range(depth)]
+            model = CircuitModel(n, generators, P(random_label(rng, n)))
+            circuit = compile_circuit(model, xs)
+            if circuit.dense is None:
+                by_terms.setdefault(len(circuit.factors), model)
+        models = list(by_terms.values())
+        circuits = [compile_circuit(model, xs) for model in models]
+        choices = np.array([0.0, -0.0, np.pi / 2, -np.pi / 2, 0.4, -1.1])
+        thetas = rng.choice(choices, size=(3, len(models), 7))
+        thetas[0] = -np.pi / 2
+        evaluate = stack_circuits(circuits)
+        got = evaluate(thetas)
+        for c in circuits[:2]:
+            zeros = _term_products(c, thetas[0, 0, : c.depth])[0]
+            assert np.all(np.signbit(zeros) & (zeros == 0))
+        assert np.count_nonzero(got == 0) >= 2
+        for t, (model, c) in enumerate(zip(models, circuits)):
+            alone = stack_circuits([c])(thetas[:, t : t + 1])[:, 0]
+            assert got[:, t].tobytes() == alone.tobytes()
+            for p in range(3):
+                expected = _term_sum(c, thetas[p, t, : model.depth])
+                assert got[p, t].tobytes() == expected.tobytes()
+            for j, x in enumerate(xs):
+                one = stack_circuits([compile_circuit(model, [x])])
+                alone = one(thetas[:, t : t + 1])[:, 0, 0]
+                assert alone.tobytes() == got[:, t, j].tobytes()
+        buckets = _buckets(evaluate)
+        assert len(buckets) >= 2
+        for members, phi, _ in buckets:
+            for t in members:
+                assert len(phi) <= 8 or len(phi) < 2 * len(circuits[t].factors)
 
 
 def _dense_overlaps(model: CircuitModel, thetas, phis) -> np.ndarray:
