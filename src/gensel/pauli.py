@@ -203,10 +203,7 @@ def multiply(a: PauliString, b: PauliString) -> ScaledPauli:
 
 # Elements per temporary of the blocked kernels: a table of width w is built
 # BLOCK_SIZE // w rows at a time (one row at least), so whatever the table
-# size, each temporary holds at most max(BLOCK_SIZE, w) words.  2^18 words
-# (2 MiB) keeps the 512 x 512 score matrix of an n = 5 pool in one block:
-# with 128 KiB blocks, glibc's malloc went on to serve the simulator's
-# arrays from fresh pages, and `expressibility` ran 15% slower.
+# size, each temporary holds at most max(BLOCK_SIZE, w) words (2 MiB).
 BLOCK_SIZE = 1 << 18
 
 

@@ -6,15 +6,16 @@ pairs among L chosen generators:
 
     max sum_{j<k} c_jk x_j x_k   s.t.  sum_j x_j = L,  x_j in {0, 1}
 
-with c_jk = 1 iff candidates j and k anticommute.  The table depends only on
-O, so a run builds the pool and table once, as one SelectionProblem, and each
-trial hands the solvers its candidates' indices in its seeded order
-(``seeded_order``).  The exact solver is one depth-first search on bitsets
-that minimizes the commuting pairs: run first with none allowed, it finds an
-L-clique (score L(L-1)/2, provably optimal) if one exists, else it runs again
-as a branch-and-bound over all subsets.  It packs a table row into a bitset
-only when the search first reaches that candidate.
-Heuristic solvers (greedy, genetic) and the comparison baselines live here too.
+with c_jk = 1 iff candidates j and k anticommute: the symplectic parity of
+their (x, z) masks.  A run computes the pool's masks once, as one
+SelectionProblem, and each trial hands the solvers its candidates' indices in
+its seeded order (``seeded_order``).  The exact solver is one depth-first
+search on bitsets that minimizes the commuting pairs: run first with none
+allowed, it finds an L-clique (score L(L-1)/2, provably optimal) if one
+exists, else it runs again as a branch-and-bound over all subsets.  It packs
+a candidate's row of c_jk into a bitset only when the search first reaches
+it; only greedy forms a table.  Heuristic solvers (greedy, genetic) and the
+comparison baselines live here too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .pauli import (
     commutes,
     mask_arrays,
     pauli_string_at,
-    row_blocks,
     symplectic_parity,
 )
 
@@ -76,39 +76,27 @@ class SelectionResult:
 
 @dataclass
 class SelectionProblem:
-    """Candidate pool, pairwise anticommutation matrix and budget."""
+    """Candidate pool, the candidates' uint64 (x, z) masks and budget."""
 
     observable: PauliString
     candidates: tuple[PauliString, ...]
     budget: int
-    coefficients: np.ndarray = field(repr=False)
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    z: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.candidates = tuple(self.candidates)
         m = len(self.candidates)
         if not 1 <= self.budget <= m:
             raise ValueError(f"budget {self.budget} infeasible for pool of {m}")
-        c = np.asarray(self.coefficients)
-        if c.shape != (m, m):
-            raise ValueError(f"coefficient matrix shape {c.shape} != ({m}, {m})")
-        # Compared a block of rows at a time, so no m x m temporary is formed.
-        asymmetric = any(np.any(c[b] != c[:, b].T) for b in row_blocks(m, m))
-        if asymmetric or np.any(np.diag(c) != 0):
-            raise ValueError("coefficient matrix must be symmetric with zero diagonal")
-        self.coefficients = c.astype(np.uint8, copy=False)
-
-    @classmethod
-    def build(
-        cls,
-        observable: PauliString,
-        candidates: Sequence[PauliString],
-        budget: int,
-    ) -> "SelectionProblem":
-        return cls(observable, tuple(candidates), budget, score_matrix(candidates))
+        if (n := _common_width(self.candidates)) > 63:
+            raise ValueError(f"candidates on {n} qubits do not fit 63-qubit masks")
+        self.x, self.z = mask_arrays(self.candidates)
 
     def subset_score(self, indices: Iterable[int]) -> int:
         idx = list(indices)
-        return int(self.coefficients[np.ix_(idx, idx)].sum()) // 2
+        x, z = self.x[idx], self.z[idx]
+        return int(anticommutation_table(x, z, x, z).sum()) // 2
 
 
 class SelectionMetrics(NamedTuple):
@@ -148,9 +136,9 @@ def seeded_order(
     """Indices into a canonical pool of ``size`` in one seeded trial's order.
 
     A seeded uniform subsample of ``subsample_size`` indices (all of them
-    without one), shuffled by ``default_rng(seed).permutation``.  Since
-    ``score_matrix(pool[idx]) == score_matrix(pool)[idx][:, idx]``, a trial
-    reads the pool's table in this order instead of building its own.
+    without one), shuffled by ``default_rng(seed).permutation``.  The pool's
+    masks taken in this order are the masks of ``pool[idx]``, so a trial
+    reads the run's problem in this order instead of building its own.
     """
     keep = np.arange(size)
     if subsample_size is not None:
@@ -163,18 +151,23 @@ def seeded_order(
     return keep[np.random.default_rng(seed).permutation(len(keep))]
 
 
+def _common_width(candidates: Sequence[PauliString]) -> int:
+    """The qubit count of distinct candidates that all share it."""
+    n = candidates[0].n
+    if any(p.n != n for p in candidates):
+        raise ValueError("candidates must act on the same number of qubits")
+    if len(set(candidates)) != len(candidates):
+        raise ValueError("candidates must be pairwise distinct")
+    return n
+
+
 def score_matrix(candidates: Sequence[PauliString]) -> np.ndarray:
     """Symmetric 0/1 matrix with entry 1 iff the candidate pair anticommutes."""
     candidates = list(candidates)
     m = len(candidates)
     if m == 0:
         return np.zeros((0, 0), dtype=np.uint8)
-    n = candidates[0].n
-    if any(p.n != n for p in candidates):
-        raise ValueError("candidates must act on the same number of qubits")
-    if len(set(candidates)) != m:
-        raise ValueError("candidates must be pairwise distinct")
-    if n <= 63:
+    if _common_width(candidates) <= 63:
         x, z = mask_arrays(candidates)
         return anticommutation_table(x, z, x, z)
     c = np.zeros((m, m), dtype=np.uint8)
@@ -197,15 +190,16 @@ def _indices(problem: SelectionProblem, order) -> np.ndarray:
 
 
 class _AdjacencyRows(dict):
-    """Row v as an int whose bit k is set iff table[order[v], order[k]] != 0,
-    packed on first use: the clique search reaches only a few rows."""
+    """Row v as an int whose bit k is set iff strings v and k of the masks
+    (x, z) anticommute, packed on first use: the search reaches few rows."""
 
-    def __init__(self, table: np.ndarray, order: np.ndarray):
+    def __init__(self, x: np.ndarray, z: np.ndarray):
         super().__init__()
-        self.table, self.order = table, order
+        self.x, self.z = x, z
 
     def __missing__(self, v: int) -> int:
-        row = np.packbits(self.table[self.order[v]].take(self.order), bitorder="little")
+        parity = symplectic_parity(self.x, self.z, self.x[v], self.z[v])
+        row = np.packbits(parity, bitorder="little")
         mask = self[v] = int.from_bytes(row.tobytes(), "little")
         return mask
 
@@ -274,7 +268,7 @@ def solve_exact(problem: SelectionProblem, *, order=None) -> SelectionResult:
     if L < 2:
         raise ValueError(f"budget must be at least 2, got {L}")
     index = _indices(problem, order)
-    adj, m = _AdjacencyRows(problem.coefficients, index), len(index)
+    adj, m = _AdjacencyRows(problem.x[index], problem.z[index]), len(index)
     pairs = L * (L - 1) // 2
     picks, commuting = _search(adj, m, L, 0) or _search(adj, m, L, pairs)
     chosen = tuple(problem.candidates[i] for i in index[picks])
@@ -292,9 +286,11 @@ def solve_greedy(problem: SelectionProblem, *, order=None) -> SelectionResult:
     L = problem.budget
     index = _indices(problem, order)
     m = len(index)
-    coeff = problem.coefficients  # uint8 rows, summed into an int64 vector
-    if order is not None:
-        coeff = coeff[index][:, index]
+    x, z = problem.x[index], problem.z[index]
+    # A row at a time: anticommutation_table's uint64 temporaries are 8x the table.
+    coeff = np.empty((m, m), dtype=np.uint8)
+    for v in range(m):
+        coeff[v] = symplectic_parity(x, z, x[v], z[v])
     best_score = -1
     best_subset: list[int] = []
     for start in range(m):
@@ -365,8 +361,7 @@ def solve_genetic(
                 child.pop(int(rng.integers(0, len(child))))
             if m > L and rng.random() < mutation_rate:
                 out = int(rng.integers(0, L))
-                pool = [v for v in range(m) if v not in child]
-                child[out] = pool[int(rng.integers(0, len(pool)))]
+                child[out] = _nth_unchosen(child, int(rng.integers(0, m - L)))
                 child.sort()
             new_pop.append(tuple(child))
         pop = new_pop
@@ -377,6 +372,13 @@ def solve_genetic(
 
     chosen = tuple(problem.candidates[i] for i in index[list(best)])
     return SelectionResult(chosen, best_fit, "genetic", best_fit == max_score)
+
+
+def _nth_unchosen(chosen: Sequence[int], r: int) -> int:
+    """The r-th (from 0) non-negative integer missing from sorted ``chosen``."""
+    for c in chosen:
+        r += c <= r
+    return r
 
 
 def select_baseline(

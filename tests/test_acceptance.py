@@ -171,7 +171,7 @@ def _dense_observable(o, basis):
 @criterion(3, "exact solver: score 10 with (0,0) at n=5 in <1s; oracle on 100 pools")
 def test_criterion_3_selection_optimality(rng):
     o = P("ZIIII")
-    problem = SelectionProblem.build(o, build_pool(o), 5)
+    problem = SelectionProblem(o, build_pool(o), 5)
     start = time.perf_counter()
     result = solve_exact(problem)
     elapsed = time.perf_counter() - start
@@ -191,7 +191,7 @@ def test_criterion_3_selection_optimality(rng):
                 seen.add(p)
                 candidates.append(p)
         budget = int(rng.integers(2, min(6, m) + 1))
-        problem = SelectionProblem.build(P("Z" + "I" * (n - 1)), candidates, budget)
+        problem = SelectionProblem(P("Z" + "I" * (n - 1)), candidates, budget)
         got = solve_exact(problem)
         best = max(
             problem.subset_score(subset)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from gensel.experiments import (
     trial_models,
 )
 from gensel.optimizer import SpsaConfig
-from gensel.pauli import PauliString
+from gensel.pauli import PauliString, mask_arrays
 from gensel.selection import build_pool, score_matrix
 from gensel.simulator import compile_circuit
 
@@ -52,6 +53,24 @@ class TestSelect:
         assert row["n_commute_obs"] == "0"
         assert row["n_commute_pairs"] == "0"
         assert all(row[f"generator_{i}"] for i in range(1, 6))
+
+    def test_exact_seven_qubits_builds_no_table(self, tmp_path):
+        """The n = 7 pool's 8192 x 8192 uint8 table alone would be 64 MiB."""
+        out = tmp_path / "select.csv"
+        tracemalloc.start()
+        try:
+            code = _run(
+                ["select", "--n", 7, "--depth", 14, "--method", "exact",
+                 "--seed", 0, "--out", out]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        (row,) = _read_csv(out)
+        assert row["score"] == "91"
+        assert row["n_commute_pairs"] == "0"
+        assert peak < 16 * 2**20
 
     def test_malformed_observable_fails(self, tmp_path, capsys):
         code = _run(
@@ -301,16 +320,16 @@ class TestExpressibility:
 
 
     def test_one_table_per_run(self, small_setup, tmp_path, monkeypatch):
-        """Two pool-based methods x 20 trials read one table of the pool."""
+        """Two pool-based methods x 20 trials read one set of the pool's masks."""
         from gensel import selection
 
         sizes = []
 
         def counted(candidates):
             sizes.append(len(candidates))
-            return score_matrix(candidates)
+            return mask_arrays(candidates)
 
-        monkeypatch.setattr(selection, "score_matrix", counted)
+        monkeypatch.setattr(selection, "mask_arrays", counted)
         cfg, _ = small_setup
         assert _run(
             ["expressibility", "--config", cfg, "--method", "exact", "--method",

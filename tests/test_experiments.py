@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gensel import selection
+from gensel import experiments, selection
 from gensel.experiments import (
     DatasetSpec,
     ExpressibilityConfig,
@@ -26,12 +26,11 @@ from gensel.experiments import (
     two_sample_t_test,
 )
 from gensel.optimizer import SpsaConfig, rmse_cost
-from gensel.pauli import PauliString
+from gensel.pauli import PauliString, mask_arrays
 from gensel.selection import (
     SelectionProblem,
     build_pool,
     evaluate_selection,
-    score_matrix,
     solve_exact,
     solve_genetic,
     solve_greedy,
@@ -205,7 +204,7 @@ def _per_trial_selection(method, observable, budget, seed, subsample):
     """The reference: a fresh pool in the seed's order, with its own table."""
     pool = build_pool(observable, subsample_size=subsample, seed=seed)
     order = np.random.default_rng(seed).permutation(len(pool))
-    problem = SelectionProblem.build(observable, [pool[i] for i in order], budget)
+    problem = SelectionProblem(observable, [pool[i] for i in order], budget)
     if method == "exact":
         return solve_exact(problem)
     if method == "greedy":
@@ -242,7 +241,7 @@ class TestRunScopedPool:
     @staticmethod
     def _check(method, label, budget, subsample, seeds):
         o = P(label)
-        problem = SelectionProblem.build(o, build_pool(o), budget)
+        problem = SelectionProblem(o, build_pool(o), budget)
         for seed in seeds:
             want = _per_trial_selection(method, o, budget, seed, subsample)
             for given in (problem, None):
@@ -263,24 +262,25 @@ class TestRunScopedPool:
 
     def test_budget_past_the_subsample_rejected(self):
         o = P("ZII")
-        problem = SelectionProblem.build(o, build_pool(o), 6)
+        problem = SelectionProblem(o, build_pool(o), 6)
         with pytest.raises(ValueError, match="budget 6 infeasible for pool of 5"):
             select_for_method("exact", o, 6, 0, pool_subsample=5, problem=problem)
 
     def test_problem_for_another_budget_rejected(self):
         o = P("ZII")
-        problem = SelectionProblem.build(o, build_pool(o), 4)
+        problem = SelectionProblem(o, build_pool(o), 4)
         with pytest.raises(ValueError, match="another observable or budget"):
             select_for_method("exact", o, 3, 0, problem=problem)
 
     def test_one_table_per_run(self, monkeypatch):
+        """One pool's masks serve every trial of the run."""
         sizes = []
 
         def counted(candidates):
             sizes.append(len(candidates))
-            return score_matrix(candidates)
+            return mask_arrays(candidates)
 
-        monkeypatch.setattr(selection, "score_matrix", counted)
+        monkeypatch.setattr(selection, "mask_arrays", counted)
         dataset, _ = generate_dataset(SMALL_SPEC)
         cells = [(m, t) for m in ("exact", "greedy") for t in range(20)]
         records = train_cells(cells, 7, dataset, SMALL_SPEC, SpsaConfig(epochs=1))
@@ -292,15 +292,13 @@ class TestRunScopedPool:
 
     def test_no_pool_for_baselines_only(self, monkeypatch):
         built = []
-        monkeypatch.setattr(
-            selection.SelectionProblem, "build", lambda *a: built.append(a)
-        )
+        monkeypatch.setattr(experiments, "build_pool", lambda *a: built.append(a))
         picked = trial_models([("random", 0), ("pair_only", 1)], 3, SMALL_SPEC)
         assert len(picked) == 2 and built == []
 
     def test_exact_trial_makes_no_table_copy(self):
         o = P("ZIIII")
-        problem = SelectionProblem.build(o, build_pool(o), 5)  # 512 x 512 uint8
+        problem = SelectionProblem(o, build_pool(o), 5)  # a 512-string pool
         select_for_method("exact", o, 5, 0, problem=problem)
         tracemalloc.start()
         try:
@@ -309,7 +307,7 @@ class TestRunScopedPool:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < problem.coefficients.nbytes // 8
+        assert peak < 512**2 // 8  # an eighth of the pool's uint8 table
 
 
 class TestSummarize:

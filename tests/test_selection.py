@@ -171,52 +171,51 @@ class TestScoreMatrix:
 
 
 def test_adjacency_rows_match_bit_loop(rng):
-    """Every row, packed on demand, in pool order, permuted and subsampled."""
-    for m in (1, 7, 8, 9, 512):
-        upper = np.triu(rng.integers(0, 2, size=(m, m)), 1)
-        coefficients = (upper + upper.T).astype(np.uint8)
+    """Every row, packed on demand from random distinct strings' masks, in
+    pool order, permuted and subsampled, against the bits of score_matrix."""
+    for n, m in ((1, 1), (2, 7), (2, 8), (3, 9), (6, 512)):
+        idx = rng.choice(4**n, size=m, replace=False)
+        cands = [pauli.pauli_string_at(n, int(i)) for i in idx]
+        x, z = pauli.mask_arrays(cands)
         keep = np.sort(rng.choice(m, size=(m + 1) // 2, replace=False))
         for order in (np.arange(m), rng.permutation(m), rng.permutation(keep)):
-            table = coefficients[order][:, order]
+            table = score_matrix([cands[i] for i in order])
             expected = [sum(1 << int(k) for k in np.flatnonzero(row)) for row in table]
-            rows = _AdjacencyRows(coefficients, order)
+            rows = _AdjacencyRows(x[order], z[order])
             assert [rows[v] for v in reversed(range(len(order)))] == expected[::-1]
             assert len(rows) == len(order)
 
 
 class TestSelectionProblem:
-    def test_build_keeps_the_score_matrix_without_copying(self, monkeypatch):
-        from gensel import selection
-
-        tables = []
-
-        def recorded(candidates):
-            tables.append(score_matrix(candidates))
-            return tables[-1]
-
-        monkeypatch.setattr(selection, "score_matrix", recorded)
+    def test_holds_the_candidates_masks(self):
         o = P("ZIII")
-        problem = SelectionProblem.build(o, build_pool(o), 4)
-        assert problem.coefficients is tables[0]
-
-    @pytest.mark.parametrize("block", [None, 3])
-    def test_asymmetric_table_rejected(self, monkeypatch, block):
-        if block is not None:  # rows compared a few at a time
-            monkeypatch.setattr(pauli, "BLOCK_SIZE", block * 8)
-        o = P("ZI")
         pool = build_pool(o)
-        c = score_matrix(pool)
-        c[7, 6] ^= 1  # both rows in the last block
-        with pytest.raises(ValueError, match="symmetric with zero diagonal"):
-            SelectionProblem(o, pool, 2, c)
+        problem = SelectionProblem(o, pool, 4)
+        x, z = pauli.mask_arrays(pool)
+        assert problem.x.dtype == problem.z.dtype == np.uint64
+        assert problem.x.tobytes() == x.tobytes()
+        assert problem.z.tobytes() == z.tobytes()
+        assert not hasattr(problem, "coefficients")
+        assert not hasattr(SelectionProblem, "build")
 
-    def test_nonzero_diagonal_rejected(self):
-        o = P("ZI")
-        pool = build_pool(o)
-        c = score_matrix(pool)
-        c[5, 5] = 1
-        with pytest.raises(ValueError, match="symmetric with zero diagonal"):
-            SelectionProblem(o, pool, 2, c)
+    def test_duplicate_candidates_rejected(self):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            SelectionProblem(P("Z"), [P("X"), P("Y"), P("X")], 2)
+
+    def test_mixed_widths_rejected(self):
+        with pytest.raises(ValueError, match="same number of qubits"):
+            SelectionProblem(P("ZI"), [P("XI"), P("Y")], 2)
+
+    @pytest.mark.parametrize("budget", [0, 3])
+    def test_budget_out_of_range_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"budget {budget} infeasible for pool of 2"):
+            SelectionProblem(P("Z"), [P("X"), P("Y")], budget)
+
+    def test_wide_candidates_rejected(self, rng):
+        n = 70  # past the 63 qubits that fit a uint64 mask
+        cands = list({P(random_label(rng, n)) for _ in range(4)})
+        with pytest.raises(ValueError, match="70 qubits do not fit 63-qubit masks"):
+            SelectionProblem(P("Z" + "I" * (n - 1)), cands, 2)
 
 
 def _exhaustive_best(problem: SelectionProblem):
@@ -240,13 +239,13 @@ def _random_problem(rng, max_candidates=15):
             candidates.append(p)
     budget = int(rng.integers(2, min(6, m) + 1))
     observable = P("Z" + "I" * (n - 1))
-    return SelectionProblem.build(observable, candidates, budget)
+    return SelectionProblem(observable, candidates, budget)
 
 
 class TestSolveExact:
     def test_full_pool_clique_at_n5(self):
         o = P("ZIIII")
-        problem = SelectionProblem.build(o, build_pool(o), 5)
+        problem = SelectionProblem(o, build_pool(o), 5)
         start = time.perf_counter()
         result = solve_exact(problem)
         elapsed = time.perf_counter() - start
@@ -258,20 +257,20 @@ class TestSolveExact:
         assert evaluate_selection(result.chosen, o) == (0, 0)
 
     def test_minimal_case(self):
-        problem = SelectionProblem.build(P("Z"), [P("X"), P("Y")], 2)
+        problem = SelectionProblem(P("Z"), [P("X"), P("Y")], 2)
         result = solve_exact(problem)
         assert {p.label for p in result.chosen} == {"X", "Y"}
         assert result.score == 1
 
     def test_all_commuting_pool(self):
         candidates = [P("ZI"), P("IZ"), P("ZZ")]
-        problem = SelectionProblem.build(P("XX"), candidates, 2)
+        problem = SelectionProblem(P("XX"), candidates, 2)
         result = solve_exact(problem)
         assert result.score == 0
         assert result.optimal_flag
 
     def test_budget_below_two_rejected(self):
-        problem = SelectionProblem.build(P("Z"), [P("X"), P("Y")], 1)
+        problem = SelectionProblem(P("Z"), [P("X"), P("Y")], 1)
         with pytest.raises(ValueError, match="at least 2"):
             solve_exact(problem)
 
@@ -279,12 +278,12 @@ class TestSolveExact:
     def _past_the_clique_bound(rng):
         """Problems with L > 2n, where no L-clique exists."""
         for budget in range(3, 7):  # the full n = 2 pool of 8
-            yield SelectionProblem.build(P("ZI"), build_pool(P("ZI")), budget)
+            yield SelectionProblem(P("ZI"), build_pool(P("ZI")), budget)
         o = P("ZII")
         for budget in (7, 8):  # n = 3 pools of 14 to 16 of the 32
             for m in (14, 15, 16):
                 pool = build_pool(o, subsample_size=m, seed=int(rng.integers(99)))
-                yield SelectionProblem.build(o, pool, budget)
+                yield SelectionProblem(o, pool, budget)
 
     def test_matches_exhaustive_enumeration(self, rng):
         problems = [_random_problem(rng) for _ in range(30)]
@@ -302,8 +301,47 @@ class TestSolveExact:
 
     def test_deterministic(self):
         o = P("ZIIII")
-        problem = SelectionProblem.build(o, build_pool(o), 5)
+        problem = SelectionProblem(o, build_pool(o), 5)
         assert solve_exact(problem).chosen == solve_exact(problem).chosen
+
+    @pytest.mark.parametrize(
+        "n, budget, subsample",
+        [
+            (1, 2, None),
+            (2, 3, None),
+            (2, 5, None),
+            (3, 6, None),
+            (3, 8, None),
+            (4, 8, None),
+            (4, 9, 20),  # past 2n the full pool's branch-and-bound is too slow
+            (5, 5, None),
+            (5, 10, None),
+            (5, 11, 20),
+            (6, 7, None),
+            (6, 12, None),
+            (6, 13, 20),
+        ],
+    )
+    def test_matches_search_on_rows_of_the_pool_table(self, n, budget, subsample):
+        """Rows packed from the masks pick what rows packed from the pool's
+        table, in each seed's order, pick."""
+        o = P("Z" + "I" * (n - 1))
+        pool = build_pool(o)
+        problem = SelectionProblem(o, pool, budget)
+        table = score_matrix(pool)
+        pairs = budget * (budget - 1) // 2
+        for seed in range(3):
+            order = seeded_order(len(pool), seed, subsample)
+            rows = {
+                v: int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                for v, row in enumerate(table[order][:, order])
+            }
+            m = len(order)
+            search = selection._search
+            picks, commuting = search(rows, m, budget, 0) or search(rows, m, budget, pairs)
+            result = solve_exact(problem, order=order)
+            assert result.chosen == tuple(pool[i] for i in order[picks])
+            assert result.score == pairs - commuting
 
     def test_search_depth_is_the_budget_not_the_pool(self):
         """1,100 mutually commuting candidates, more than Python's recursion
@@ -313,7 +351,7 @@ class TestSolveExact:
             P("".join("Z" if k >> q & 1 else "I" for q in range(n)))
             for k in range(1, 1101)
         ]
-        problem = SelectionProblem.build(P("X" + "I" * (n - 1)), candidates, 2)
+        problem = SelectionProblem(P("X" + "I" * (n - 1)), candidates, 2)
         result = solve_exact(problem)
         assert result.score == 0
         assert result.optimal_flag
@@ -323,7 +361,7 @@ class TestSolveExact:
 class TestSolveGreedy:
     def test_reaches_clique_on_full_pool(self):
         o = P("ZIIII")
-        problem = SelectionProblem.build(o, build_pool(o), 5)
+        problem = SelectionProblem(o, build_pool(o), 5)
         result = solve_greedy(problem)
         assert result.score == 10
         assert result.optimal_flag
@@ -334,15 +372,17 @@ class TestSolveGreedy:
             assert solve_greedy(problem).score <= solve_exact(problem).score
 
     def test_peak_memory_stays_below_twice_the_table(self):
+        """Greedy's permuted table, filled a row at a time, is all it holds."""
         o = P("ZIIII")
-        problem = SelectionProblem.build(o, build_pool(o), 5)  # 512 x 512 uint8
+        problem = SelectionProblem(o, build_pool(o), 5)  # a 512-string pool
+        order = seeded_order(len(problem.candidates), 0)
         tracemalloc.start()
         try:
-            solve_greedy(problem)
+            solve_greedy(problem, order=order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * problem.coefficients.nbytes
+        assert peak < 300_000  # the 512 x 512 uint8 table is 262,144 bytes
 
 
 class TestSolveGenetic:
@@ -357,19 +397,27 @@ class TestSolveGenetic:
 
     def test_zero_generations_uses_initial_population(self):
         o = P("ZIIII")
-        problem = SelectionProblem.build(o, build_pool(o, subsample_size=64, seed=0), 5)
+        problem = SelectionProblem(o, build_pool(o, subsample_size=64, seed=0), 5)
         result = solve_genetic(problem, population=16, generations=0, seed=1)
         assert 0 <= result.score <= 10
 
     def test_deterministic_per_seed(self):
         o = P("ZIIII")
-        problem = SelectionProblem.build(o, build_pool(o, subsample_size=64, seed=0), 5)
+        problem = SelectionProblem(o, build_pool(o, subsample_size=64, seed=0), 5)
         a = solve_genetic(problem, seed=9)
         b = solve_genetic(problem, seed=9)
         assert a.chosen == b.chosen and a.score == b.score
 
+    def test_mutation_picks_the_rth_unchosen_index(self, rng):
+        for _ in range(200):
+            m = int(rng.integers(2, 40))
+            child = sorted(rng.choice(m, size=int(rng.integers(1, m)), replace=False).tolist())
+            unchosen = [v for v in range(m) if v not in child]
+            for r in range(len(unchosen)):
+                assert selection._nth_unchosen(child, r) == unchosen[r]
+
     def test_degenerate_population_rejected(self):
-        problem = SelectionProblem.build(P("Z"), [P("X"), P("Y")], 2)
+        problem = SelectionProblem(P("Z"), [P("X"), P("Y")], 2)
         with pytest.raises(ValueError, match="population"):
             solve_genetic(problem, population=1)
 

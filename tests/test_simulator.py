@@ -264,7 +264,7 @@ class TestCompiledEvaluator:
             observable = P(label)
             pool = build_pool(observable)
             for depth in depths:
-                result = solve_exact(SelectionProblem.build(observable, pool, depth))
+                result = solve_exact(SelectionProblem(observable, pool, depth))
                 assert result.score == depth * (depth - 1) // 2
                 model = CircuitModel(observable.n, result.chosen, observable)
                 assert len(_heisenberg_terms(model)) == depth + 1
