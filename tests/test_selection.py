@@ -198,6 +198,28 @@ class TestSelectionProblem:
         assert not hasattr(problem, "coefficients")
         assert not hasattr(SelectionProblem, "build")
 
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_asymmetric_table_rejected(self, monkeypatch, block):
+        """No coefficient table is taken, so an asymmetric one cannot reach a
+        solver: the constructor refuses it, and what the solvers read from the
+        masks (the table, block-wise, and the rows solve_exact packs) is
+        symmetric with zero diagonal."""
+        if block is not None:  # rows computed a few at a time
+            monkeypatch.setattr(pauli, "BLOCK_SIZE", block * 8)
+        o = P("ZI")
+        pool = build_pool(o)
+        c = score_matrix(pool)
+        assert (c == c.T).all() and not c.diagonal().any()
+        c[7, 6] ^= 1  # both rows in the last block
+        with pytest.raises(TypeError, match="positional argument"):
+            SelectionProblem(o, pool, 2, c)
+        problem = SelectionProblem(o, pool, 2)
+        rows = _AdjacencyRows(problem.x, problem.z)
+        m = len(pool)
+        bits = np.array([[rows[v] >> k & 1 for k in range(m)] for v in range(m)])
+        assert (bits == bits.T).all() and not bits.diagonal().any()
+        assert (bits == score_matrix(pool)).all()
+
     def test_duplicate_candidates_rejected(self):
         with pytest.raises(ValueError, match="pairwise distinct"):
             SelectionProblem(P("Z"), [P("X"), P("Y"), P("X")], 2)
