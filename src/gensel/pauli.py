@@ -27,6 +27,7 @@ __all__ = [
     "PauliString",
     "ScaledPauli",
     "anticommutation_table",
+    "anticommuting_counts",
     "canonical_index",
     "canonical_masks",
     "commutes",
@@ -239,6 +240,28 @@ def anticommutation_table(ax, az, bx, bz) -> np.ndarray:
     for rows in row_blocks(len(ax), len(bx)):
         out[rows] = symplectic_parity(ax[rows, None], az[rows, None], bx, bz)
     return out
+
+
+def anticommuting_counts(x, z, n: int) -> np.ndarray:
+    """int64 N with N[(qx << n) | qz] the number of strings of the basis
+    with masks (x, z) that anticommute with the n-qubit string P(qx, qz).
+
+    Equal to ``anticommutation_table(qx, qz, x, z).sum(axis=1)`` for every
+    Q, the identity included, from one unnormalised Walsh-Hadamard
+    transform of the basis indicator on the 2n-bit indices (z << n) | x:
+    at (qx << n) | qz it is F(Q) = sum over the basis of (-1)^<k, Q>, so
+    N(Q) = (len(x) - F(Q)) / 2.  2n passes over one array of 4^n words.
+    """
+    f = np.bincount(((z << n) | x).astype(np.intp), minlength=1 << 2 * n)
+    for h in range(2 * n):
+        pairs = f.reshape(-1, 2, 1 << h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi  # (lo, hi) -> (lo + hi, lo - hi), in place
+        hi *= -2
+        hi += lo
+    np.subtract(len(x), f, out=f)
+    f //= 2
+    return f
 
 
 def multiply_masks(ax, az, bx, bz):

@@ -17,13 +17,17 @@ zero or a single scaled Pauli string, and distinct Pauli strings are
 Frobenius-orthogonal, so each term reduces to exact bit-mask arithmetic.
 The basis is held only as cached uint64 (x, z) mask arrays (a string is
 built from its canonical index on demand, to name a term or an error), and
-the sums are NumPy sweeps over them: the commutation of every (j, k) pair
-(every (j, m) pair for the Casimir constant) is still evaluated, a block of
-rows at a time, by popcount parity in ``pauli.anticommutation_table``, and
-the products P_j P_m with their i^e phases by ``pauli.multiply_masks``.
-The anticommuting pairs are counted per term of O, exactly, and weighted
-by the squared coefficients only at the end.  Nothing is counted in closed
-form: c is measured, not taken to be 2d.
+the sums are NumPy sweeps over them.  The (term, j) pairs that anticommute
+come from ``pauli.anticommutation_table`` by popcount parity; for each
+product Q = P_j O_t, the number of basis strings anticommuting with Q comes
+from ``pauli.anticommuting_counts``, one Walsh-Hadamard transform of the
+basis indicator for all 4^n strings Q, so a double sum costs
+O((terms + n) 4^n).  The Casimir constant still evaluates every (j, m)
+pair, with the products P_j P_m and their i^e phases from
+``pauli.multiply_masks``; at O(16^n) it dominates a cold run.  The counts
+are integers per term of O, weighted by the squared coefficients only at
+the end.  Nothing is counted in closed form: the counts are transformed
+from the basis masks themselves, and c is measured, not taken to be 2d.
 
 No 2^n-dimensional matrix is ever formed on this path; the only dense code
 here is ``g_purity``, which projects an observable matrix onto the span of
@@ -41,6 +45,7 @@ import numpy as np
 from .pauli import (
     PauliString,
     anticommutation_table,
+    anticommuting_counts,
     canonical_index,
     canonical_masks,
     multiply_masks,
@@ -61,9 +66,6 @@ __all__ = [
     "random_observable",
 ]
 
-
-# i^k for k = 0..3, indexed by the phase exponents of ``multiply_masks``.
-_I_POWERS = np.array([1, 1j, -1, -1j])
 
 # Words held per (m, j) pair by the arrays of one block of casimir_constant,
 # so that the block's arrays together stay near pauli.BLOCK_SIZE words.
@@ -188,31 +190,33 @@ def casimir_constant(n: int) -> float:
         m, j = np.nonzero(anticommutation_table(mx, mz, bx, bz))
         jx, jz = bx[j], bz[j]
         qx, qz, e1 = multiply_masks(jx, jz, mx[m], mz[m])
-        # Of those, the pairs with [P_j, Q] = 2 i^e2 R nonzero.
+        # Of those, the pairs with [P_j, Q] = 2 i^e2 R nonzero: all of them,
+        # unless a product went wrong, so the copies are made only then.
         outer = symplectic_parity(jx, jz, qx, qz) == 1
-        m, e1 = m[outer], e1[outer]
-        rx, rz, e2 = multiply_masks(jx[outer], jz[outer], qx[outer], qz[outer])
-        phase = _I_POWERS[(e1 + e2) & 3]
-        alpha = 4.0 * (
-            np.bincount(m, weights=phase.real, minlength=len(mx))
-            + 1j * np.bincount(m, weights=phase.imag, minlength=len(mx))
-        )
-        unmapped = np.abs(alpha) <= 1e-12
+        if not outer.all():
+            m, e1, jx, jz, qx, qz = (a[outer] for a in (m, e1, jx, jz, qx, qz))
+        rx, rz, e2 = multiply_masks(jx, jz, qx, qz)
+        # How often each m picks up each phase i^e, e = (e1 + e2) mod 4.
+        per_phase = np.bincount(4 * m + ((e1 + e2) & 3), minlength=4 * len(mx))
+        per_phase = per_phase.reshape(-1, 4)
+        re = 4 * (per_phase[:, 0] - per_phase[:, 2])
+        im = 4 * (per_phase[:, 1] - per_phase[:, 3])
+        unmapped = (re == 0) & (im == 0)
         unmapped[m[(rx != mx[m]) | (rz != mz[m])]] = True
         if unmapped.any():
             p_m = pauli_string_at(n, block.start + int(np.argmax(unmapped)) + 1)
             raise TheoryVerificationError(
                 f"sum_j ad^2(G_j) did not map {p_m} onto itself"
             )
-        nonreal = np.abs(alpha.imag) > 1e-9 * np.abs(alpha.real)
+        nonreal = im != 0
         if nonreal.any():
             i = int(np.argmax(nonreal))
             raise TheoryVerificationError(
-                f"non-real proportionality constant {alpha[i]} "
+                f"non-real proportionality constant {complex(re[i], im[i])} "
                 f"for {pauli_string_at(n, block.start + i + 1)}"
             )
         # [G_j, [G_j, G_m]] carries 1/d relative to [P_j, [P_j, P_m]].
-        constants[block] = alpha.real / d
+        constants[block] = re / d
     c = float(constants[0])
     if c <= 0:
         raise TheoryVerificationError(f"non-positive Casimir constant {c}")
@@ -242,27 +246,31 @@ def verify_theorem1(o: ObservableInAlgebra) -> Theorem1Result:
 def _double_commutator_sums(o: ObservableInAlgebra) -> tuple[float, float]:
     """(total, diagonal) of sum over (j, k) of ||[G_k, [G_j, O]]||^2.
 
-    For a block of j the terms of [P_j, O] are the products Q = P_j O_t of
-    the terms O_t that anticommute with P_j, with weight 4 w_t^2; distinct t
-    give distinct Q.  The outer commutator with P_k kills the Q that commute
-    with it and doubles the rest, so ||[G_k, [G_j, O]]||^2 =
-    (4/d^2) sum_{Q anti P_k} 4 w_t^2, and every k is swept at once.  The
-    anticommuting (j, k) pairs are counted per term t, exactly, and weighted
-    only at the end.
+    The terms of [P_j, O] are the products Q = P_j O_t of the terms O_t that
+    anticommute with P_j, with weight 4 w_t^2; distinct t give distinct Q.
+    The outer commutator with P_k kills the Q that commute with it and
+    doubles the rest, so ||[G_k, [G_j, O]]||^2 = (4/d^2) sum_{Q anti P_k}
+    4 w_t^2.  Summed over k, each Q contributes the number of basis strings
+    it anticommutes with, read from ``pauli.anticommuting_counts``; the
+    diagonal k = j is one parity per (t, j) pair.  Both are integer counts
+    per term t, weighted only at the end.
     """
     bx, bz = _basis_masks(o.n)
     tx, tz, w2 = _term_masks(o)
+    counts = anticommuting_counts(bx, bz, o.n)
     inner = anticommutation_table(tx, tz, bx, bz)
     total = np.zeros(len(w2), dtype=np.int64)
     diag = np.zeros(len(w2), dtype=np.int64)
-    # A block of j yields at most len(block) * len(w2) rows of len(bx).
-    for block in row_blocks(len(bx), len(bx) * len(w2)):
-        t, j = np.nonzero(inner[:, block])
-        j += block.start
-        qx, qz = bx[j] ^ tx[t], bz[j] ^ tz[t]
-        outer = anticommutation_table(qx, qz, bx, bz)
-        np.add.at(total, t, outer.sum(axis=1, dtype=np.int64))
-        np.add.at(diag, t, outer[np.arange(len(j)), j])
+    # A block of t yields at most len(block) * len(bx) (t, j) pairs.
+    for block in row_blocks(len(w2), len(bx)):
+        t, j = np.divmod(np.flatnonzero(inner[block]), len(bx))
+        t += block.start
+        jx, jz = bx[j], bz[j]
+        qx, qz = jx ^ tx[t], jz ^ tz[t]
+        np.add.at(total, t, counts[(qx << o.n) | qz])
+        diag += np.bincount(
+            t[symplectic_parity(qx, qz, jx, jz) == 1], minlength=len(w2)
+        )
     scale = 16.0 / 4.0**o.n
     return scale * float(np.sum(w2 * total)), scale * float(np.sum(w2 * diag))
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: flags, CSV shapes, errors, reproducibility."""
 
 import csv
+import hashlib
 import itertools
 import os
 import re
@@ -361,6 +362,22 @@ class TestVerifyTheory:
         assert len(rows) == 1
         assert float(rows[0]["thm1_lhs"]) == pytest.approx(8.0)
         assert float(rows[0]["lemma1_lhs"]) == pytest.approx(64.0)
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--n", 5, "--trials", 3, "--seed", 0],
+             "ad6726936f86d2e5a28261067c3f6370f5b3336edf0236c009fe2fe9812c6681"),
+            (["--n", 4, "--trials", 3, "--observable", "XYZI", "--seed", 1],
+             "49146ae02ed9028da62457d28d9aa1ab0c11fcec124602649094b927b19e32d4"),
+        ],
+        ids=["n5", "n4-observable"],
+    )
+    def test_report_bytes_are_pinned(self, tmp_path, argv, digest):
+        """The report bytes of the pairwise sweep, kept by the counted sums."""
+        out = tmp_path / "theory.csv"
+        assert _run(["verify-theory", *argv, "--report", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_double_sums_computed_once_per_observable(self, tmp_path, monkeypatch):
         from gensel import theory

@@ -9,6 +9,7 @@ from gensel import pauli
 from gensel.pauli import (
     PauliString,
     anticommutation_table,
+    anticommuting_counts,
     canonical_index,
     canonical_masks,
     commutator,
@@ -178,6 +179,21 @@ class TestMaskKernels:
         got = anticommutation_table(*mask_arrays(a), *mask_arrays(b))
         assert np.array_equal(got, expected)
         assert got.tolist() == [[int(not commutes(p, q)) for q in b] for p in a]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("subset", [False, True], ids=["full", "subset"])
+    def test_counts_match_table_row_sums(self, rng, n, subset):
+        """The transform counts, at every 2n-bit Q, are the table's row sums."""
+        bx, bz = canonical_masks(n)
+        if subset:
+            keep = np.sort(rng.choice(len(bx), size=len(bx) // 2 + 1, replace=False))
+            bx, bz = bx[keep], bz[keep]
+        index = np.arange(4**n, dtype=np.uint64)
+        qx, qz = index >> np.uint64(n), index & np.uint64(2**n - 1)
+        counts = anticommuting_counts(bx, bz, n)
+        assert counts.dtype == np.int64
+        expected = anticommutation_table(qx, qz, bx, bz).sum(axis=1)
+        assert counts.tolist() == expected.tolist()
 
     def test_parity_broadcasts_elementwise(self, rng):
         a = [P(random_label(rng, 5)) for _ in range(50)]

@@ -86,6 +86,28 @@ def _reference_sums(o: ObservableInAlgebra):
     return thm1, total, diag
 
 
+def _pairwise_double_sums(o: ObservableInAlgebra):
+    """(total, diagonal) of the double sum by the blocked pairwise sweep.
+
+    The sweep that ``pauli.anticommuting_counts`` replaced: for every
+    product Q = P_j O_t, a row of ``anticommutation_table(Q, basis)``.
+    """
+    bx, bz = theory._basis_masks(o.n)
+    tx, tz, w2 = theory._term_masks(o)
+    inner = pauli.anticommutation_table(tx, tz, bx, bz)
+    total = np.zeros(len(w2), dtype=np.int64)
+    diag = np.zeros(len(w2), dtype=np.int64)
+    for block in pauli.row_blocks(len(bx), len(bx) * len(w2)):
+        t, j = np.nonzero(inner[:, block])
+        j += block.start
+        qx, qz = bx[j] ^ tx[t], bz[j] ^ tz[t]
+        outer = pauli.anticommutation_table(qx, qz, bx, bz)
+        np.add.at(total, t, outer.sum(axis=1, dtype=np.int64))
+        np.add.at(diag, t, outer[np.arange(len(j)), j])
+    scale = 16.0 / 4.0**o.n
+    return scale * float(np.sum(w2 * total)), scale * float(np.sum(w2 * diag))
+
+
 def _reference_casimir(n: int) -> float:
     """sum_j [P_j, [P_j, P_m]] accumulated string by string for every m."""
     basis = list(pauli_strings(n))
@@ -123,6 +145,34 @@ class TestVectorisedSums:
             o = random_observable(n, rng, max_terms=max_terms)
             for got, want in zip(self._sums(o), _dense_sums(o)):
                 assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n, max_terms", [(3, None), (4, 8), (5, 8)])
+    def test_double_sums_equal_pairwise_sweep(self, rng, n, max_terms):
+        for _ in range(3):
+            o = random_observable(n, rng, max_terms=max_terms)
+            assert _double_commutator_sums(o) == _pairwise_double_sums(o)
+
+    @pytest.mark.parametrize("short", ["basis", "count"])
+    def test_sums_on_a_short_basis_raise(self, monkeypatch, short):
+        """With c from the full basis, a basis one string short must fail.
+
+        ``basis``: every sum reads the basis without its last string;
+        ``count``: only the outer count does, so a count that assumed the
+        full basis instead of reading it would pass.
+        """
+        o = ObservableInAlgebra.single(P("XIZ"))
+        casimir_constant(3)  # cached from the full basis
+        verify_lemma2_and_theorem2(o)
+        if short == "basis":
+            bx, bz = theory._basis_masks(3)
+            monkeypatch.setattr(theory, "_basis_masks", lambda n: (bx[:-1], bz[:-1]))
+        else:
+            real = theory.anticommuting_counts
+            monkeypatch.setattr(
+                theory, "anticommuting_counts", lambda x, z, n: real(x[:-1], z[:-1], n)
+            )
+        with pytest.raises(TheoryVerificationError, match="double sum"):
+            verify_lemma2_and_theorem2(o)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_casimir_matches_per_pair_reference(self, n):
@@ -167,6 +217,25 @@ class TestVectorisedSums:
 
         monkeypatch.setattr(theory, "multiply_masks", corrupted)
         with pytest.raises(TheoryVerificationError, match=message):
+            theory.casimir_constant.__wrapped__(2)
+
+    def test_commuting_product_raises(self, monkeypatch):
+        """A first product Q that commutes with P_j drops out of the outer sum."""
+        real = theory.multiply_masks
+        calls = []
+
+        def corrupted(*masks):
+            x, z, e = real(*masks)
+            if not calls:
+                # P_j is X on qubit 1, so flipping Q's z there flips <P_j, Q>.
+                assert (int(masks[0][0]), int(masks[1][0])) == (2, 0)
+                z = z.copy()
+                z[0] ^= np.uint64(2)
+            calls.append(1)
+            return x, z, e
+
+        monkeypatch.setattr(theory, "multiply_masks", corrupted)
+        with pytest.raises(TheoryVerificationError, match="varies"):
             theory.casimir_constant.__wrapped__(2)
 
 
