@@ -17,17 +17,18 @@ zero or a single scaled Pauli string, and distinct Pauli strings are
 Frobenius-orthogonal, so each term reduces to exact bit-mask arithmetic.
 The basis is held only as cached uint64 (x, z) mask arrays (a string is
 built from its canonical index on demand, to name a term or an error), and
-the sums are NumPy sweeps over them.  The (term, j) pairs that anticommute
-come from ``pauli.anticommutation_table`` by popcount parity; for each
-product Q = P_j O_t, the number of basis strings anticommuting with Q comes
-from ``pauli.anticommuting_counts``, one Walsh-Hadamard transform of the
-basis indicator for all 4^n strings Q, so a double sum costs
-O((terms + n) 4^n).  The Casimir constant still evaluates every (j, m)
-pair, with the products P_j P_m and their i^e phases from
-``pauli.multiply_masks``; at O(16^n) it dominates a cold run.  The counts
-are integers per term of O, weighted by the squared coefficients only at
-the end.  Nothing is counted in closed form: the counts are transformed
-from the basis masks themselves, and c is measured, not taken to be 2d.
+the sums are NumPy sweeps over them.  One count serves every sum: for each
+string Q, ``pauli.anticommuting_counts`` gives the number of basis strings
+anticommuting with Q, from one Walsh-Hadamard transform of the basis
+indicator.  Read at P_m it gives c, since [P_j, [P_j, P_m]] is 4 P_m when
+P_j anticommutes with P_m and 0 otherwise; read at O_t, the diagonal of
+the double sum; read at each product Q = P_j O_t, its outer sum over k.
+The (term, j) pairs come from ``pauli.anticommutation_table`` by popcount
+parity, one block of terms at a time, so a double sum costs
+O((terms + n) 4^n) time and a few blocks of memory.  The counts are
+integers per term of O, weighted by the squared coefficients only at the
+end.  Nothing is counted in closed form: the counts are transformed from
+the basis masks themselves, and c is measured from the basis counts.
 
 No 2^n-dimensional matrix is ever formed on this path; the only dense code
 here is ``g_purity``, which projects an observable matrix onto the span of
@@ -48,10 +49,8 @@ from .pauli import (
     anticommuting_counts,
     canonical_index,
     canonical_masks,
-    multiply_masks,
     pauli_string_at,
     row_blocks,
-    symplectic_parity,
 )
 
 __all__ = [
@@ -67,9 +66,10 @@ __all__ = [
 ]
 
 
-# Words held per (m, j) pair by the arrays of one block of casimir_constant,
-# so that the block's arrays together stay near pauli.BLOCK_SIZE words.
-_WORDS_PER_PAIR = 16
+# Largest qubit count the basis is built for.  The basis, its count array
+# and each block's pairs grow as 4^n words; verify-theory peaks near
+# 128 MiB at n = 10.
+_MAX_QUBITS = 10
 
 
 class TheoryVerificationError(RuntimeError):
@@ -157,6 +157,8 @@ class Lemma2Theorem2Result(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _basis_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    if n > _MAX_QUBITS:
+        raise ValueError(f"qubit count must be at most {_MAX_QUBITS}, got {n}")
     x, z = canonical_masks(n)
     x.setflags(write=False)
     z.setflags(write=False)
@@ -174,49 +176,15 @@ def _term_masks(o: ObservableInAlgebra):
 def casimir_constant(n: int) -> float:
     """Eigenvalue c of sum_j ad_{G_j}^2 on the adjoint representation.
 
-    For every basis element G_m the operator sum_j [G_j, [G_j, G_m]] is
-    accumulated symbolically and required to be exactly proportional to G_m
-    with the same constant across all m (within 1e-9); any inconsistency
-    raises TheoryVerificationError.  Both products P_j P_m and P_j (P_j P_m)
-    are formed on the masks with their i^e phases, a block of m at a time;
-    every nonzero outer commutator must land on P_m itself.
+    [P_j, [P_j, P_m]] is 4 P_m when P_j anticommutes with P_m and 0
+    otherwise, so sum_j [G_j, [G_j, G_m]] = (4 N_m / d) G_m, with N_m the
+    number of basis strings anticommuting with P_m, read from
+    ``pauli.anticommuting_counts``.  The constant must be positive and the
+    same for every m (within 1e-9); otherwise TheoryVerificationError.
     """
     bx, bz = _basis_masks(n)
-    d = 2.0**n
-    constants = np.empty(len(bx))
-    for block in row_blocks(len(bx), _WORDS_PER_PAIR * len(bx)):
-        mx, mz = bx[block], bz[block]
-        # (m, j) pairs with [P_j, P_m] = 2 i^e1 Q nonzero.
-        m, j = np.nonzero(anticommutation_table(mx, mz, bx, bz))
-        jx, jz = bx[j], bz[j]
-        qx, qz, e1 = multiply_masks(jx, jz, mx[m], mz[m])
-        # Of those, the pairs with [P_j, Q] = 2 i^e2 R nonzero: all of them,
-        # unless a product went wrong, so the copies are made only then.
-        outer = symplectic_parity(jx, jz, qx, qz) == 1
-        if not outer.all():
-            m, e1, jx, jz, qx, qz = (a[outer] for a in (m, e1, jx, jz, qx, qz))
-        rx, rz, e2 = multiply_masks(jx, jz, qx, qz)
-        # How often each m picks up each phase i^e, e = (e1 + e2) mod 4.
-        per_phase = np.bincount(4 * m + ((e1 + e2) & 3), minlength=4 * len(mx))
-        per_phase = per_phase.reshape(-1, 4)
-        re = 4 * (per_phase[:, 0] - per_phase[:, 2])
-        im = 4 * (per_phase[:, 1] - per_phase[:, 3])
-        unmapped = (re == 0) & (im == 0)
-        unmapped[m[(rx != mx[m]) | (rz != mz[m])]] = True
-        if unmapped.any():
-            p_m = pauli_string_at(n, block.start + int(np.argmax(unmapped)) + 1)
-            raise TheoryVerificationError(
-                f"sum_j ad^2(G_j) did not map {p_m} onto itself"
-            )
-        nonreal = im != 0
-        if nonreal.any():
-            i = int(np.argmax(nonreal))
-            raise TheoryVerificationError(
-                f"non-real proportionality constant {complex(re[i], im[i])} "
-                f"for {pauli_string_at(n, block.start + i + 1)}"
-            )
-        # [G_j, [G_j, G_m]] carries 1/d relative to [P_j, [P_j, P_m]].
-        constants[block] = re / d
+    counts = anticommuting_counts(bx, bz, n)
+    constants = 4 * counts[(bx << n) | bz] / 2.0**n
     c = float(constants[0])
     if c <= 0:
         raise TheoryVerificationError(f"non-positive Casimir constant {c}")
@@ -237,7 +205,10 @@ def verify_theorem1(o: ObservableInAlgebra) -> Theorem1Result:
     # [P_j, O] = sum over the terms t that anticommute with P_j of
     # 2 w_t P_j O_t, distinct strings, so by orthogonality
     # ||[G_j, O]||^2 = sum_t T[t, j] 4 w_t^2 d / d^2 with T the table below.
-    anti_counts = anticommutation_table(tx, tz, bx, bz).sum(axis=1)
+    anti_counts = np.empty(len(w2), dtype=np.int64)
+    for block in row_blocks(len(w2), len(bx)):
+        table = anticommutation_table(tx[block], tz[block], bx, bz)
+        anti_counts[block] = table.sum(axis=1)
     lhs = 4.0 * float(np.sum(w2 * anti_counts)) / d
     c = casimir_constant(o.n)
     return Theorem1Result(lhs, c * o.norm_sq(), c)
@@ -251,26 +222,23 @@ def _double_commutator_sums(o: ObservableInAlgebra) -> tuple[float, float]:
     The outer commutator with P_k kills the Q that commute with it and
     doubles the rest, so ||[G_k, [G_j, O]]||^2 = (4/d^2) sum_{Q anti P_k}
     4 w_t^2.  Summed over k, each Q contributes the number of basis strings
-    it anticommutes with, read from ``pauli.anticommuting_counts``; the
-    diagonal k = j is one parity per (t, j) pair.  Both are integer counts
-    per term t, weighted only at the end.
+    it anticommutes with, read from ``pauli.anticommuting_counts``.  On the
+    diagonal k = j every Q counts once, since P_j anticommutes with P_j O_t
+    whenever it anticommutes with O_t, so the diagonal is the count of O_t
+    itself.  Both are integer counts per term t, weighted only at the end.
     """
     bx, bz = _basis_masks(o.n)
     tx, tz, w2 = _term_masks(o)
     counts = anticommuting_counts(bx, bz, o.n)
-    inner = anticommutation_table(tx, tz, bx, bz)
     total = np.zeros(len(w2), dtype=np.int64)
-    diag = np.zeros(len(w2), dtype=np.int64)
     # A block of t yields at most len(block) * len(bx) (t, j) pairs.
     for block in row_blocks(len(w2), len(bx)):
-        t, j = np.divmod(np.flatnonzero(inner[block]), len(bx))
+        inner = anticommutation_table(tx[block], tz[block], bx, bz)
+        t, j = np.divmod(np.flatnonzero(inner), len(bx))
         t += block.start
-        jx, jz = bx[j], bz[j]
-        qx, qz = jx ^ tx[t], jz ^ tz[t]
+        qx, qz = bx[j] ^ tx[t], bz[j] ^ tz[t]
         np.add.at(total, t, counts[(qx << o.n) | qz])
-        diag += np.bincount(
-            t[symplectic_parity(qx, qz, jx, jz) == 1], minlength=len(w2)
-        )
+    diag = counts[(tx << o.n) | tz]
     scale = 16.0 / 4.0**o.n
     return scale * float(np.sum(w2 * total)), scale * float(np.sum(w2 * diag))
 

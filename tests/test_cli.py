@@ -379,6 +379,14 @@ class TestVerifyTheory:
         assert _run(["verify-theory", *argv, "--report", out]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_n8_beyond_the_pairwise_sizes(self, tmp_path):
+        out = tmp_path / "theory.csv"
+        assert _run(["verify-theory", "--n", 8, "--trials", 1, "--seed", 0,
+                     "--report", out]) == 0
+        (row,) = _read_csv(out)
+        assert float(row["c_measured"]) == 512.0
+        assert float(row["max_rel_err"]) <= 1e-9
+
     def test_double_sums_computed_once_per_observable(self, tmp_path, monkeypatch):
         from gensel import theory
 
@@ -885,6 +893,10 @@ class TestFlagBounds:
                     "budget must be at least 1, got 0",
                 )
                 for method in ("random", "grad-only", "pair-only")
+            ),
+            (
+                ["verify-theory", "--n", 11, "--trials", 1],
+                "qubit count must be at most 10, got 11",
             ),
         ],
     )

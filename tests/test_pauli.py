@@ -212,6 +212,19 @@ class TestMaskKernels:
             assert (int(xi), int(zi)) == (sp.base.x, sp.base.z)
             assert 1j ** int(ei) == pytest.approx(sp.coefficient)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_double_product_of_anticommuting_pair(self, n):
+        """P_j (P_j P_m) lands on P_m with phases i^e1 i^e2 = 1 when P_j and
+        P_m anticommute, so [P_j, [P_j, P_m]] = 2 i^e1 2 i^e2 P_m = 4 P_m."""
+        x, z = canonical_masks(n)
+        m, j = np.nonzero(anticommutation_table(x, z, x, z))
+        assert len(m) == len(x) * (len(x) + 1) // 2  # 4^n / 2 per string
+        qx, qz, e1 = multiply_masks(x[j], z[j], x[m], z[m])
+        rx, rz, e2 = multiply_masks(x[j], z[j], qx, qz)
+        assert np.array_equal(rx, x[m]) and np.array_equal(rz, z[m])
+        assert np.all(e1 % 2 == 1)  # anticommuting: P_j P_m is anti-Hermitian
+        assert np.all((e1 + e2) % 4 == 0)
+
     def test_empty_table(self):
         x, z = mask_arrays([P("XY")])
         assert anticommutation_table(x[:0], z[:0], x, z).shape == (0, 1)

@@ -1,5 +1,7 @@
 """Tests for the Casimir-identity verification, symbolic vs dense."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,50 +195,40 @@ class TestVectorisedSums:
         assert [self._sums(o) for o in observables] == expected
         assert [theory.casimir_constant.__wrapped__(n) for n in (3, 4)] == constants
 
-    @pytest.mark.parametrize(
-        "dx, de, message",
-        [
-            (0, 1, "non-real"),
-            (0, 2, "varies"),
-            (1, 0, "did not map"),
-        ],
-    )
-    def test_corrupted_product_raises(self, monkeypatch, dx, de, message):
-        """Alter the mask or the phase of the first product casimir_constant forms."""
-        real = theory.multiply_masks
-        calls = []
-
-        def corrupted(*masks):
-            x, z, e = real(*masks)
-            if not calls:
-                x, e = x.copy(), e.copy()
-                x[0] ^= np.uint64(dx)
-                e[0] = (e[0] + de) & 3
-            calls.append(1)
-            return x, z, e
-
-        monkeypatch.setattr(theory, "multiply_masks", corrupted)
-        with pytest.raises(TheoryVerificationError, match=message):
-            theory.casimir_constant.__wrapped__(2)
-
-    def test_commuting_product_raises(self, monkeypatch):
-        """A first product Q that commutes with P_j drops out of the outer sum."""
-        real = theory.multiply_masks
-        calls = []
-
-        def corrupted(*masks):
-            x, z, e = real(*masks)
-            if not calls:
-                # P_j is X on qubit 1, so flipping Q's z there flips <P_j, Q>.
-                assert (int(masks[0][0]), int(masks[1][0])) == (2, 0)
-                z = z.copy()
-                z[0] ^= np.uint64(2)
-            calls.append(1)
-            return x, z, e
-
-        monkeypatch.setattr(theory, "multiply_masks", corrupted)
+    def test_casimir_on_a_short_basis_count_raises(self, monkeypatch):
+        """Counts from a basis one string short differ across the basis."""
+        real = theory.anticommuting_counts
+        monkeypatch.setattr(
+            theory, "anticommuting_counts", lambda x, z, n: real(x[:-1], z[:-1], n)
+        )
         with pytest.raises(TheoryVerificationError, match="varies"):
-            theory.casimir_constant.__wrapped__(2)
+            theory.casimir_constant.__wrapped__(3)
+
+    def test_casimir_on_a_zero_count_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            theory, "anticommuting_counts",
+            lambda x, z, n: np.zeros(4**n, dtype=np.int64),
+        )
+        with pytest.raises(TheoryVerificationError, match="non-positive"):
+            theory.casimir_constant.__wrapped__(3)
+
+    def test_full_basis_sums_stay_in_blocks(self, rng):
+        """The (term, j) tables are built a block of terms at a time.
+
+        A full-basis observable at n = 6 has 4095 terms; one table over all
+        of them would alone hold 4095 x 4095 bytes (16 MiB).
+        """
+        o = random_observable(6, rng)
+        theory._basis_masks(6)  # cached, so the trace sees only the sums
+        tracemalloc.start()
+        try:
+            sums = self._sums(o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sums[0] == pytest.approx(casimir_constant(6), rel=1e-12)
+        assert sums[1] == pytest.approx(casimir_constant(6) ** 2, rel=1e-12)
+        assert peak < 16 * 2**20
 
 
 class TestCasimirConstant:
@@ -261,6 +253,10 @@ class TestCasimirConstant:
 
     def test_positive(self):
         assert casimir_constant(2) > 0
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_equals_2d_beyond_the_dense_sizes(self, n):
+        assert theory.casimir_constant.__wrapped__(n) == 2 ** (n + 1)
 
 
 class TestTheorem1:
