@@ -350,6 +350,7 @@ def _verify_rows(observables, n):
 
 def _cmd_verify_theory(args, cfg) -> int:
     n = args.n
+    casimir_constant(n)  # an n out of range fails before any 4^n-sized draw
     observables = []
     if args.observable:
         p = _parse_observable(args.observable, n)

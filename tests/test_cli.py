@@ -387,6 +387,20 @@ class TestVerifyTheory:
         assert float(row["c_measured"]) == 512.0
         assert float(row["max_rel_err"]) <= 1e-9
 
+    def test_n11_refused_before_any_observable(self, tmp_path, capsys):
+        """Each 11-qubit observable would hold 4^11 - 1 coefficients (32 MiB)."""
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = _run(["verify-theory", "--n", 11, "--report", tmp_path / "t.csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == "error: qubit count must be at most 10, got 11\n"
+        assert not list(tmp_path.iterdir())
+        assert peak < 2**20
+
     def test_double_sums_computed_once_per_observable(self, tmp_path, monkeypatch):
         from gensel import theory
 
@@ -893,10 +907,6 @@ class TestFlagBounds:
                     "budget must be at least 1, got 0",
                 )
                 for method in ("random", "grad-only", "pair-only")
-            ),
-            (
-                ["verify-theory", "--n", 11, "--trials", 1],
-                "qubit count must be at most 10, got 11",
             ),
         ],
     )
