@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import os
 import sys
@@ -247,15 +248,24 @@ def _cmd_gen_data(args, cfg) -> int:
     return 0
 
 
-def _read_table(path: str, columns) -> list[dict]:
+def _read_table(path: str, columns) -> list[tuple[str, ...]]:
+    """The named columns of a CSV file with a header row, each as a tuple."""
     if not Path(path).is_file():
         raise FileNotFoundError(f"file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{path} has no column {', '.join(missing)}")
-        return list(reader)
+        rows = [row for row in reader if row]  # blank lines hold no row
+    widths = set(map(len, rows)) - {len(header)}
+    if widths:
+        raise ValueError(
+            f"{path} has a row of {min(widths)} fields under {len(header)} columns"
+        )
+    table = list(zip(*rows)) or [()] * len(header)
+    return [table[header.index(c)] for c in columns]
 
 
 def _train_chunk(payload) -> list[tuple]:
@@ -265,8 +275,8 @@ def _train_chunk(payload) -> list[tuple]:
 
 
 def _cmd_train(args, cfg) -> int:
-    table = _read_table(args.data, ("x", "y"))
-    dataset = [(float(r["x"]), float(r["y"])) for r in table]
+    xs, ys = _read_table(args.data, ("x", "y"))
+    dataset = list(zip(map(float, xs), map(float, ys)))
     spec = _section(cfg, DatasetSpec)
     spsa = _section(cfg, SpsaConfig, epochs=args.epochs)
     genetic = _section(cfg, GeneticConfig)
@@ -381,17 +391,19 @@ def _cmd_verify_theory(args, cfg) -> int:
 
 
 def _cmd_report(args, cfg) -> int:
-    traces = _read_table(args.traces, _TRACE_COLUMNS)
-    if not traces:
+    method, trial, epoch, rmse, norm = _read_table(args.traces, _TRACE_COLUMNS)
+    if not method:
         raise ValueError(f"no training traces in {args.traces}")
-    expr = _read_table(args.expr, ("method", *_EXPR_METRICS))
+    expr_method, *expr = _read_table(args.expr, ("method", *_EXPR_METRICS))
     report = summarize(
-        (
-            (r["method"], int(r["trial"]), int(r["epoch"]),
-             float(r["rmse"]), float(r["rmse_normalized"]))
-            for r in traces
+        zip(
+            method, map(int, trial), map(int, epoch), map(float, rmse), map(float, norm)
         ),
-        ((r["method"], k, float(r[k])) for r in expr for k in _EXPR_METRICS),
+        (
+            (m, k, float(v))
+            for k, column in zip(_EXPR_METRICS, expr)
+            for m, v in zip(expr_method, column)
+        ),
     )
     _write_outputs(
         args, args.out_table, ["method", "metric", "mean", "std"], report.table_rows()
@@ -425,6 +437,7 @@ def _cmd_report(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gensel", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -400,21 +400,30 @@ def summarize(traces, metrics) -> ExperimentReport:
     any order; ``metrics`` yields (method, metric, value) triples, one per
     trial and metric.  Methods come in SELECTION_METHODS order, others after
     them sorted; trials and epochs in index order.  Every trial of a method
-    must have the same number of epochs.
+    must have the same number of epochs, and no (method, trial, epoch)
+    may repeat.
     """
-    by_method: dict[str, dict[int, dict[int, tuple[float, float]]]] = {}
-    for method, trial, epoch, rmse, norm in traces:
-        by_method.setdefault(method, {}).setdefault(trial, {})[epoch] = (rmse, norm)
+    columns = list(zip(*traces)) or [()] * 5
+    methods = np.array(columns[0], dtype=str)
+    index = np.array(columns[1:3], dtype=np.int64)  # trial, epoch
+    points = np.array(columns[3:], dtype=float)  # rmse, rmse_normalized
     summaries = {}
-    for method in _method_order(by_method):
-        trials = by_method[method]
-        runs = [[trials[t][e] for e in sorted(trials[t])] for t in sorted(trials)]
-        if len({len(run) for run in runs}) > 1:
+    for method in _method_order(set(columns[0])):
+        rows = np.flatnonzero(methods == method)
+        rows = rows[np.lexsort(index[::-1, rows])]  # by trial, then epoch
+        trial, epoch = index[:, rows]
+        repeats = (trial[1:] == trial[:-1]) & (epoch[1:] == epoch[:-1])
+        if repeats.any():
+            k = repeats.argmax()
+            row = f"method {method}, trial {trial[k]}, epoch {epoch[k]}"
+            raise ValueError(f"duplicate trace row: {row}")
+        counts = np.unique(trial, return_counts=True)[1]
+        if counts.min() != counts.max():
             raise ValueError(
                 f"the trials of method {method} have inconsistent numbers of epochs"
             )
-        runs = np.array(runs, dtype=float)
-        summaries[method] = MethodSummary(method, runs[:, -1, 0], runs[:, :, 1])
+        runs = points[:, rows].reshape(2, len(counts), counts[0])
+        summaries[method] = MethodSummary(method, runs[0, :, -1], runs[1])
 
     values: dict[str, dict[str, list[float]]] = {}
     for method, name, value in metrics:

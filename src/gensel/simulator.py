@@ -362,16 +362,20 @@ def stack_circuits(
             by_size.setdefault(max(3, (len(c.factors) - 1).bit_length()), []).append(t)
     buckets = []
     for members in by_size.values():
-        shapes = np.array([circuits[t].factors.shape for t in members])
-        terms, depth = np.maximum(shapes.max(axis=0), (1, 0))  # a term at least
+        shapes = [circuits[t].factors.shape for t in members]
+        terms = max(1, *(k for k, _ in shapes))  # a term at least
+        depth = max(d for _, d in shapes)
         # gather[l, k, i] indexes factor l of term k of circuit members[i] in
         # its trig block; padded terms and layers read the block's first 1.0.
-        gather = np.zeros((depth, terms, len(members)), dtype=np.intp)
+        gather = np.empty((depth, terms, len(members)), dtype=np.intp)
         phi = np.full((terms, len(members), inputs), -0.0)
         for i, ((k, d), t) in enumerate(zip(shapes, members)):
-            gather[:d, :k, i] = (circuits[t].factors * width + np.arange(d)).T
+            block = 3 * width * t
+            gather[:, :, i] = block
+            layers = np.arange(block, block + d)
+            gather[:d, :k, i] = (circuits[t].factors * width + layers).T
             phi[:k, i] = circuits[t].phi.T
-        buckets.append((members, phi, gather + 3 * width * np.array(members)))
+        buckets.append((members, phi, gather))
     dense = [(t, c) for t, c in enumerate(circuits) if c.dense is not None]
 
     def evaluate(thetas: np.ndarray) -> np.ndarray:

@@ -541,6 +541,40 @@ class TestReport:
         err = capsys.readouterr().err
         assert err == f"error: {expr} has no column n_commute_obs, n_commute_pairs\n"
 
+    def test_duplicate_trace_rows_are_one_line_error(
+        self, small_setup, tmp_path, capsys
+    ):
+        cfg, data = small_setup
+        traces = tmp_path / "traces.csv"
+        expr = tmp_path / "expr.csv"
+        assert _run(["train", "--data", data, "--config", cfg, "--trials", 1,
+                     "--seed", 5, "--out", traces]) == 0
+        assert _run(["expressibility", "--config", cfg, "--trials", 1, "--samples", 60,
+                     "--bins", 10, "--seed", 5, "--out", expr]) == 0
+        header, *rows = traces.read_text().splitlines(keepends=True)
+        both = tmp_path / "both.csv"
+        both.write_text(header + "".join(rows + rows))  # two runs pasted together
+        capsys.readouterr()
+        code = _run(["report", "--traces", both, "--expr", expr,
+                     "--out-table", tmp_path / "t.csv",
+                     "--out-curves", tmp_path / "c.svg"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: duplicate trace row: method exact, trial 0, epoch 0\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_short_row_is_one_line_error(self, tmp_path, capsys):
+        traces = tmp_path / "traces.csv"
+        traces.write_text(
+            "method,trial,epoch,rmse,rmse_normalized\nexact,0,0,0.5,1.0\nexact,0,1\n"
+        )
+        code = _run(["report", "--traces", traces, "--expr", tmp_path / "e.csv",
+                     "--out-table", tmp_path / "t.csv",
+                     "--out-curves", tmp_path / "c.svg"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {traces} has a row of 3 fields under 5 columns\n"
+
     def test_missing_inputs(self, tmp_path, capsys):
         code = _run(["report", "--traces", tmp_path / "none.csv",
                      "--expr", tmp_path / "none2.csv",
@@ -951,6 +985,45 @@ class TestSeedEnvironment:
         assert _run(["report", "--traces", tmp_path / "t.csv"]) == 1
         err = capsys.readouterr().err
         assert err == "error: GENSEL_SEED must be an integer, got 'x'\n"
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; no call sees another's state."""
+
+    def test_built_once(self, tmp_path):
+        cli._build_parser.cache_clear()
+        for seed in range(3):
+            assert _run(["gen-data", "--seed", seed, "--out", tmp_path / "d.csv"]) == 0
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_append_default_does_not_leak(self, small_setup, tmp_path):
+        cfg, data = small_setup
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        common = ["--data", data, "--config", cfg, "--trials", 1, "--seed", 5]
+        assert _run(["train", *common, "--method", "random", "--out", first]) == 0
+        assert _run(["train", *common, "--out", second]) == 0
+        assert {r["method"] for r in _read_csv(first)} == {"random"}
+        assert {r["method"] for r in _read_csv(second)} == {"exact"}
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        assert _run(["gen-data", "--bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument: ") and err.count("\n") == 1
+        out = tmp_path / "d.csv"
+        assert _run(["gen-data", "--out", out]) == 0
+        assert out.exists()
+
+    def test_changed_seed_env_is_honoured(self, tmp_path, monkeypatch):
+        for seed in ("5", "6"):
+            monkeypatch.setenv("GENSEL_SEED", seed)
+            out = tmp_path / f"env{seed}.csv"
+            assert _run(["gen-data", "--out", out]) == 0
+            sidecar = Path(f"{out}.config.txt").read_text().splitlines()
+            assert f"# seed = {seed}" in sidecar
+        flag = tmp_path / "flag.csv"
+        assert _run(["gen-data", "--seed", 6, "--out", flag]) == 0
+        assert (tmp_path / "env6.csv").read_bytes() == flag.read_bytes()
+        assert (tmp_path / "env5.csv").read_bytes() != flag.read_bytes()
 
 
 def test_import_leaves_scipy_unloaded():

@@ -348,6 +348,16 @@ class TestSummarize:
         with pytest.raises(ValueError, match="inconsistent numbers of epochs"):
             summarize(traces, [])
 
+    def test_duplicate_row_rejected(self):
+        """Two runs' rows pasted together would silently keep only one run."""
+        run = self._rows("exact", 0, [2.0, 1.0]) + self._rows("exact", 1, [4.0, 1.0])
+        traces = run + self._rows("random", 0, [2.0, 1.5])
+        traces += self._rows("exact", 1, [3.0, 1.0])
+        with pytest.raises(
+            ValueError, match=r"^duplicate trace row: method exact, trial 1, epoch 0$"
+        ):
+            summarize(traces[::-1], [])
+
     def test_t_test_needs_two_trials_of_exact_and_random(self):
         one = self._rows("exact", 0, [2.0, 1.0]) + self._rows("random", 0, [2.0, 1.5])
         assert summarize(one, []).t_statistic is None
