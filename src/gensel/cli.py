@@ -58,6 +58,7 @@ _METHOD_CHOICES = tuple(m.replace("_", "-") for m in SELECTION_METHODS)
 
 _TRACE_COLUMNS = ("method", "trial", "epoch", "rmse", "rmse_normalized")
 _EXPR_METRICS = ("n_commute_obs", "n_commute_pairs", "hellinger")
+_EXPR_COLUMNS = ("method", "trial", *_EXPR_METRICS)
 
 # The config-file section that sets the fields of each dataclass.
 _SECTIONS = {
@@ -319,8 +320,7 @@ def _cmd_expressibility(args, cfg) -> int:
         distance = expressibility_hellinger(model, replace(expr_cfg, seed=seed))
         metrics = evaluate_selection(model.generators, spec.observable)
         rows.append([method, trial, *metrics, float(distance)])
-    columns = ("method", "trial", *_EXPR_METRICS)
-    _write_outputs(args, args.out, columns, rows, spec, genetic, expr_cfg)
+    _write_outputs(args, args.out, _EXPR_COLUMNS, rows, spec, genetic, expr_cfg)
     return 0
 
 
@@ -394,7 +394,12 @@ def _cmd_report(args, cfg) -> int:
     method, trial, epoch, rmse, norm = _read_table(args.traces, _TRACE_COLUMNS)
     if not method:
         raise ValueError(f"no training traces in {args.traces}")
-    expr_method, *expr = _read_table(args.expr, ("method", *_EXPR_METRICS))
+    expr_method, expr_trial, *expr = _read_table(args.expr, _EXPR_COLUMNS)
+    seen = set()
+    for m, t in zip(expr_method, map(int, expr_trial)):
+        if (m, t) in seen:
+            raise ValueError(f"duplicate expressibility row: method {m}, trial {t}")
+        seen.add((m, t))
     report = summarize(
         zip(
             method, map(int, trial), map(int, epoch), map(float, rmse), map(float, norm)

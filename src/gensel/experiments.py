@@ -26,7 +26,6 @@ from .selection import (
     BASELINE_METHODS,
     SelectionProblem,
     SelectionResult,
-    build_pool,
     evaluate_selection,
     seeded_order,
     select_baseline,
@@ -215,20 +214,18 @@ def select_for_method(
     (equally optimal) generator sets; selecting with several seeds therefore
     varies the chosen circuits the way repeated seeded selection runs do.
 
-    ``problem`` is the observable's full pool and its masks at this budget,
-    which a run builds once for all its trials; without it, this call builds
-    one over just the candidates the seed's subsample keeps.
+    ``problem``, the masks of the observable's whole pool at this budget,
+    serves all trials of a run; without it, this call builds one.
     """
     if method in BASELINE_METHODS:
         return select_baseline(method, observable, budget, seed)
     if method not in POOL_METHODS:
         raise ValueError(f"unknown selection method {method!r}")
     if problem is None:
-        pool = build_pool(observable, subsample_size=pool_subsample, seed=seed)
-        problem, pool_subsample = SelectionProblem(observable, pool, budget), None
+        problem = SelectionProblem(observable, None, budget)
     elif (problem.observable, problem.budget) != (observable, budget):
         raise ValueError("the selection problem is for another observable or budget")
-    order = seeded_order(len(problem.candidates), seed, pool_subsample)
+    order = seeded_order(len(problem.x), seed, pool_subsample)
     if method == "exact":
         return solve_exact(problem, order=order)
     if method == "greedy":
@@ -252,11 +249,11 @@ def trial_models(
     """Seed of each (method, trial) cell and the circuit its selection builds.
 
     The pool-based cells share one selection problem, built here once: the
-    observable's pool and its masks at the spec's depth.
+    masks of the observable's pool at the spec's depth.
     """
     observable, problem = spec.observable, None
     if any(method in POOL_METHODS for method, _ in cells):
-        problem = SelectionProblem(observable, build_pool(observable), spec.depth)
+        problem = SelectionProblem(observable, None, spec.depth)
     picked = []
     for method, trial_index in cells:
         seed = derive_seed(master_seed, method, trial_index)

@@ -9,13 +9,13 @@ pairs among L chosen generators:
 with c_jk = 1 iff candidates j and k anticommute: the symplectic parity of
 their (x, z) masks.  A run computes the pool's masks once, as one
 SelectionProblem, and each trial hands the solvers its candidates' indices in
-its seeded order (``seeded_order``).  The exact solver is one depth-first
-search on bitsets that minimizes the commuting pairs: run first with none
-allowed, it finds an L-clique (score L(L-1)/2, provably optimal) if one
-exists, else it runs again as a branch-and-bound over all subsets.  It packs
-a candidate's row of c_jk into a bitset only when the search first reaches
-it; only greedy forms a table.  Heuristic solvers (greedy, genetic) and the
-comparison baselines live here too.
+its seeded order (``seeded_order``); only the L picks become PauliStrings.
+The exact solver is one depth-first search on bitsets that minimizes the
+commuting pairs: run first with none allowed, it finds an L-clique (score
+L(L-1)/2, provably optimal) if one exists, else it runs again as a
+branch-and-bound over all subsets.  It packs a candidate's row of c_jk into a
+bitset only when the search first reaches it; only greedy forms a table.
+Heuristic solvers (greedy, genetic) and the comparison baselines live here too.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 BASELINE_METHODS = ("random", "grad_only", "pair_only")
+# The largest m x m uint8 table solve_greedy fills: a full 8-qubit pool's.
+GREEDY_TABLE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -76,22 +78,31 @@ class SelectionResult:
 
 @dataclass
 class SelectionProblem:
-    """Candidate pool, the candidates' uint64 (x, z) masks and budget."""
+    """Candidates (None: the observable's whole pool), uint64 masks, budget."""
 
     observable: PauliString
-    candidates: tuple[PauliString, ...]
+    candidates: tuple[PauliString, ...] | None
     budget: int
     x: np.ndarray = field(init=False, repr=False, compare=False)
     z: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.candidates = tuple(self.candidates)
-        m = len(self.candidates)
-        if not 1 <= self.budget <= m:
-            raise ValueError(f"budget {self.budget} infeasible for pool of {m}")
-        if (n := _common_width(self.candidates)) > 63:
-            raise ValueError(f"candidates on {n} qubits do not fit 63-qubit masks")
-        self.x, self.z = mask_arrays(self.candidates)
+        if self.candidates is None:
+            self.x, self.z = _pool_masks(self.observable)
+        else:
+            self.candidates = tuple(self.candidates)
+            if (n := _common_width(self.candidates)) > 63:
+                raise ValueError(f"candidates on {n} qubits do not fit 63-qubit masks")
+            self.x, self.z = mask_arrays(self.candidates)
+        if not 1 <= self.budget <= len(self.x):
+            raise ValueError(f"budget {self.budget} infeasible for pool of {len(self.x)}")
+
+    def strings(self, indices) -> tuple[PauliString, ...]:
+        """The candidates at ``indices``, built from their masks if need be."""
+        if self.candidates is not None:
+            return tuple(self.candidates[i] for i in indices)
+        masks = zip(self.x[indices].tolist(), self.z[indices].tolist())
+        return tuple(PauliString._mk(self.observable.n, xm, zm) for xm, zm in masks)
 
     def subset_score(self, indices: Iterable[int]) -> int:
         idx = list(indices)
@@ -106,6 +117,15 @@ class SelectionMetrics(NamedTuple):
     n_commute_pairs: int
 
 
+def _pool_masks(observable: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """The uint64 (x, z) masks of ``build_pool(observable)``, in its order."""
+    if observable.is_identity:
+        raise ValueError("observable must be non-identity")
+    x, z = canonical_masks(observable.n)
+    keep = symplectic_parity(x, z, np.uint64(observable.x), np.uint64(observable.z)) == 1
+    return x[keep], z[keep]
+
+
 def build_pool(
     observable: PauliString,
     subsample_size: int | None = None,
@@ -117,17 +137,12 @@ def build_pool(
     a uniformly random subset of that size is drawn with ``seed`` and returned
     in the same canonical order.
     """
-    if observable.is_identity:
-        raise ValueError("observable must be non-identity")
-    n = observable.n
-    x, z = canonical_masks(n)
-    members = np.flatnonzero(
-        symplectic_parity(x, z, np.uint64(observable.x), np.uint64(observable.z))
-    )
+    x, z = _pool_masks(observable)
     if subsample_size is not None:
-        members = members[np.sort(seeded_order(len(members), seed, subsample_size))]
-    masks = zip(x[members].tolist(), z[members].tolist())
-    return [PauliString._mk(n, xm, zm) for xm, zm in masks]
+        keep = np.sort(seeded_order(len(x), seed, subsample_size))
+        x, z = x[keep], z[keep]
+    masks = zip(x.tolist(), z.tolist())
+    return [PauliString._mk(observable.n, xm, zm) for xm, zm in masks]
 
 
 def seeded_order(
@@ -152,8 +167,8 @@ def seeded_order(
 
 
 def _common_width(candidates: Sequence[PauliString]) -> int:
-    """The qubit count of distinct candidates that all share it."""
-    n = candidates[0].n
+    """The qubit count of distinct candidates that all share it (0 for none)."""
+    n = candidates[0].n if candidates else 0
     if any(p.n != n for p in candidates):
         raise ValueError("candidates must act on the same number of qubits")
     if len(set(candidates)) != len(candidates):
@@ -164,17 +179,10 @@ def _common_width(candidates: Sequence[PauliString]) -> int:
 def score_matrix(candidates: Sequence[PauliString]) -> np.ndarray:
     """Symmetric 0/1 matrix with entry 1 iff the candidate pair anticommutes."""
     candidates = list(candidates)
-    m = len(candidates)
-    if m == 0:
-        return np.zeros((0, 0), dtype=np.uint8)
-    if _common_width(candidates) <= 63:
-        x, z = mask_arrays(candidates)
-        return anticommutation_table(x, z, x, z)
-    c = np.zeros((m, m), dtype=np.uint8)
-    for j in range(m):
-        for k in range(j + 1, m):
-            if not commutes(candidates[j], candidates[k]):
-                c[j, k] = c[k, j] = 1
+    _common_width(candidates)
+    c = np.zeros((len(candidates),) * 2, dtype=np.uint8)
+    for j, a in enumerate(candidates):
+        c[j, :j] = c[:j, j] = [not commutes(a, b) for b in candidates[:j]]
     return c
 
 
@@ -183,7 +191,7 @@ def _indices(problem: SelectionProblem, order) -> np.ndarray:
 
     Position v is candidate ``order[v]``, so ties break in ``order``.
     """
-    order = np.arange(len(problem.candidates)) if order is None else np.asarray(order)
+    order = np.arange(len(problem.x)) if order is None else np.asarray(order)
     if problem.budget > len(order):
         raise ValueError(f"budget {problem.budget} infeasible for pool of {len(order)}")
     return order
@@ -264,14 +272,13 @@ def solve_exact(problem: SelectionProblem, *, order=None) -> SelectionResult:
     every subset allowed.  Ties break to the lexicographically smallest
     subset in candidate order (see ``_indices``); the result is deterministic.
     """
-    L = problem.budget
+    L, index = problem.budget, _indices(problem, order)
     if L < 2:
         raise ValueError(f"budget must be at least 2, got {L}")
-    index = _indices(problem, order)
     adj, m = _AdjacencyRows(problem.x[index], problem.z[index]), len(index)
     pairs = L * (L - 1) // 2
     picks, commuting = _search(adj, m, L, 0) or _search(adj, m, L, pairs)
-    chosen = tuple(problem.candidates[i] for i in index[picks])
+    chosen = problem.strings(index[picks])
     return SelectionResult(chosen, pairs - commuting, "exact", True)
 
 
@@ -283,9 +290,11 @@ def solve_greedy(problem: SelectionProblem, *, order=None) -> SelectionResult:
     current subset (first in candidate order, see ``_indices``, on ties);
     keep the best subset found.
     """
-    L = problem.budget
-    index = _indices(problem, order)
+    L, index = problem.budget, _indices(problem, order)
     m = len(index)
+    if m * m > GREEDY_TABLE_BYTES:
+        gib = f"{m * m / 2**30:g} GiB, past its {GREEDY_TABLE_BYTES / 2**30:g} GiB bound"
+        raise ValueError(f"greedy needs a {m} x {m} table of {gib}")
     x, z = problem.x[index], problem.z[index]
     # A row at a time: anticommutation_table's uint64 temporaries are 8x the table.
     coeff = np.empty((m, m), dtype=np.uint8)
@@ -306,7 +315,7 @@ def solve_greedy(problem: SelectionProblem, *, order=None) -> SelectionResult:
         if score > best_score or (score == best_score and sorted(chosen) < best_subset):
             best_score = score
             best_subset = sorted(chosen)
-    chosen = tuple(problem.candidates[i] for i in index[best_subset])
+    chosen = problem.strings(index[best_subset])
     return SelectionResult(chosen, best_score, "greedy", best_score == L * (L - 1) // 2)
 
 
@@ -329,8 +338,7 @@ def solve_genetic(
     """
     if population < 2:
         raise ValueError(f"population size must be at least 2, got {population}")
-    L = problem.budget
-    index = _indices(problem, order)
+    L, index = problem.budget, _indices(problem, order)
     m = len(index)
     max_score = L * (L - 1) // 2
 
@@ -370,7 +378,7 @@ def solve_genetic(
         if fits[gen_best] > best_fit:
             best, best_fit = pop[gen_best], fits[gen_best]
 
-    chosen = tuple(problem.candidates[i] for i in index[list(best)])
+    chosen = problem.strings(index[list(best)])
     return SelectionResult(chosen, best_fit, "genetic", best_fit == max_score)
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from gensel.experiments import (
     trial_models,
 )
 from gensel.optimizer import SpsaConfig
-from gensel.pauli import PauliString, mask_arrays
+from gensel.pauli import PauliString
 from gensel.selection import build_pool, score_matrix
 from gensel.simulator import compile_circuit
 
@@ -72,6 +73,63 @@ class TestSelect:
         assert row["score"] == "91"
         assert row["n_commute_pairs"] == "0"
         assert peak < 16 * 2**20
+
+    def test_exact_ten_qubits_builds_strings_for_the_picks_only(self, tmp_path):
+        """The n = 10 pool has 524,288 members; one PauliString each, plus
+        their hashes, took 105 MiB of allocations."""
+        out = tmp_path / "select.csv"
+        tracemalloc.start()
+        try:
+            code = _run(
+                ["select", "--n", 10, "--depth", 20, "--method", "exact",
+                 "--seed", 0, "--out", out]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8502d80f82e4cfeebccf3efd17e0697bdbf82da766ddae3cc12127c3213ff418"
+        )
+        assert peak < 48 * 2**20
+
+    @pytest.mark.parametrize("method", ["exact", "greedy", "genetic"])
+    @pytest.mark.parametrize(
+        "subsample, message",
+        [
+            (0, "budget 5 infeasible for pool of 0"),
+            (-1, "subsample size must be non-negative, got -1"),
+            (40, "subsample size 40 exceeds pool size 32"),
+            (3, "budget 5 infeasible for pool of 3"),
+        ],
+    )
+    def test_bad_pool_subsample_is_one_line(
+        self, tmp_path, capsys, method, subsample, message
+    ):
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert _run(
+            ["select", "--n", 3, "--depth", 5, "--method", method,
+             "--pool-subsample", subsample, "--seed", 1, "--out", out]
+        ) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_greedy_table_past_its_bound_is_one_line(self, tmp_path, capsys):
+        """The n = 9 pool's 131072 x 131072 uint8 table would be 16 GiB."""
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = _run(
+            ["select", "--n", 9, "--depth", 18, "--method", "greedy", "--out", out]
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: greedy needs a 131072 x 131072 table of 16 GiB, "
+            "past its 1 GiB bound\n"
+        )
+        assert not out.exists()
 
     def test_malformed_observable_fails(self, tmp_path, capsys):
         code = _run(
@@ -321,16 +379,23 @@ class TestExpressibility:
 
 
     def test_one_table_per_run(self, small_setup, tmp_path, monkeypatch):
-        """Two pool-based methods x 20 trials read one set of the pool's masks."""
+        """Two pool-based methods x 20 trials read one set of the pool's masks,
+        and each trial builds strings for its 3 picks only."""
         from gensel import selection
 
-        sizes = []
+        pools, built = [], []
 
-        def counted(candidates):
-            sizes.append(len(candidates))
-            return mask_arrays(candidates)
+        def counted_pool(observable):
+            pools.append(observable.label)
+            return _pool_masks(observable)
 
-        monkeypatch.setattr(selection, "mask_arrays", counted)
+        def counted_strings(problem, indices):
+            built.append(len(indices))
+            return strings(problem, indices)
+
+        _pool_masks, strings = selection._pool_masks, selection.SelectionProblem.strings
+        monkeypatch.setattr(selection, "_pool_masks", counted_pool)
+        monkeypatch.setattr(selection.SelectionProblem, "strings", counted_strings)
         cfg, _ = small_setup
         assert _run(
             ["expressibility", "--config", cfg, "--method", "exact", "--method",
@@ -338,9 +403,8 @@ class TestExpressibility:
              "--out", tmp_path / "expr.csv"]
         ) == 0
         assert len(_read_csv(tmp_path / "expr.csv")) == 40
-        # evaluate_selection scores each trial's 3 generators on its own
-        pool = build_pool(PauliString.from_label("ZII"))
-        assert [s for s in sizes if s != 3] == [len(pool)]
+        assert pools == ["ZII"]
+        assert built == [3] * 40
 
 
 class TestVerifyTheory:
@@ -562,6 +626,28 @@ class TestReport:
         err = capsys.readouterr().err
         assert err == "error: duplicate trace row: method exact, trial 0, epoch 0\n"
         assert not (tmp_path / "t.csv").exists()
+
+    def test_duplicate_expressibility_rows_are_one_line_error(
+        self, small_setup, tmp_path, capsys
+    ):
+        cfg, data = small_setup
+        traces = tmp_path / "traces.csv"
+        expr = tmp_path / "expr.csv"
+        assert _run(["train", "--data", data, "--config", cfg, "--trials", 2,
+                     "--seed", 5, "--out", traces]) == 0
+        assert _run(["expressibility", "--config", cfg, "--trials", 2, "--samples", 60,
+                     "--bins", 10, "--seed", 5, "--out", expr]) == 0
+        header, *rows = expr.read_text().splitlines(keepends=True)
+        both = tmp_path / "both.csv"
+        both.write_text(header + "".join(rows + rows))  # two runs pasted together
+        capsys.readouterr()
+        table = tmp_path / "t.csv"
+        code = _run(["report", "--traces", traces, "--expr", both,
+                     "--out-table", table, "--out-curves", tmp_path / "c.svg"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: duplicate expressibility row: method exact, trial 0\n"
+        assert not table.exists()
 
     def test_short_row_is_one_line_error(self, tmp_path, capsys):
         traces = tmp_path / "traces.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gensel import experiments, selection
+from gensel import selection
 from gensel.experiments import (
     DatasetSpec,
     ExpressibilityConfig,
@@ -26,7 +26,7 @@ from gensel.experiments import (
     two_sample_t_test,
 )
 from gensel.optimizer import SpsaConfig, rmse_cost
-from gensel.pauli import PauliString, mask_arrays
+from gensel.pauli import PauliString
 from gensel.selection import (
     SelectionProblem,
     build_pool,
@@ -273,18 +273,26 @@ class TestRunScopedPool:
             select_for_method("exact", o, 3, 0, problem=problem)
 
     def test_one_table_per_run(self, monkeypatch):
-        """One pool's masks serve every trial of the run."""
-        sizes = []
+        """One pool's masks serve every trial of the run, and each trial
+        builds strings for its picks only."""
+        pools, built = [], []
 
-        def counted(candidates):
-            sizes.append(len(candidates))
-            return mask_arrays(candidates)
+        def counted_pool(observable):
+            pools.append(observable)
+            return _pool_masks(observable)
 
-        monkeypatch.setattr(selection, "mask_arrays", counted)
+        def counted_strings(problem, indices):
+            built.append(len(indices))
+            return strings(problem, indices)
+
+        _pool_masks, strings = selection._pool_masks, SelectionProblem.strings
+        monkeypatch.setattr(selection, "_pool_masks", counted_pool)
+        monkeypatch.setattr(SelectionProblem, "strings", counted_strings)
         dataset, _ = generate_dataset(SMALL_SPEC)
         cells = [(m, t) for m in ("exact", "greedy") for t in range(20)]
         records = train_cells(cells, 7, dataset, SMALL_SPEC, SpsaConfig(epochs=1))
-        assert sizes == [len(build_pool(SMALL_SPEC.observable))]
+        assert pools == [SMALL_SPEC.observable]
+        assert built == [SMALL_SPEC.depth] * len(cells)
         assert [r.chosen for r in records] == [
             tuple(trial_models([(m, t)], 7, SMALL_SPEC)[0][1].generators)
             for m, t in cells
@@ -292,7 +300,7 @@ class TestRunScopedPool:
 
     def test_no_pool_for_baselines_only(self, monkeypatch):
         built = []
-        monkeypatch.setattr(experiments, "build_pool", lambda *a: built.append(a))
+        monkeypatch.setattr(selection, "_pool_masks", lambda *a: built.append(a))
         picked = trial_models([("random", 0), ("pair_only", 1)], 3, SMALL_SPEC)
         assert len(picked) == 2 and built == []
 

@@ -220,6 +220,29 @@ class TestSelectionProblem:
         assert (bits == bits.T).all() and not bits.diagonal().any()
         assert (bits == score_matrix(pool)).all()
 
+    def test_whole_pool_held_as_masks(self, monkeypatch):
+        """Without candidates the problem holds build_pool's masks, and the
+        solvers build strings for their L picks only, with the same results."""
+        o = P("ZIII")
+        pool = build_pool(o)
+        solvers = (solve_exact, solve_greedy, lambda p: solve_genetic(p, seed=3))
+        want = [solve(SelectionProblem(o, pool, 4)) for solve in solvers]
+        built = []
+
+        def counted(cls, n, x, z):
+            built.append((x, z))
+            return make(n, x, z)
+
+        make = PauliString._mk
+        monkeypatch.setattr(PauliString, "_mk", classmethod(counted))
+        problem = SelectionProblem(o, None, 4)
+        x, z = pauli.mask_arrays(pool)
+        assert problem.candidates is None
+        assert problem.x.tobytes() == x.tobytes()
+        assert problem.z.tobytes() == z.tobytes()
+        assert [solve(problem) for solve in solvers] == want
+        assert built == [(g.x, g.z) for result in want for g in result.chosen]
+
     def test_duplicate_candidates_rejected(self):
         with pytest.raises(ValueError, match="pairwise distinct"):
             SelectionProblem(P("Z"), [P("X"), P("Y"), P("X")], 2)
@@ -405,6 +428,17 @@ class TestSolveGreedy:
         finally:
             tracemalloc.stop()
         assert peak < 300_000  # the 512 x 512 uint8 table is 262,144 bytes
+
+    def test_table_bound_is_inclusive(self, monkeypatch):
+        """A table of exactly GREEDY_TABLE_BYTES is filled (a full 8-qubit
+        pool's is 2^30 bytes); past it, greedy refuses before allocating."""
+        o = P("ZI")
+        problem = SelectionProblem(o, build_pool(o), 3)  # an 8 x 8 table
+        monkeypatch.setattr(selection, "GREEDY_TABLE_BYTES", 64)
+        assert len(solve_greedy(problem).chosen) == 3
+        monkeypatch.setattr(selection, "GREEDY_TABLE_BYTES", 63)
+        with pytest.raises(ValueError, match="greedy needs a 8 x 8 table"):
+            solve_greedy(problem)
 
 
 class TestSolveGenetic:
