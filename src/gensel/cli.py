@@ -278,6 +278,9 @@ def _train_chunk(payload) -> list[tuple]:
 def _cmd_train(args, cfg) -> int:
     xs, ys = _read_table(args.data, ("x", "y"))
     dataset = list(zip(map(float, xs), map(float, ys)))
+    for row, (x, y) in enumerate(dataset, 1):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"{args.data} row {row} is not finite: x = {x}, y = {y}")
     spec = _section(cfg, DatasetSpec)
     spsa = _section(cfg, SpsaConfig, epochs=args.epochs)
     genetic = _section(cfg, GeneticConfig)
@@ -538,9 +541,11 @@ def parse_and_dispatch(argv=None) -> int:
     try:
         args.seed = _resolve_seed(args.seed)
         return args.handler(args, _load_config(args.config))
-    except (ValueError, RuntimeError, OSError, configparser.Error) as exc:
-        # Some messages (configparser's) span lines; an error prints as one.
-        print("error:", " ".join(str(exc).split()), file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError, configparser.Error) as exc:
+        # Some messages (configparser's) span lines, a bare MemoryError has
+        # none; an error prints as one line.
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print("error:", message, file=sys.stderr)
         return 1
 
 

@@ -134,6 +134,8 @@ def generate_dataset(spec: DatasetSpec) -> tuple[list[tuple[float, float]], Teac
     input_range; labels are the teacher's observable expectations, hence
     always in [-1, 1].  Deterministic per teacher_seed.
     """
+    if spec.n >= 32:  # 4^n - 1 no longer fits NumPy's int64 draw
+        raise ValueError(f"the teacher's generator draw needs n <= 31, got {spec.n}")
     rng = np.random.default_rng(spec.teacher_seed)
     idx = rng.choice(4**spec.n - 1, size=spec.depth, replace=False)
     generators = tuple(pauli_string_at(spec.n, int(i) + 1) for i in idx)
@@ -218,6 +220,8 @@ def select_for_method(
     serves all trials of a run; without it, this call builds one.
     """
     if method in BASELINE_METHODS:
+        if pool_subsample is not None:
+            raise ValueError(f"a pool subsample applies to pool methods, not {method}")
         return select_baseline(method, observable, budget, seed)
     if method not in POOL_METHODS:
         raise ValueError(f"unknown selection method {method!r}")

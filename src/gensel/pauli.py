@@ -10,7 +10,7 @@ The text form of a string is read leftmost character = qubit 0, so
 ``"ZIIII"`` is Z on qubit 0 and identity elsewhere.
 
 Products, commutation checks and commutator Frobenius norms are computed
-directly on the bit masks, never through a 2^n dimensional matrix.  The
+directly on the bit masks; no 2^n-dimensional matrix is built here.  The
 squared Frobenius norm of a (nested) commutator of Pauli strings is always
 an integer power of two, so those norms are returned as exact Python
 integers; callers may convert at their own boundary.
@@ -33,7 +33,6 @@ __all__ = [
     "commutes",
     "mask_arrays",
     "multiply",
-    "multiply_masks",
     "commutator",
     "commutator_norm_sq",
     "double_commutator_norm_sq",
@@ -48,14 +47,6 @@ _BITS_FROM_LETTER = {v: k for k, v in _LETTER_FROM_BITS.items()}
 
 # i^k for k = 0..3; all phases arising in Pauli products are of this form.
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
-
-_SINGLE_QUBIT_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class PauliString:
@@ -113,23 +104,6 @@ class PauliString:
             z |= zb << q
         return cls(len(label), x, z)
 
-    @classmethod
-    def from_bits(cls, x_bits, z_bits) -> "PauliString":
-        """Build from explicit per-qubit bit vectors (index 0 = qubit 0)."""
-        if len(x_bits) != len(z_bits):
-            raise ValueError("x_bits and z_bits must have equal length")
-        x = sum(int(bool(b)) << q for q, b in enumerate(x_bits))
-        z = sum(int(bool(b)) << q for q, b in enumerate(z_bits))
-        return cls(len(x_bits), x, z)
-
-    @property
-    def x_bits(self) -> tuple:
-        return tuple((self.x >> q) & 1 for q in range(self.n))
-
-    @property
-    def z_bits(self) -> tuple:
-        return tuple((self.z >> q) & 1 for q in range(self.n))
-
     @property
     def label(self) -> str:
         return "".join(
@@ -140,13 +114,6 @@ class PauliString:
     @property
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; basis index bit q corresponds to qubit q."""
-        m = np.eye(1, dtype=complex)
-        for ch in reversed(self.label):
-            m = np.kron(m, _SINGLE_QUBIT_MATRICES[ch])
-        return m
 
     def __str__(self) -> str:
         return self.label
@@ -262,23 +229,6 @@ def anticommuting_counts(x, z, n: int) -> np.ndarray:
     np.subtract(len(x), f, out=f)
     f //= 2
     return f
-
-
-def multiply_masks(ax, az, bx, bz):
-    """Elementwise (broadcast) ``multiply`` on uint64 mask arrays.
-
-    Returns the masks of a * b and the power e (uint8, 0..3) of its phase
-    i^e, so that a * b = i^e P(x, z).
-    """
-    x3 = ax ^ bx
-    z3 = az ^ bz
-    e = (
-        np.bitwise_count(ax & az)
-        + np.bitwise_count(bx & bz)
-        + 2 * np.bitwise_count(az & bx)
-        - np.bitwise_count(x3 & z3)
-    ) & 3  # uint8 wraps modulo 256, a multiple of 4
-    return x3, z3, e
 
 
 def commutator(a: PauliString, b: PauliString) -> ScaledPauli | None:

@@ -417,6 +417,8 @@ def select_baseline(
     if method == "random":
         # Draw canonical indices of non-identity strings; build only those.
         everyone = 4**n - 1
+        if n >= 32:  # 4^n - 1 no longer fits NumPy's int64 draw
+            raise ValueError(f"random selection needs n <= 31, got {n}")
         if budget > everyone:
             raise ValueError(f"budget {budget} exceeds {everyone} strings")
         idx = rng.choice(everyone, size=budget, replace=False)

@@ -25,6 +25,10 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _tick_values(lo: float, hi: float, count: int = 6) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -79,7 +83,7 @@ def write_curves_svg(
     if title:
         lines.append(
             f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
+            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
         )
 
     # Axes.
@@ -153,7 +157,7 @@ def write_curves_svg(
         )
         lines.append(
             f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-            f'font-size="13">{label}</text>'
+            f'font-size="13">{_escape(label)}</text>'
         )
 
     lines.append("</svg>")

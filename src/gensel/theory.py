@@ -30,9 +30,9 @@ integers per term of O, weighted by the squared coefficients only at the
 end.  Nothing is counted in closed form: the counts are transformed from
 the basis masks themselves, and c is measured from the basis counts.
 
-No 2^n-dimensional matrix is ever formed on this path; the only dense code
-here is ``g_purity``, which projects an observable matrix onto the span of
-an explicit orthonormal generator subset.
+``g_purity`` is the squared norm of O's projection onto the span of a set
+of normalized Pauli strings, which is the sum of O's squared coefficients
+on them.  No 2^n-dimensional matrix is formed anywhere in this module.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
     "verify_lemma1",
     "verify_lemma2_and_theorem2",
     "g_purity",
-    "normalized_pauli_matrices",
     "random_observable",
 ]
 
@@ -107,11 +106,7 @@ class ObservableInAlgebra:
     ) -> "ObservableInAlgebra":
         coeffs = np.zeros(4**n - 1)
         for p, w in terms.items():
-            if p.n != n:
-                raise ValueError(f"qubit-count mismatch: {p.n} vs n={n} for {p}")
-            if p.is_identity:
-                raise ValueError("identity has no component in the traceless basis")
-            coeffs[canonical_index(p) - 1] = w
+            coeffs[_coefficient_index(p, n)] = w
         return cls(n, coeffs)
 
     @classmethod
@@ -127,12 +122,14 @@ class ObservableInAlgebra:
     def norm_sq(self) -> float:
         return float(self.coeffs @ self.coeffs)
 
-    def to_matrix(self) -> np.ndarray:
-        scale = 1.0 / np.sqrt(2.0**self.n)
-        out = np.zeros((1 << self.n, 1 << self.n), dtype=complex)
-        for p, w in self.terms():
-            out += w * scale * p.to_matrix()
-        return out
+
+def _coefficient_index(p: PauliString, n: int) -> int:
+    """Position of the coefficient of ``p`` in an n-qubit observable."""
+    if p.n != n:
+        raise ValueError(f"qubit-count mismatch: {p.n} vs n={n} for {p}")
+    if p.is_identity:
+        raise ValueError("identity has no component in the traceless basis")
+    return canonical_index(p) - 1
 
 
 class Theorem1Result(NamedTuple):
@@ -285,43 +282,17 @@ def verify_lemma2_and_theorem2(
     return Lemma2Theorem2Result(diag, offdiag, lower, upper, total, full)
 
 
-def normalized_pauli_matrices(paulis: Sequence[PauliString]) -> list[np.ndarray]:
-    """Dense matrices P / sqrt(2^n); orthonormal under the trace inner product."""
-    if not paulis:
-        return []
-    scale = 1.0 / np.sqrt(2.0 ** paulis[0].n)
-    return [scale * p.to_matrix() for p in paulis]
+def g_purity(o: ObservableInAlgebra, basis: Sequence[PauliString]) -> float:
+    """P_g(O) = sum_j Tr(G_j O)^2 over the normalized strings G_j of ``basis``.
 
-
-def g_purity(
-    observable: np.ndarray,
-    generators: Sequence[np.ndarray],
-    check_orthonormal: bool = True,
-    atol: float = 1e-8,
-) -> float:
-    """Squared norm of the projection of O onto the span of the generators.
-
-    Returns sum_j Tr(G_j O)^2 for an orthonormal set {G_j}; equals
-    ||O||_F^2 exactly when O lies in the span, and is invariant under any
-    orthonormal re-mixing of the set.
+    Distinct normalized Pauli strings are orthonormal and Tr(G_P O) is the
+    coefficient of O on G_P, so this is the squared norm of the projection
+    of O onto their span: ||O||^2 when O lies in it, 0 when no term does.
     """
-    obs = np.asarray(observable, dtype=complex)
-    mats = [np.asarray(g, dtype=complex) for g in generators]
-    if check_orthonormal:
-        for i, gi in enumerate(mats):
-            for j, gj in enumerate(mats):
-                overlap = np.trace(gi.conj().T @ gj)
-                want = 1.0 if i == j else 0.0
-                if abs(overlap - want) > atol:
-                    raise ValueError(
-                        f"generator subset is not orthonormal: "
-                        f"Tr(G_{i}^† G_{j}) = {overlap}"
-                    )
-    total = 0.0
-    for g in mats:
-        t = np.trace(g @ obs)
-        total += float(t.real**2 + t.imag**2)
-    return total
+    rows = [_coefficient_index(p, o.n) for p in basis]
+    if len(set(rows)) < len(rows):
+        raise ValueError("basis strings must be distinct")
+    return float(np.sum(o.coeffs[rows] ** 2))
 
 
 def random_observable(

@@ -34,6 +34,15 @@ def frob_sq(m: np.ndarray) -> float:
     return float(np.sum(np.abs(m) ** 2))
 
 
+def dense_projection_sq(observable: np.ndarray, labels) -> float:
+    """sum_j |Tr(G_j O)|^2 with G_j = P_j / sqrt(2^n), P_j the labelled strings."""
+    total = 0.0
+    for label in labels:
+        g = dense_pauli(label) / np.sqrt(2.0 ** len(label))
+        total += abs(np.trace(g @ observable)) ** 2
+    return total
+
+
 def all_labels(n: int, include_identity: bool = False):
     labels = [""]
     for _ in range(n):

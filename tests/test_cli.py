@@ -195,6 +195,40 @@ class TestSelect:
              "--pool-subsample", 64, "--seed", 3, "--out", out]
         ) == 0
 
+    @pytest.mark.parametrize("method", ["random", "grad-only", "pair-only"])
+    def test_pool_subsample_refused_by_baselines(self, tmp_path, capsys, method):
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert _run(
+            ["select", "--n", 3, "--depth", 2, "--method", method,
+             "--pool-subsample", 3, "--out", out]
+        ) == 1
+        tag = method.replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error: a pool subsample applies to pool methods, not {tag}\n"
+        )
+        assert not out.exists()
+
+    def test_random_past_the_int64_draw_is_one_line(self, tmp_path, capsys):
+        """4^32 - 1 strings no longer fit NumPy's int64 draw."""
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert _run(
+            ["select", "--n", 32, "--method", "random", "--depth", 2, "--out", out]
+        ) == 1
+        assert capsys.readouterr().err == "error: random selection needs n <= 31, got 32\n"
+        assert not out.exists()
+
+    def test_random_at_31_qubits_keeps_its_bytes(self, tmp_path):
+        out = tmp_path / "select.csv"
+        assert _run(
+            ["select", "--n", 31, "--method", "random", "--depth", 2, "--seed", 0,
+             "--out", out]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "11ef33bef2356a4b8d38d30515e76e00f44c9680ecb8a4982e4a1538e264f309"
+        )
+
     def test_method_choices_follow_selection_methods(self):
         assert cli._METHOD_CHOICES == (
             "exact", "greedy", "genetic", "random", "grad-only", "pair-only"
@@ -238,6 +272,18 @@ class TestGenData:
         out = tmp_path / "data.csv"
         assert _run(["gen-data", "--seed", 1, "--config", cfg, "--out", out]) == 0
         assert len(_read_csv(out)) == 7
+
+    @pytest.mark.parametrize("n", [32, 40])
+    def test_past_the_int64_draw_is_one_line(self, tmp_path, capsys, n):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[dataset]\nn = {n}\n")
+        out = tmp_path / "data.csv"
+        capsys.readouterr()
+        assert _run(["gen-data", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the teacher's generator draw needs n <= 31, got {n}\n"
+        )
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -332,6 +378,23 @@ class TestTrain:
         assert err.startswith("error: training diverged to a non-finite RMSE")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_non_finite_data_is_one_line(self, small_setup, tmp_path, capsys,
+                                         column, value):
+        cfg, _ = small_setup
+        data, out = tmp_path / "bad.csv", tmp_path / "traces.csv"
+        x, y = (value, "0.5") if column == "x" else ("0.5", value)
+        data.write_text(f"index,x,y\n0,0.25,0.125\n1,{x},{y}\n2,1.0,0.75\n")
+        capsys.readouterr()
+        code = _run(["train", "--data", data, "--config", cfg, "--trials", 1,
+                     "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {data} row 2 is not finite: x = {float(x)}, y = {float(y)}\n"
+        )
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = _run(["train", "--data", tmp_path / "nope.csv", "--trials", 1])
         assert code == 1
@@ -377,6 +440,31 @@ class TestExpressibility:
         }
         assert all(0.0 <= float(r["hellinger"]) <= 1.0 for r in rows)
 
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("Unable to allocate 8.00 TiB for an array"),
+             "Unable to allocate 8.00 TiB for an array"),
+            (MemoryError(), "MemoryError"),
+        ],
+    )
+    def test_memory_error_is_one_line(
+        self, small_setup, tmp_path, capsys, monkeypatch, error, message
+    ):
+        from gensel import selection
+
+        def out_of_memory(n):
+            raise error
+
+        monkeypatch.setattr(selection, "canonical_masks", out_of_memory)
+        cfg, _ = small_setup
+        out = tmp_path / "expr.csv"
+        capsys.readouterr()
+        assert _run(["expressibility", "--config", cfg, "--trials", 1,
+                     "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_one_table_per_run(self, small_setup, tmp_path, monkeypatch):
         """Two pool-based methods x 20 trials read one set of the pool's masks,
@@ -660,6 +748,26 @@ class TestReport:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: {traces} has a row of 3 fields under 5 columns\n"
+
+    def test_method_name_is_escaped_in_the_svg(self, tmp_path):
+        from xml.dom import minidom
+
+        traces, expr = tmp_path / "traces.csv", tmp_path / "expr.csv"
+        traces.write_text(
+            "method,trial,epoch,rmse,rmse_normalized\n"
+            "a&b<c>,0,0,0.5,1.0\na&b<c>,0,1,0.25,0.5\n"
+        )
+        expr.write_text(
+            "method,trial,n_commute_obs,n_commute_pairs,hellinger\na&b<c>,0,0,0,0.5\n"
+        )
+        curves = tmp_path / "c.svg"
+        assert _run(["report", "--traces", traces, "--expr", expr,
+                     "--out-table", tmp_path / "t.csv", "--out-curves", curves]) == 0
+        texts = [
+            node.firstChild.data
+            for node in minidom.parse(str(curves)).getElementsByTagName("text")
+        ]
+        assert "a&b<c>" in texts and "training curves" in texts
 
     def test_missing_inputs(self, tmp_path, capsys):
         code = _run(["report", "--traces", tmp_path / "none.csv",

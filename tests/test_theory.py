@@ -13,14 +13,13 @@ from gensel.theory import (
     _double_commutator_sums,
     casimir_constant,
     g_purity,
-    normalized_pauli_matrices,
     random_observable,
     verify_lemma1,
     verify_lemma2_and_theorem2,
     verify_theorem1,
 )
 
-from conftest import dense_commutator, dense_pauli, frob_sq
+from conftest import dense_commutator, dense_pauli, dense_projection_sq, frob_sq
 
 P = PauliString.from_label
 
@@ -367,37 +366,51 @@ class TestScaling:
 
 class TestGPurity:
     def test_observable_in_span(self):
-        mats = normalized_pauli_matrices(list(pauli_strings(1)))
-        obs = _dense_observable(
-            ObservableInAlgebra(1, np.array([0.6, 0.8, 0.0]))
-        )
-        assert g_purity(obs, mats) == pytest.approx(1.0, abs=1e-12)
+        o = ObservableInAlgebra(1, np.array([0.6, 0.8, 0.0]))
+        assert g_purity(o, list(pauli_strings(1))) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_observable(self):
         # span of Z only; X is orthogonal to it
-        mats = normalized_pauli_matrices([P("Z")])
-        assert g_purity(dense_pauli("X"), mats) == pytest.approx(0.0, abs=1e-12)
+        o = ObservableInAlgebra.single(P("X"))
+        assert g_purity(o, [P("Z")]) == 0.0
 
     def test_unnormalized_two_qubit_example(self):
-        obs = dense_pauli("ZI")  # squared Frobenius norm 4
-        mats = normalized_pauli_matrices(list(pauli_strings(2)))
-        assert g_purity(obs, mats) == pytest.approx(4.0, abs=1e-10)
+        o = ObservableInAlgebra.single(P("ZI"), 2.0)  # ZI itself: norm^2 4
+        assert g_purity(o, list(pauli_strings(2))) == pytest.approx(4.0, abs=1e-12)
 
-    def test_basis_independent_under_remixing(self, rng):
-        subset = [P("ZI"), P("XY"), P("YZ"), P("IX")]
-        mats = normalized_pauli_matrices(subset)
-        obs = sum(w * m for w, m in zip(rng.standard_normal(4), mats))
-        obs = obs + 0.3 * normalized_pauli_matrices([P("ZZ")])[0]  # out-of-span part
-        before = g_purity(obs, mats)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        remixed = [sum(q[i, j] * mats[j] for j in range(4)) for i in range(4)]
-        after = g_purity(obs, remixed)
-        assert abs(before - after) < 1e-10
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_dense_projection(self, rng, n):
+        strings = list(pauli_strings(n))
+        for _ in range(30):
+            o = random_observable(n, rng, max_terms=int(rng.integers(1, 8)))
+            size = int(rng.integers(0, len(strings) + 1))
+            subset = [strings[m] for m in rng.choice(len(strings), size, replace=False)]
+            want = dense_projection_sq(_dense_observable(o), [p.label for p in subset])
+            assert abs(g_purity(o, subset) - want) <= 1e-12
 
-    def test_non_orthonormal_rejected(self):
-        mats = [dense_pauli("Z"), dense_pauli("Z")]
-        with pytest.raises(ValueError, match="orthonormal"):
-            g_purity(dense_pauli("X"), mats)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_basis_gives_norm_and_disjoint_set_zero(self, rng, n):
+        o = random_observable(n, rng, max_terms=4, unit_norm=False)
+        assert g_purity(o, list(pauli_strings(n))) == pytest.approx(
+            o.norm_sq(), rel=1e-12
+        )
+        held = {p for p, _ in o.terms()}
+        assert g_purity(o, [p for p in pauli_strings(n) if p not in held]) == 0.0
+        assert g_purity(o, []) == 0.0
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            (["ZI", "II"], "identity has no component in the traceless basis"),
+            (["ZI", "Z"], "qubit-count mismatch: 1 vs n=2 for Z"),
+            (["ZI", "XY", "ZI"], "basis strings must be distinct"),
+        ],
+    )
+    def test_refusals_are_one_line(self, basis, message):
+        o = ObservableInAlgebra.single(P("ZI"))
+        with pytest.raises(ValueError) as info:
+            g_purity(o, [P(label) for label in basis])
+        assert str(info.value) == message
 
 
 class TestObservableInAlgebra:
@@ -446,7 +459,3 @@ class TestObservableInAlgebra:
         o = ObservableInAlgebra.from_terms(1, {P("Z"): 0.6, P("X"): 0.8})
         assert o.norm_sq() == pytest.approx(1.0)
         assert dict((p.label, w) for p, w in o.terms()) == {"Z": 0.6, "X": 0.8}
-
-    def test_to_matrix_matches_dense(self, rng):
-        o = random_observable(2, rng)
-        assert np.allclose(o.to_matrix(), _dense_observable(o), atol=1e-12)
