@@ -46,10 +46,11 @@ from .selection import evaluate_selection
 from .svg import write_curves_svg
 from .theory import (
     ObservableInAlgebra,
+    _lemma2_and_theorem2,
+    _theorem1,
+    _transform_pair,
     casimir_constant,
     random_observable,
-    verify_lemma2_and_theorem2,
-    verify_theorem1,
 )
 
 __all__ = ["main", "parse_and_dispatch"]
@@ -328,36 +329,23 @@ def _cmd_expressibility(args, cfg) -> int:
 
 
 def _verify_rows(observables, n):
-    d = 1 << n
     c = casimir_constant(n)
+    pair = _transform_pair(n)  # one pair of transforms serves every observable
     rows = []
     for o in observables:
-        thm1 = verify_theorem1(o)
-        lem2 = verify_lemma2_and_theorem2(o)
-        scale1 = max(abs(thm1.rhs), 1e-300)
-        scale2 = max(abs(lem2.c2_norm_sq), 1e-300)
-        rel_errs = (
-            abs(thm1.lhs - thm1.rhs) / scale1,
-            abs(lem2.total_sum - lem2.c2_norm_sq) / scale2,
-            max(0.0, lem2.lower_bound - lem2.diag_sum) / scale2,
-            max(0.0, lem2.offdiag_sum - lem2.upper_bound) / scale2,
+        thm1 = _theorem1(o, pair[0])
+        lem2 = _lemma2_and_theorem2(o, pair)
+        scale = max(abs(lem2.c2_norm_sq), 1e-300)
+        rel_err = max(
+            abs(thm1.lhs - thm1.rhs) / max(abs(thm1.rhs), 1e-300),
+            abs(lem2.total_sum - lem2.c2_norm_sq) / scale,
+            max(0.0, lem2.lower_bound - lem2.diag_sum) / scale,
+            max(0.0, lem2.offdiag_sum - lem2.upper_bound) / scale,
         )
-        rows.append(
-            [
-                n,
-                d,
-                float(c),
-                float(thm1.lhs),
-                float(thm1.rhs),
-                float(lem2.total_sum),
-                float(lem2.c2_norm_sq),
-                float(lem2.diag_sum),
-                float(lem2.offdiag_sum),
-                float(lem2.lower_bound),
-                float(lem2.upper_bound),
-                float(max(rel_errs)),
-            ]
-        )
+        rows.append([
+            n, 1 << n, c, thm1.lhs, thm1.rhs, lem2.total_sum, lem2.c2_norm_sq,
+            lem2.diag_sum, lem2.offdiag_sum, lem2.lower_bound, lem2.upper_bound, rel_err,
+        ])
     return rows
 
 
@@ -376,18 +364,8 @@ def _cmd_verify_theory(args, cfg) -> int:
         observables.append(random_observable(n, rng, max_terms=max_terms))
     rows = _verify_rows(observables, n)
     header = [
-        "n",
-        "d",
-        "c_measured",
-        "thm1_lhs",
-        "thm1_rhs",
-        "lemma1_lhs",
-        "lemma1_rhs",
-        "diag_sum",
-        "offdiag_sum",
-        "lower_bound",
-        "upper_bound",
-        "max_rel_err",
+        "n", "d", "c_measured", "thm1_lhs", "thm1_rhs", "lemma1_lhs", "lemma1_rhs",
+        "diag_sum", "offdiag_sum", "lower_bound", "upper_bound", "max_rel_err",
     ]
     _write_outputs(args, args.report, header, rows)
     return 0

@@ -214,21 +214,30 @@ def anticommuting_counts(x, z, n: int) -> np.ndarray:
     with masks (x, z) that anticommute with the n-qubit string P(qx, qz).
 
     Equal to ``anticommutation_table(qx, qz, x, z).sum(axis=1)`` for every
-    Q, the identity included, from one unnormalised Walsh-Hadamard
-    transform of the basis indicator on the 2n-bit indices (z << n) | x:
-    at (qx << n) | qz it is F(Q) = sum over the basis of (-1)^<k, Q>, so
-    N(Q) = (len(x) - F(Q)) / 2.  2n passes over one array of 4^n words.
+    Q, the identity included, from one Walsh-Hadamard transform of the
+    basis indicator on the 2n-bit indices (z << n) | x: at (qx << n) | qz it
+    is F(Q) = sum over the basis of (-1)^<k, Q>, so N(Q) = (len(x) - F(Q)) / 2.
     """
     f = np.bincount(((z << n) | x).astype(np.intp), minlength=1 << 2 * n)
-    for h in range(2 * n):
-        pairs = f.reshape(-1, 2, 1 << h)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        lo += hi  # (lo, hi) -> (lo + hi, lo - hi), in place
-        hi *= -2
-        hi += lo
+    f = _walsh_hadamard(f)
     np.subtract(len(x), f, out=f)
     f //= 2
     return f
+
+
+def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform g[m] = sum_k f[k] (-1)^popcount(k & m)
+    of an integer array of length 2^b, overwriting f.  Each pass writes the even
+    and odd entries' sums and differences to the halves of the other buffer,
+    rotating the index bits right by one, so b passes put them back in order."""
+    half = len(f) // 2
+    src, dst = f, np.empty_like(f)
+    for _ in range(len(f).bit_length() - 1):
+        even, odd = src[0::2], src[1::2]
+        np.add(even, odd, out=dst[:half])
+        np.subtract(even, odd, out=dst[half:])
+        src, dst = dst, src
+    return src
 
 
 def commutator(a: PauliString, b: PauliString) -> ScaledPauli | None:
@@ -305,6 +314,9 @@ def _string_at(n: int, index: int, spec: str) -> PauliString:
     return PauliString._mk(n, int(bits[n - 1 :: -1], 2), int(bits[: n - 1 : -1], 2))
 
 
+_MAX_MASK_QUBITS = 12  # at n = 13 the two arrays of canonical_masks take 1 GiB
+
+
 def canonical_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The uint64 x and z masks of the 4^n - 1 non-identity strings, in
     canonical order: position i holds the string at index i + 1.
@@ -314,6 +326,8 @@ def canonical_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
+    if n > _MAX_MASK_QUBITS:
+        raise ValueError(f"qubit count must be at most {_MAX_MASK_QUBITS}, got {n}")
     fields = np.arange(1 << n, dtype=np.uint64)
     reverse = sum((fields >> q & 1) << (n - 1 - q) for q in range(n))
     return np.repeat(reverse, 1 << n)[1:], np.tile(reverse, 1 << n)[1:]

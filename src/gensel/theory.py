@@ -15,20 +15,23 @@ measured (never assumed) by applying sum_j ad_{G_j}^2 to every basis element.
 All sums are evaluated symbolically: a commutator of Pauli strings is either
 zero or a single scaled Pauli string, and distinct Pauli strings are
 Frobenius-orthogonal, so each term reduces to exact bit-mask arithmetic.
-The basis is held only as cached uint64 (x, z) mask arrays (a string is
-built from its canonical index on demand, to name a term or an error), and
-the sums are NumPy sweeps over them.  One count serves every sum: for each
-string Q, ``pauli.anticommuting_counts`` gives the number of basis strings
-anticommuting with Q, from one Walsh-Hadamard transform of the basis
-indicator.  Read at P_m it gives c, since [P_j, [P_j, P_m]] is 4 P_m when
-P_j anticommutes with P_m and 0 otherwise; read at O_t, the diagonal of
-the double sum; read at each product Q = P_j O_t, its outer sum over k.
-The (term, j) pairs come from ``pauli.anticommutation_table`` by popcount
-parity, one block of terms at a time, so a double sum costs
-O((terms + n) 4^n) time and a few blocks of memory.  The counts are
-integers per term of O, weighted by the squared coefficients only at the
-end.  Nothing is counted in closed form: the counts are transformed from
-the basis masks themselves, and c is measured from the basis counts.
+The basis is held only as cached uint64 (x, z) mask arrays.  Every sum
+reads two unnormalised Walsh-Hadamard transforms over the 4^n strings
+Q = P(qx, qz): N = ``pauli.anticommuting_counts``, the number of basis
+strings anticommuting with Q at (qx << n) | qz, and M, the transform of N,
+with M at (qz << n) | qx = sum_R N(R) (-1)^omega(R, Q) for the symplectic
+form omega.  As [P_j, [P_j, P_m]] is 4 P_m when P_j anticommutes with P_m
+and 0 otherwise, c is N at the basis strings; the first-order sum and the
+diagonal of the double sum read N at each term O_t.  The outer sum over k
+adds N(P_j O_t) over the P_j anticommuting with O_t.  On the full basis
+R = P_j O_t runs over every string but O_t, omega(R, O_t) = omega(P_j, O_t)
+and omega(O_t, O_t) = 0, so that sum is (M[0] - M at O_t) / 2.  This needs
+the full basis: one string short, the sum counts products that no P_j
+gives, and the double sum fails its check against c.  Counts are integers
+per term, weighted by the squared coefficients only at the end.  The pair
+costs O(n 4^n) time and three arrays of 4^n words, once per call; each
+observable then costs a gather per term.  Nothing is counted in closed
+form: N is transformed from the basis masks, and c is measured from it.
 
 ``g_purity`` is the squared norm of O's projection onto the span of a set
 of normalized Pauli strings, which is the sum of O's squared coefficients
@@ -45,12 +48,11 @@ import numpy as np
 
 from .pauli import (
     PauliString,
-    anticommutation_table,
+    _walsh_hadamard,
     anticommuting_counts,
     canonical_index,
     canonical_masks,
     pauli_string_at,
-    row_blocks,
 )
 
 __all__ = [
@@ -65,9 +67,9 @@ __all__ = [
 ]
 
 
-# Largest qubit count the basis is built for.  The basis, its count array
-# and each block's pairs grow as 4^n words; verify-theory peaks near
-# 128 MiB at n = 10.
+# Largest qubit count the basis is built for.  The basis, the transforms
+# and each observable grow as 4^n words; verify-theory peaks near 116 MiB
+# at n = 10.
 _MAX_QUBITS = 10
 
 
@@ -194,47 +196,41 @@ def casimir_constant(n: int) -> float:
     return c
 
 
-def verify_theorem1(o: ObservableInAlgebra) -> Theorem1Result:
-    """Compute both sides of sum_j ||[G_j, O]||^2 = c ||O||^2."""
-    d = 2.0**o.n
-    bx, bz = _basis_masks(o.n)
-    tx, tz, w2 = _term_masks(o)
+def _transform_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M) of the module docstring for the n-qubit basis."""
+    counts = anticommuting_counts(*_basis_masks(n), n)
+    return counts, _walsh_hadamard(counts.copy())
+
+
+def _theorem1(o: ObservableInAlgebra, counts: np.ndarray) -> Theorem1Result:
     # [P_j, O] = sum over the terms t that anticommute with P_j of
     # 2 w_t P_j O_t, distinct strings, so by orthogonality
-    # ||[G_j, O]||^2 = sum_t T[t, j] 4 w_t^2 d / d^2 with T the table below.
-    anti_counts = np.empty(len(w2), dtype=np.int64)
-    for block in row_blocks(len(w2), len(bx)):
-        table = anticommutation_table(tx[block], tz[block], bx, bz)
-        anti_counts[block] = table.sum(axis=1)
-    lhs = 4.0 * float(np.sum(w2 * anti_counts)) / d
+    # ||[G_j, O]||^2 = sum_{t anti j} 4 w_t^2 d / d^2; term t counts N(O_t) times.
+    tx, tz, w2 = _term_masks(o)
+    lhs = 4.0 * float(np.sum(w2 * counts[(tx << o.n) | tz])) / 2.0**o.n
     c = casimir_constant(o.n)
     return Theorem1Result(lhs, c * o.norm_sq(), c)
 
 
-def _double_commutator_sums(o: ObservableInAlgebra) -> tuple[float, float]:
+def verify_theorem1(o: ObservableInAlgebra) -> Theorem1Result:
+    """Compute both sides of sum_j ||[G_j, O]||^2 = c ||O||^2."""
+    return _theorem1(o, anticommuting_counts(*_basis_masks(o.n), o.n))
+
+
+def _double_commutator_sums(o: ObservableInAlgebra, pair) -> tuple[float, float]:
     """(total, diagonal) of sum over (j, k) of ||[G_k, [G_j, O]]||^2.
 
     The terms of [P_j, O] are the products Q = P_j O_t of the terms O_t that
     anticommute with P_j, with weight 4 w_t^2; distinct t give distinct Q.
     The outer commutator with P_k kills the Q that commute with it and
     doubles the rest, so ||[G_k, [G_j, O]]||^2 = (4/d^2) sum_{Q anti P_k}
-    4 w_t^2.  Summed over k, each Q contributes the number of basis strings
-    it anticommutes with, read from ``pauli.anticommuting_counts``.  On the
-    diagonal k = j every Q counts once, since P_j anticommutes with P_j O_t
-    whenever it anticommutes with O_t, so the diagonal is the count of O_t
-    itself.  Both are integer counts per term t, weighted only at the end.
+    4 w_t^2.  Summed over k and j, term t counts (M[0] - M at O_t) / 2 times
+    (module docstring); on the diagonal k = j, N(O_t) times, since P_j
+    anticommutes with P_j O_t whenever it anticommutes with O_t.
     """
-    bx, bz = _basis_masks(o.n)
+    counts, spectrum = pair
     tx, tz, w2 = _term_masks(o)
-    counts = anticommuting_counts(bx, bz, o.n)
-    total = np.zeros(len(w2), dtype=np.int64)
-    # A block of t yields at most len(block) * len(bx) (t, j) pairs.
-    for block in row_blocks(len(w2), len(bx)):
-        inner = anticommutation_table(tx[block], tz[block], bx, bz)
-        t, j = np.divmod(np.flatnonzero(inner), len(bx))
-        t += block.start
-        qx, qz = bx[j] ^ tx[t], bz[j] ^ tz[t]
-        np.add.at(total, t, counts[(qx << o.n) | qz])
+    total = (spectrum[0] - spectrum[(tz << o.n) | tx]) // 2
     diag = counts[(tx << o.n) | tz]
     scale = 16.0 / 4.0**o.n
     return scale * float(np.sum(w2 * total)), scale * float(np.sum(w2 * diag))
@@ -242,7 +238,7 @@ def _double_commutator_sums(o: ObservableInAlgebra) -> tuple[float, float]:
 
 def verify_lemma1(o: ObservableInAlgebra) -> Lemma1Result:
     """Compute both sides of sum_{j,k} ||[G_k, [G_j, O]]||^2 = c^2 ||O||^2."""
-    total, _ = _double_commutator_sums(o)
+    total, _ = _double_commutator_sums(o, _transform_pair(o.n))
     c = casimir_constant(o.n)
     return Lemma1Result(total, c * c * o.norm_sq())
 
@@ -259,7 +255,13 @@ def verify_lemma2_and_theorem2(
     also carries both sides of Lemma 1, so one evaluation of the double sum
     serves all three checks.
     """
-    total, diag = _double_commutator_sums(o)
+    return _lemma2_and_theorem2(o, _transform_pair(o.n), rel_tol)
+
+
+def _lemma2_and_theorem2(
+    o: ObservableInAlgebra, pair, rel_tol: float = 1e-8
+) -> Lemma2Theorem2Result:
+    total, diag = _double_commutator_sums(o, pair)
     offdiag = total - diag
     c = casimir_constant(o.n)
     d2 = 4.0**o.n

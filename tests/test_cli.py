@@ -209,6 +209,27 @@ class TestSelect:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["grad-only", "pair-only", "exact"])
+    def test_past_the_mask_bound_is_one_line(self, tmp_path, capsys, monkeypatch, method):
+        """At n = 13 the canonical masks alone would take 1 GiB: refused first."""
+        def no_masks(*args, **kwargs):  # a missing bound fails here, not in 1 GiB
+            raise AssertionError("canonical masks built past the bound")
+
+        monkeypatch.setattr(np, "repeat", no_masks)
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = _run(["select", "--n", 13, "--depth", 5, "--method", method,
+                         "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == "error: qubit count must be at most 12, got 13\n"
+        assert not out.exists()
+        assert peak < 2**20
+
     def test_random_past_the_int64_draw_is_one_line(self, tmp_path, capsys):
         """4^32 - 1 strings no longer fit NumPy's int64 draw."""
         out = tmp_path / "x.csv"
@@ -553,20 +574,39 @@ class TestVerifyTheory:
         assert not list(tmp_path.iterdir())
         assert peak < 2**20
 
+    def test_n8_full_basis_within_seconds(self, tmp_path):
+        """All 65535 terms at n = 8: two transforms, then a gather per term."""
+        out = tmp_path / "theory.csv"
+        start = time.perf_counter()
+        assert _run(["verify-theory", "--n", 8, "--trials", 1, "--max-terms", 65535,
+                     "--seed", 0, "--report", out]) == 0
+        assert time.perf_counter() - start < 10
+        (row,) = _read_csv(out)
+        assert float(row["c_measured"]) == 512.0
+        assert float(row["max_rel_err"]) <= 1e-9
+
     def test_double_sums_computed_once_per_observable(self, tmp_path, monkeypatch):
+        """One call transforms the basis counts once, for all its observables."""
         from gensel import theory
 
-        calls = []
-        real = theory._double_commutator_sums
+        theory.casimir_constant(2)  # cached, so its own count is not seen
+        names = ("anticommuting_counts", "_walsh_hadamard", "_double_commutator_sums")
+        calls = dict.fromkeys(names, 0)
 
-        def counted(o):
-            calls.append(o)
-            return real(o)
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
 
-        monkeypatch.setattr(theory, "_double_commutator_sums", counted)
-        assert _run(["verify-theory", "--n", 2, "--trials", 3, "--observable", "ZX",
-                     "--seed", 0, "--report", tmp_path / "theory.csv"]) == 0
-        assert len(calls) == 4
+        for name in names:
+            monkeypatch.setattr(theory, name, counted(name, getattr(theory, name)))
+        for trials in (0, 3):
+            calls.update(dict.fromkeys(names, 0))
+            assert _run(["verify-theory", "--n", 2, "--trials", trials, "--observable",
+                         "ZX", "--seed", 0, "--report", tmp_path / "theory.csv"]) == 0
+            assert calls == {"anticommuting_counts": 1, "_walsh_hadamard": 1,
+                             "_double_commutator_sums": 1 + trials}
 
 
 class TestReport:

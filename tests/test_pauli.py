@@ -185,6 +185,14 @@ class TestMaskKernels:
         expected = anticommutation_table(qx, qz, bx, bz).sum(axis=1)
         assert counts.tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("bits", range(8))
+    def test_walsh_hadamard_matches_the_dense_product(self, rng, bits):
+        """Odd bit counts too, whose result ends in the scratch buffer."""
+        f = rng.integers(-50, 50, size=1 << bits)
+        k = np.arange(1 << bits)
+        dense = 1 - 2 * (np.bitwise_count(k[:, None] & k).astype(np.int64) & 1)
+        assert pauli._walsh_hadamard(f.copy()).tolist() == (dense @ f).tolist()
+
     def test_parity_broadcasts_elementwise(self, rng):
         a = [P(random_label(rng, 5)) for _ in range(50)]
         b = [P(random_label(rng, 5)) for _ in range(50)]
@@ -330,6 +338,15 @@ class TestEnumeration:
             assert np.array_equal(x, expected[0]) and np.array_equal(z, expected[1])
         with pytest.raises(ValueError, match="positive"):
             canonical_masks(0)
+
+    def test_canonical_masks_refused_past_the_bound(self, monkeypatch):
+        """Two arrays of 4^13 - 1 words (1 GiB) are refused before any is made."""
+        def no_masks(*args, **kwargs):  # a missing bound fails here, not in 1 GiB
+            raise AssertionError("canonical masks built past the bound")
+
+        monkeypatch.setattr(np, "repeat", no_masks)
+        with pytest.raises(ValueError, match="^qubit count must be at most 12, got 13$"):
+            canonical_masks(13)
 
     @pytest.mark.parametrize("n", [64, 100])
     def test_canonical_index_past_uint64(self, rng, n):

@@ -11,6 +11,7 @@ from gensel.theory import (
     ObservableInAlgebra,
     TheoryVerificationError,
     _double_commutator_sums,
+    _transform_pair,
     casimir_constant,
     g_purity,
     random_observable,
@@ -132,7 +133,7 @@ class TestVectorisedSums:
 
     @staticmethod
     def _sums(o):
-        return (verify_theorem1(o).lhs, *_double_commutator_sums(o))
+        return (verify_theorem1(o).lhs, *_double_commutator_sums(o, _transform_pair(o.n)))
 
     def test_matches_per_pair_reference_n4(self, rng):
         for _ in range(3):
@@ -147,11 +148,19 @@ class TestVectorisedSums:
             for got, want in zip(self._sums(o), _dense_sums(o)):
                 assert got == pytest.approx(want, rel=1e-9)
 
-    @pytest.mark.parametrize("n, max_terms", [(3, None), (4, 8), (5, 8)])
+    @pytest.mark.parametrize("n, max_terms", [(3, None), (4, None), (4, 8), (5, 8)])
     def test_double_sums_equal_pairwise_sweep(self, rng, n, max_terms):
+        pair = _transform_pair(n)
         for _ in range(3):
             o = random_observable(n, rng, max_terms=max_terms)
-            assert _double_commutator_sums(o) == _pairwise_double_sums(o)
+            assert _double_commutator_sums(o, pair) == _pairwise_double_sums(o)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_double_sums_of_every_single_string(self, n):
+        pair = _transform_pair(n)
+        for p in pauli_strings(n):
+            o = ObservableInAlgebra.single(p, 0.5)
+            assert _double_commutator_sums(o, pair) == _pairwise_double_sums(o), p
 
     @pytest.mark.parametrize("short", ["basis", "count"])
     def test_sums_on_a_short_basis_raise(self, monkeypatch, short):
@@ -179,21 +188,6 @@ class TestVectorisedSums:
     def test_casimir_matches_per_pair_reference(self, n):
         assert theory.casimir_constant.__wrapped__(n) == _reference_casimir(n)
 
-    # Row steps of 1, or even (so dividing neither 63 nor 255 = 4^n - 1),
-    # in every sweep at n = 3 and 4.
-    @pytest.mark.parametrize("block_size", [1, 510, 8160])
-    def test_block_size_does_not_matter(self, monkeypatch, rng, block_size):
-        observables = [
-            random_observable(3, rng),
-            random_observable(4, rng, max_terms=8),
-            ObservableInAlgebra.single(P("XIZY")),
-        ]
-        expected = [self._sums(o) for o in observables]
-        constants = [theory.casimir_constant.__wrapped__(n) for n in (3, 4)]
-        monkeypatch.setattr(pauli, "BLOCK_SIZE", block_size)
-        assert [self._sums(o) for o in observables] == expected
-        assert [theory.casimir_constant.__wrapped__(n) for n in (3, 4)] == constants
-
     def test_casimir_on_a_short_basis_count_raises(self, monkeypatch):
         """Counts from a basis one string short differ across the basis."""
         real = theory.anticommuting_counts
@@ -212,10 +206,11 @@ class TestVectorisedSums:
             theory.casimir_constant.__wrapped__(3)
 
     def test_full_basis_sums_stay_in_blocks(self, rng):
-        """The (term, j) tables are built a block of terms at a time.
+        """The sums build no (term, basis string) table, blocked or whole.
 
-        A full-basis observable at n = 6 has 4095 terms; one table over all
-        of them would alone hold 4095 x 4095 bytes (16 MiB).
+        A full-basis observable at n = 6 has 4095 terms; a table over 64 of
+        them at a time, as the sums once built, peaked near 7 MiB.  The two
+        transforms hold 4^6 words each (32 KiB).
         """
         o = random_observable(6, rng)
         theory._basis_masks(6)  # cached, so the trace sees only the sums
@@ -227,7 +222,7 @@ class TestVectorisedSums:
             tracemalloc.stop()
         assert sums[0] == pytest.approx(casimir_constant(6), rel=1e-12)
         assert sums[1] == pytest.approx(casimir_constant(6) ** 2, rel=1e-12)
-        assert peak < 16 * 2**20
+        assert peak < 2**20
 
 
 class TestCasimirConstant:
