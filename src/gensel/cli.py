@@ -19,6 +19,7 @@ import argparse
 import configparser
 import csv
 import functools
+import io
 import math
 import os
 import sys
@@ -36,7 +37,7 @@ from .experiments import (
     generate_dataset,
     select_for_method,
     summarize,
-    trace_rows,
+    trace_columns,
     train_cells,
     trial_models,
 )
@@ -47,6 +48,7 @@ from .svg import write_curves_svg
 from .theory import (
     ObservableInAlgebra,
     _lemma2_and_theorem2,
+    _term_masks,
     _theorem1,
     _transform_pair,
     casimir_constant,
@@ -78,12 +80,58 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write the rows as CSV; each float as its shortest round-trip repr."""
+# csv.writer writes a field as it is unless it holds one of these or is the
+# empty field of a one-field row; the str of a number is neither.
+_CSV_SPECIAL = frozenset(',"\r\n')
+_NUMBERS = (int, float, np.number)
+
+
+class _CsvFields(dict):
+    """Text -> its CSV field, filled on lookup by csv.writer's own
+    QUOTE_MINIMAL rule; ``lone`` for rows of one field, where "" is quoted."""
+
+    def __init__(self, lone: bool):
+        super().__init__()
+        self.lone = lone
+        self.buffer = io.StringIO()
+        self.writer = csv.writer(self.buffer, lineterminator="\n")
+
+    def __missing__(self, text):
+        field = text
+        if not text or _CSV_SPECIAL.intersection(text):
+            self.buffer.seek(0)
+            self.buffer.truncate()
+            self.writer.writerow([text] if self.lone else [text, "x"])
+            field = self.buffer.getvalue()[: -1 if self.lone else -3]
+        self[text] = field
+        return field
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write the columns as CSV under the header: the bytes csv.writer with
+    lineterminator="\n" gives their rows.
+
+    As there, a text cell is written as it is and None as "", any other cell
+    through str (a float as its shortest round-trip repr), then quoted by
+    csv's QUOTE_MINIMAL rule.  A float64 or integer array column is formatted
+    from ``tolist()``.
+    """
+    fields = _CsvFields(len(header) == 1)
+
+    def cells(column):
+        if isinstance(column, np.ndarray):
+            if column.dtype == np.float64 or column.dtype.kind in "iu":
+                return map(repr, column.tolist())  # str, for a float or an int
+        return [
+            fields[v] if isinstance(v, str)
+            else str(v) if isinstance(v, _NUMBERS)
+            else fields["" if v is None else str(v)]
+            for v in column
+        ]
+
+    lines = [",".join(cells(header)), *map(",".join, zip(*map(cells, columns)))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\n".join(lines) + "\n")
 
 
 # Seeds come from --seed or GENSEL_SEED, so no config key sets these fields.
@@ -155,14 +203,14 @@ def _section(cfg, cls, **flags):
     return cls(**values)
 
 
-def _write_outputs(args, path, header, rows, *settings) -> None:
+def _write_outputs(args, path, header, columns, *settings) -> None:
     """Write the CSV ``path`` and its sidecar ``<path>.config.txt``.
 
     The sidecar is a config file: ``# subcommand`` and ``# flag = value``
     comments (the seed resolved), then one section per dataclass in
     ``settings``, keyed as `_section` reads it.
     """
-    _write_csv(path, header, rows)
+    _write_csv(path, header, columns)
     lines = [f"# subcommand = {args.subcommand}"]
     for flag, value in vars(args).items():
         if flag not in ("subcommand", "handler"):
@@ -238,15 +286,15 @@ def _cmd_select(args, cfg) -> int:
         + [g.label for g in result.chosen]
         + [result.score, metrics.n_commute_obs, metrics.n_commute_pairs]
     )
-    _write_outputs(args, args.out, header, [row], genetic)
+    _write_outputs(args, args.out, header, [[v] for v in row], genetic)
     return 0
 
 
 def _cmd_gen_data(args, cfg) -> int:
     spec = _section(cfg, DatasetSpec, teacher_seed=args.seed)
     dataset, _ = generate_dataset(spec)
-    rows = [[i, x, y] for i, (x, y) in enumerate(dataset)]
-    _write_outputs(args, args.out, ["index", "x", "y"], rows, spec)
+    columns = [range(len(dataset)), *zip(*dataset)]
+    _write_outputs(args, args.out, ["index", "x", "y"], columns, spec)
     return 0
 
 
@@ -268,12 +316,6 @@ def _read_table(path: str, columns) -> list[tuple[str, ...]]:
         )
     table = list(zip(*rows)) or [()] * len(header)
     return [table[header.index(c)] for c in columns]
-
-
-def _train_chunk(payload) -> list[tuple]:
-    cells, *rest = payload
-    records = train_cells(cells, *rest)
-    return [row for (_, t), r in zip(cells, records) for row in trace_rows(r, t)]
 
 
 def _cmd_train(args, cfg) -> int:
@@ -301,11 +343,12 @@ def _cmd_train(args, cfg) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_train_chunk, payloads))
+            chunks = list(pool.map(train_cells, *zip(*payloads)))
     else:
-        chunks = [_train_chunk(p) for p in payloads]
-    rows = [row for chunk in chunks for row in chunk]
-    _write_outputs(args, args.out, _TRACE_COLUMNS, rows, spec, spsa, genetic)
+        chunks = [train_cells(*p) for p in payloads]
+    records = [record for chunk in chunks for record in chunk]
+    columns = trace_columns(records, [trial for _, trial in cells])
+    _write_outputs(args, args.out, _TRACE_COLUMNS, columns, spec, spsa, genetic)
     return 0
 
 
@@ -324,7 +367,7 @@ def _cmd_expressibility(args, cfg) -> int:
         distance = expressibility_hellinger(model, replace(expr_cfg, seed=seed))
         metrics = evaluate_selection(model.generators, spec.observable)
         rows.append([method, trial, *metrics, float(distance)])
-    _write_outputs(args, args.out, _EXPR_COLUMNS, rows, spec, genetic, expr_cfg)
+    _write_outputs(args, args.out, _EXPR_COLUMNS, zip(*rows), spec, genetic, expr_cfg)
     return 0
 
 
@@ -333,8 +376,9 @@ def _verify_rows(observables, n):
     pair = _transform_pair(n)  # one pair of transforms serves every observable
     rows = []
     for o in observables:
-        thm1 = _theorem1(o, pair[0])
-        lem2 = _lemma2_and_theorem2(o, pair)
+        terms = _term_masks(o)  # one scan of the 4^n - 1 coefficients, both checks
+        thm1 = _theorem1(o, pair[0], terms)
+        lem2 = _lemma2_and_theorem2(o, pair, terms=terms)
         scale = max(abs(lem2.c2_norm_sq), 1e-300)
         rel_err = max(
             abs(thm1.lhs - thm1.rhs) / max(abs(thm1.rhs), 1e-300),
@@ -367,7 +411,7 @@ def _cmd_verify_theory(args, cfg) -> int:
         "n", "d", "c_measured", "thm1_lhs", "thm1_rhs", "lemma1_lhs", "lemma1_rhs",
         "diag_sum", "offdiag_sum", "lower_bound", "upper_bound", "max_rel_err",
     ]
-    _write_outputs(args, args.report, header, rows)
+    _write_outputs(args, args.report, header, zip(*rows))
     return 0
 
 
@@ -391,9 +435,8 @@ def _cmd_report(args, cfg) -> int:
             for m, v in zip(expr_method, column)
         ),
     )
-    _write_outputs(
-        args, args.out_table, ["method", "metric", "mean", "std"], report.table_rows()
-    )
+    table = zip(*report.table_rows())
+    _write_outputs(args, args.out_table, ["method", "metric", "mean", "std"], table)
     write_curves_svg(
         args.out_curves,
         report.curves(),

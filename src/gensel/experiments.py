@@ -51,7 +51,7 @@ __all__ = [
     "select_for_method",
     "trial_models",
     "train_cells",
-    "trace_rows",
+    "trace_columns",
     "summarize",
     "run_comparison",
     "two_sample_t_test",
@@ -286,13 +286,17 @@ def train_cells(
     ]
 
 
-def trace_rows(record: TrialRecord, trial_index: int) -> list[tuple]:
-    """One (method, trial, epoch, rmse, rmse_normalized) row per trace point."""
+def trace_columns(records: Sequence[TrialRecord], trials: Sequence[int]) -> list:
+    """The (method, trial, epoch, rmse, rmse_normalized) columns of the
+    records' trace points, record by record; record i is trial trials[i].
+    The method column is a list, the others are arrays."""
+    points = [len(r.rmse_trace) for r in records]
     return [
-        (record.method, trial_index, epoch, rmse, norm)
-        for epoch, (rmse, norm) in enumerate(
-            zip(record.rmse_trace.tolist(), record.normalized_trace.tolist())
-        )
+        [method for r, k in zip(records, points) for method in [r.method] * k],
+        np.repeat(np.asarray(trials, dtype=np.int64), points),
+        np.concatenate([np.arange(0), *map(np.arange, points)]),
+        np.concatenate([np.zeros(0), *(r.rmse_trace for r in records)]),
+        np.concatenate([np.zeros(0), *(r.normalized_trace for r in records)]),
     ]
 
 
@@ -466,9 +470,9 @@ def run_comparison(
     dataset, _ = generate_dataset(spec)
     cells = [(method, t) for method in methods for t in range(trials)]
     records = train_cells(cells, master_seed, dataset, spec, spsa_config, genetic)
-    traces, metrics = [], []
-    for (method, t), record in zip(cells, records):
-        traces += trace_rows(record, t)
+    metrics = []
+    for (method, _), record in zip(cells, records):
         counts = evaluate_selection(record.chosen, spec.observable)
         metrics += [(method, k, v) for k, v in counts._asdict().items()]
-    return summarize(traces, metrics)
+    traces = trace_columns(records, [t for _, t in cells])
+    return summarize(zip(*traces), metrics)

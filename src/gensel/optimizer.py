@@ -232,7 +232,7 @@ def rmse_cost(model: CircuitModel, theta, dataset) -> float:
     return float(np.sqrt(np.mean((preds - ys) ** 2)))
 
 
-def _spsa_update(theta, momentum, costs, delta, config):
+def _spsa_update(theta, momentum, costs, delta, config, rows=None):
     """One SPSA step for every row of theta (T, W).
 
     Row t moves along its Rademacher direction delta[t] (0 past the trial's
@@ -240,10 +240,17 @@ def _spsa_update(theta, momentum, costs, delta, config):
     from ``costs`` (rows (2, T, W) -> (2, T)), estimates the gradient as
     their difference over 2c times delta_t (note 1/delta_j = delta_j), folds
     it into the momentum m <- beta m + g and moves theta <- theta - a m.
+    ``rows``, if given, is a (k + 2, T, W) buffer: theta +- c delta go into
+    its last two rows and ``costs`` gets all of it, so its first k rows are
+    costed in the same call.
     """
     c = config.perturbation
     shift = c * delta
-    plus, minus = costs(np.array([theta + shift, theta - shift]))
+    if rows is None:
+        rows = np.empty((2,) + theta.shape)
+    np.add(theta, shift, out=rows[-2])
+    np.subtract(theta, shift, out=rows[-1])
+    plus, minus = costs(rows)[-2:]
     grad = ((plus - minus) / (2.0 * c))[:, None] * delta
     momentum = config.momentum * momentum + grad
     return theta - config.learning_rate * momentum, momentum
@@ -254,9 +261,10 @@ def _spsa_update(theta, momentum, costs, delta, config):
 # changes no trace, rather than holding every trial's tables at once.  This
 # keeps memory growing with the largest group, not with the number of
 # trials, as it did when each trial trained alone; it does not bound a
-# group: one circuit may pass the limit alone, and an evaluation holds
-# 3 x B x 2K products per circuit of the group (its bucket pads the K terms
-# to under 2K, or to at most 8).
+# group: one circuit may pass the limit alone, and the evaluator keeps
+# 3 x B products per term row of the group, one per row of angles a step
+# evaluates.  A bucket holds a circuit's K terms in K rows, or in under 2K
+# where it pads (see ``simulator.stack_circuits``).
 _GROUP_SIZE = 1 << 20
 
 
@@ -273,7 +281,10 @@ def _train_group(circuits, seeds, ys, config) -> np.ndarray:
         nonlocal evaluations
         evaluations += len(rows)
         # The sum over the inputs divided by their count: np.mean's arithmetic.
-        return np.sqrt(((evaluate(rows) - ys) ** 2).sum(axis=-1) / len(ys))
+        errors = evaluate(rows)
+        errors -= ys
+        np.square(errors, out=errors)
+        return np.sqrt(errors.sum(axis=-1) / len(ys))
 
     theta = np.zeros((len(circuits), max(depths, default=0)))
     for row, seed, depth in zip(theta, seeds, depths):
@@ -282,13 +293,14 @@ def _train_group(circuits, seeds, ys, config) -> np.ndarray:
     momentum = np.zeros_like(theta)
 
     trace = np.empty((config.epochs + 1, len(circuits)))
+    # theta's own cost, the trace point before a step, rides along with
+    # theta +- c Delta in one stacked call; every step fills these rows.
+    step_rows = np.empty((3,) + theta.shape)
 
     def step_costs(rows: np.ndarray) -> np.ndarray:
-        # theta's own cost, the trace point before this step, rides along
-        # with theta +- c Delta in one stacked call.
-        values = costs(np.concatenate([theta[None], rows]))
+        values = costs(rows)
         trace[epoch - 1] = values[0]
-        return values[1:]
+        return values
 
     # The directions of a block of epochs are drawn at once.  The kernel's
     # temporaries peak at 40-70 bytes per direction entry, so a block holds
@@ -301,8 +313,9 @@ def _train_group(circuits, seeds, ys, config) -> np.ndarray:
         stop = min(start + block, config.epochs + 1)
         deltas = _directions(seeds, np.arange(start, stop), width) * live
         for epoch in range(start, stop):
+            step_rows[0] = theta
             theta, momentum = _spsa_update(
-                theta, momentum, step_costs, deltas[epoch - start], config
+                theta, momentum, step_costs, deltas[epoch - start], config, step_rows
             )
     trace[-1] = costs(theta[None])[0]
 

@@ -26,13 +26,17 @@ evaluates many compiled circuits at many parameter rows in one call;
 ``run_model_batch`` and ``run_model`` evaluate one parameter row of a fresh
 compilation.  Each prediction is the left-to-right sum of its circuit's
 terms in compile order, from +0.0 as NumPy's sums start.  The stacked
-tables are term-major, so one multiply runs over the inputs and the sum
-adds whole term slices in order.  Circuits share a bucket when their term
-counts round up to the same power of two (at least 8), which keeps the
-padding under 2x; a bucket pads to its largest term count with terms of
-Phi = -0.0 and to its largest depth with factors of 1.0.  As x + (-0.0) = x
-for every x, a circuit's predictions do not depend on the circuits stacked
-with it.
+tables are term-major, so one multiply runs over the inputs and the sums
+add whole term slices in order.  Circuits share a bucket when their term
+counts round up to the same power of two (at least 8).  A bucket orders
+its members by term count, most first, so each term index is a slice of a
+prefix of them: the terms every member has are summed in one reduce, and
+each later term adds in place into its prefix of the sums.  Past
+_RAGGED_SLICES such adds the members with fewer terms are padded with
+terms of Phi = -0.0 instead, to under 2x their count, so an evaluation
+makes a bounded number of NumPy calls per bucket; members of lower depth
+read factors of 1.0.  As x + (-0.0) = x for every x, a circuit's
+predictions do not depend on the circuits stacked with it.
 
 The dense kernel acts on amplitude vectors.  Basis convention: amplitude
 index bit q corresponds to qubit q, so |0..0> is index 0.  A Pauli string
@@ -343,61 +347,116 @@ def compile_circuit(model: CircuitModel, xs) -> CompiledCircuit:
     )
 
 
+# A bucket adds at most this many ragged term slices after its one reduce;
+# past that it pads its shorter members with terms of Phi = -0.0 instead.
+_RAGGED_SLICES = 8
+
+
 def stack_circuits(
     circuits: Sequence[CompiledCircuit],
 ) -> Callable[[np.ndarray], np.ndarray]:
     """One evaluator for circuits compiled on the same inputs.
 
-    The returned function maps thetas (P, T, W) to predictions (P, T, B):
-    row thetas[p, t, :L_t] parameterises circuit t, the rest is ignored,
-    and W is at least every depth.  Each prediction is the left-to-right
-    sum of its terms in compile order, whatever is stacked with it (see the
-    module docstring).  Dense circuits run row by row.
+    The returned function maps thetas (P, T, W) to new predictions
+    (P, T, B): row thetas[p, t, :L_t] parameterises circuit t, the rest is
+    ignored, and W is at least every depth.  Each prediction is the
+    left-to-right sum of its terms in compile order, whatever is stacked
+    with it (see the module docstring).  A bucket's table holds term j of
+    its i-th member (most terms first) in row starts[j] + i.  Its first
+    ``common`` terms are a block of every member, padded with terms of
+    Phi = -0.0 where a member has fewer; ``common`` is the fewest terms of
+    a member, raised to leave at most _RAGGED_SLICES later terms.  The
+    evaluator keeps its trig rows and products for the next call with the
+    same count P.  Dense circuits run row by row.
     """
     width = max((c.depth for c in circuits), default=0)
     inputs = circuits[0].inputs if circuits else 0
+    span = len(circuits) * width  # the angles of one factor kind
     by_size: dict[int, list[int]] = {}  # term counts up to 8, 16, 32, ...
     for t, c in enumerate(circuits):
         if c.dense is None:
             by_size.setdefault(max(3, (len(c.factors) - 1).bit_length()), []).append(t)
     buckets = []
     for members in by_size.values():
-        shapes = [circuits[t].factors.shape for t in members]
-        terms = max(1, *(k for k, _ in shapes))  # a term at least
-        depth = max(d for _, d in shapes)
-        # gather[l, k, i] indexes factor l of term k of circuit members[i] in
-        # its trig block; padded terms and layers read the block's first 1.0.
-        gather = np.empty((depth, terms, len(members)), dtype=np.intp)
-        phi = np.full((terms, len(members), inputs), -0.0)
-        for i, ((k, d), t) in enumerate(zip(shapes, members)):
-            block = 3 * width * t
-            gather[:, :, i] = block
-            layers = np.arange(block, block + d)
-            gather[:d, :k, i] = (circuits[t].factors * width + layers).T
-            phi[:k, i] = circuits[t].phi.T
-        buckets.append((members, phi, gather))
-    dense = [(t, c) for t, c in enumerate(circuits) if c.dense is not None]
+        members.sort(key=lambda t: -len(circuits[t].factors))
+        counts = [len(circuits[t].factors) for t in members]
+        common = max(counts[-1], counts[0] - _RAGGED_SLICES)
+        # Term j has a row for each of the first sizes[j] members, from row
+        # starts[j] on.
+        sizes = [len(members)] * common
+        sizes += [sum(k > j for k in counts) for j in range(common, counts[0])]
+        starts = [0]
+        for size in sizes:
+            starts.append(starts[-1] + size)
+        depth = max(circuits[t].depth for t in members)
+        # gather[l, r] indexes factor l of row r's term in the trig rows;
+        # padded terms and layers read trig[0] = 1.0.
+        gather = np.zeros((depth, starts[-1]), dtype=np.intp)
+        phi = np.empty((starts[-1], inputs))
+        if common > counts[-1]:
+            phi.fill(-0.0)
+        for i, (k, t) in enumerate(zip(counts, members)):
+            c = circuits[t]
+            if k <= common:
+                rows = slice(i, i + k * len(members), len(members))
+            else:
+                rows = [starts[j] + i for j in range(k)]
+            layers = np.arange(t * width, t * width + c.depth)
+            gather[: c.depth, rows] = (c.factors * span + layers).T
+            phi[rows] = c.phi.T
+        tail = list(zip(starts[common:-1], sizes[common:]))
+        buckets.append((members, phi, gather, common, tail))
+    dense = [t for t, c in enumerate(circuits) if c.dense is not None]
+    # Column j of the stacked sums is circuit order[j].
+    order = [t for members in by_size.values() for t in members] + dense
+    inverse = None if order == sorted(order) else np.argsort(order)
+    scratch: dict[int, list] = {}  # the buffers of the last count of rows
+
+    def buffers(rows: int) -> list:
+        """The arrays an evaluation of ``rows`` angle rows fills, with views
+        of them; the one for the sums is made per call."""
+        trig = np.ones((rows, 3, len(circuits), width))  # 1, cos, sin
+        steps = []
+        for members, phi, gather, common, tail in buckets:
+            size = len(members)
+            products = np.empty((rows,) + phi.shape)
+            block = products[:, : common * size].reshape(rows, common, size, inputs)
+            terms = [(n, products[:, a : a + n]) for a, n in tail]
+            lone = common > 0 and size * inputs == 1  # see evaluate
+            steps.append((size, gather, phi, products, block, lone, terms))
+        _, cos, sin = trig.swapaxes(0, 1)
+        return [cos, sin, trig.reshape(rows, -1), steps]
 
     def evaluate(thetas: np.ndarray) -> np.ndarray:
-        # One trig block (1, cos 2theta, sin 2theta) of 3 * width per circuit
-        thetas = thetas[..., :width]
-        trig = np.concatenate(
-            [np.ones_like(thetas), np.cos(2 * thetas), np.sin(2 * thetas)], axis=-1
-        ).reshape(len(thetas), -1)
-        out = np.empty(thetas.shape[:2] + (inputs,))
-        for members, phi, gather in buckets:
-            products = phi * trig.take(gather, axis=1).prod(axis=1)[..., None]
-            # NumPy sums from +0.0, term slices in order, but a lone axis
-            # pairwise; a running sum differs only in -0.0, hence the + 0.0.
-            sums = products.sum(axis=1)
-            if phi[0].size == 1:
-                sums = np.add.accumulate(products, axis=1)[:, -1] + 0.0
-            if len(members) == len(circuits):
-                return sums
-            out[:, members] = sums
-        for t, c in dense:
-            out[:, t] = [c.dense(theta[: c.depth]) for theta in thetas[:, t]]
-        return out
+        if len(thetas) not in scratch:
+            scratch.clear()
+            scratch[len(thetas)] = buffers(len(thetas))
+        cos, sin, trig, steps = scratch[len(thetas)]
+        np.multiply(thetas[..., :width], 2, out=cos)
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
+        stacked = np.empty(thetas.shape[:2] + (inputs,))
+        lo = 0
+        for size, gather, phi, products, block, lone, terms in steps:
+            coef = np.multiply.reduce(trig.take(gather, axis=1), axis=1)
+            np.multiply(phi, coef[..., None], out=products)
+            sums = stacked[:, lo : lo + size]
+            lo += size
+            if lone:
+                # NumPy sums a lone axis pairwise; a running sum differs
+                # only in -0.0, hence the + 0.0.
+                np.add(np.add.accumulate(block, axis=1)[:, -1], 0.0, out=sums)
+            else:
+                # From +0.0, term slices in order, as NumPy sums an outer axis
+                np.add.reduce(block, axis=1, out=sums)
+            for n, term in terms:
+                head = sums[:, :n]
+                np.add(head, term, out=head)
+        for t in dense:
+            c = circuits[t]
+            stacked[:, lo] = [c.dense(theta[: c.depth]) for theta in thetas[:, t]]
+            lo += 1
+        return stacked if inverse is None else stacked.take(inverse, axis=1)
 
     return evaluate
 

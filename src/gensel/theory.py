@@ -202,11 +202,14 @@ def _transform_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
     return counts, _walsh_hadamard(counts.copy())
 
 
-def _theorem1(o: ObservableInAlgebra, counts: np.ndarray) -> Theorem1Result:
+def _theorem1(
+    o: ObservableInAlgebra, counts: np.ndarray, terms=None
+) -> Theorem1Result:
     # [P_j, O] = sum over the terms t that anticommute with P_j of
     # 2 w_t P_j O_t, distinct strings, so by orthogonality
     # ||[G_j, O]||^2 = sum_{t anti j} 4 w_t^2 d / d^2; term t counts N(O_t) times.
-    tx, tz, w2 = _term_masks(o)
+    # ``terms``, if given, is _term_masks(o).
+    tx, tz, w2 = _term_masks(o) if terms is None else terms
     lhs = 4.0 * float(np.sum(w2 * counts[(tx << o.n) | tz])) / 2.0**o.n
     c = casimir_constant(o.n)
     return Theorem1Result(lhs, c * o.norm_sq(), c)
@@ -217,7 +220,9 @@ def verify_theorem1(o: ObservableInAlgebra) -> Theorem1Result:
     return _theorem1(o, anticommuting_counts(*_basis_masks(o.n), o.n))
 
 
-def _double_commutator_sums(o: ObservableInAlgebra, pair) -> tuple[float, float]:
+def _double_commutator_sums(
+    o: ObservableInAlgebra, pair, terms=None
+) -> tuple[float, float]:
     """(total, diagonal) of sum over (j, k) of ||[G_k, [G_j, O]]||^2.
 
     The terms of [P_j, O] are the products Q = P_j O_t of the terms O_t that
@@ -227,9 +232,10 @@ def _double_commutator_sums(o: ObservableInAlgebra, pair) -> tuple[float, float]
     4 w_t^2.  Summed over k and j, term t counts (M[0] - M at O_t) / 2 times
     (module docstring); on the diagonal k = j, N(O_t) times, since P_j
     anticommutes with P_j O_t whenever it anticommutes with O_t.
+    ``terms``, if given, is _term_masks(o).
     """
     counts, spectrum = pair
-    tx, tz, w2 = _term_masks(o)
+    tx, tz, w2 = _term_masks(o) if terms is None else terms
     total = (spectrum[0] - spectrum[(tz << o.n) | tx]) // 2
     diag = counts[(tx << o.n) | tz]
     scale = 16.0 / 4.0**o.n
@@ -259,9 +265,9 @@ def verify_lemma2_and_theorem2(
 
 
 def _lemma2_and_theorem2(
-    o: ObservableInAlgebra, pair, rel_tol: float = 1e-8
+    o: ObservableInAlgebra, pair, rel_tol: float = 1e-8, terms=None
 ) -> Lemma2Theorem2Result:
-    total, diag = _double_commutator_sums(o, pair)
+    total, diag = _double_commutator_sums(o, pair, terms)
     offdiag = total - diag
     c = casimir_constant(o.n)
     d2 = 4.0**o.n

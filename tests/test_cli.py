@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import itertools
 import os
 import re
@@ -22,6 +23,7 @@ from gensel.experiments import (
     ExpressibilityConfig,
     GeneticConfig,
     run_comparison,
+    summarize,
     trial_models,
 )
 from gensel.optimizer import SpsaConfig
@@ -267,11 +269,112 @@ def test_csv_cells_round_trip(tmp_path):
     """Quoted strings and float reprs read back as written."""
     path = tmp_path / "t.csv"
     rows = [["a,b", 'say "hi"', "two\nlines", 0.1, 1e-300, -2.5e17, 7]]
-    cli._write_csv(path, ["s1", "s2", "s3", "f1", "f2", "f3", "i"], rows)
+    cli._write_csv(path, ["s1", "s2", "s3", "f1", "f2", "f3", "i"], zip(*rows))
     with open(path, newline="", encoding="utf-8") as fh:
         header, row = list(csv.reader(fh))
     assert row == ["a,b", 'say "hi"', "two\nlines", "0.1", "1e-300", "-2.5e+17", "7"]
     assert [float(v) for v in row[3:6]] == rows[0][3:6]
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """What csv.writer with lineterminator="\\n" writes for the rows."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+# table1.csv of the report in TestColumnarCsv, as csv.writer wrote it.
+_ODD_TABLE_SHA256 = "0e21f54d41fcb00048dee194273febc4a524b712c9d51bf765f3a776a514a2e8"
+
+# Text that csv quotes, or might: delimiter, quote, CR, LF, empty, None,
+# spaces, a tab, a NUL.
+_ODD_TEXT = [
+    "a,b", 'say "hi"', "cr\rhere", "lf\nhere", "", None, '"', ",", "\r\n", " é ",
+    " ", "\t", "nul\x00",
+]
+
+
+class TestColumnarCsv:
+    """_write_csv writes columns as the bytes csv.writer gives their rows."""
+
+    def _assert_as_csv_writer(self, tmp_path, header, rows, columns=None):
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, header, list(zip(*rows)) if columns is None else columns)
+        assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+    def test_select_row(self, tmp_path):
+        header = ["method", "seed", "generator_1", "generator_2", "score",
+                  "n_commute_obs", "n_commute_pairs"]
+        for method in ["exact", *_ODD_TEXT]:
+            row = [method, 3, "XZI", "Y,I", np.int64(1), np.int64(0), 2]
+            self._assert_as_csv_writer(tmp_path, header, [row])
+
+    def test_gen_data_rows(self, tmp_path, rng):
+        xs = rng.uniform(0, 2 * np.pi, 50).tolist() + [0.0, -0.0, 1e-300, 2.5e17]
+        ys = rng.uniform(-1, 1, 54).tolist()
+        rows = [[i, x, y] for i, (x, y) in enumerate(zip(xs, ys))]
+        columns = [range(len(xs)), xs, ys]
+        self._assert_as_csv_writer(tmp_path, ["index", "x", "y"], rows, columns)
+
+    def test_train_columns(self, tmp_path, rng):
+        """Array columns, as the traces are written: float64 and int64."""
+        rmse = np.concatenate([rng.uniform(0, 3, 40), [0.0, -0.0, np.inf, np.nan, 1e-320]])
+        norm = rmse / 3.0
+        trial = np.repeat(np.arange(9, dtype=np.int64), 5)
+        epoch = np.tile(np.arange(5, dtype=np.int64), 9)
+        methods = [m for m in ["exact", *_ODD_TEXT[:8], "random"] for _ in range(5)][:45]
+        columns = [methods, trial, epoch, rmse, norm]
+        rows = list(zip(methods, trial.tolist(), epoch.tolist(), rmse.tolist(), norm.tolist()))
+        self._assert_as_csv_writer(tmp_path, cli._TRACE_COLUMNS, rows, columns)
+        # NumPy scalars in the rows write as their Python values do.
+        scalars = list(zip(methods, trial, epoch, rmse, norm))
+        self._assert_as_csv_writer(tmp_path, cli._TRACE_COLUMNS, scalars, columns)
+
+    def test_expressibility_verify_and_report_rows(self, tmp_path):
+        expr = [[m, t, np.int64(t), 4, np.float64(0.1 * t)]
+                for t, m in enumerate(["exact", *_ODD_TEXT])]
+        self._assert_as_csv_writer(tmp_path, cli._EXPR_COLUMNS, expr)
+        theory = [[3, 8, 48.0, 1.5, 1.5000000000000002, 2.25, 2.25, 0.1, 2.15,
+                   0.0357, 2.21, 0.0], [np.int64(4), 16, 128.0, np.float64(1e-17),
+                   1.0, 0.0, -0.0, 1e300, 5e-324, 1.0, 2.0, float("inf")]]
+        self._assert_as_csv_writer(tmp_path, [f"c{i}" for i in range(12)], theory)
+        table = [(m, "final_rmse", 0.25, 0.0) for m in ["exact", *_ODD_TEXT]]
+        self._assert_as_csv_writer(tmp_path, ["method", "metric", "mean", "std"], table)
+
+    def test_odd_text_in_header_and_in_lone_columns(self, tmp_path):
+        """One field per row: csv.writer quotes an empty one (and None)."""
+        rows = [[v] for v in [*_ODD_TEXT, "", 1.5, np.float64(-0.0), np.int64(7)]]
+        for header in (["x"], [""], ['he said "x"']):
+            self._assert_as_csv_writer(tmp_path, header, rows)
+        self._assert_as_csv_writer(tmp_path, ["a,b", "", None], [_ODD_TEXT[:3]])
+        self._assert_as_csv_writer(tmp_path, ["x", "y"], [])
+
+    def test_report_quotes_method_tags(self, tmp_path, capsys):
+        """A method tag holding a comma and a quote reads back and writes
+        table1.csv as csv.writer writes the report's rows."""
+        odd = 'tag,"q"'
+        traces, expr = tmp_path / "traces.csv", tmp_path / "expr.csv"
+        trace_rows = [
+            (m, t, e, (t + 2) / (e + 1), 1 / (e + 1))
+            for m in ("exact", odd) for t in range(3) for e in range(4)
+        ]
+        expr_rows = [(m, t, t, 2 * t, 0.125 * (t + 1)) for m in (odd, "exact")
+                     for t in range(3)]
+        traces.write_bytes(_csv_writer_bytes(cli._TRACE_COLUMNS, trace_rows))
+        expr.write_bytes(_csv_writer_bytes(cli._EXPR_COLUMNS, expr_rows))
+        table = tmp_path / "table1.csv"
+        assert _run(["report", "--traces", traces, "--expr", expr, "--out-table",
+                     table, "--out-curves", tmp_path / "c.svg", "--deterministic"]) == 0
+        metrics = [(m, k, float(v)) for m, _, *values in expr_rows
+                   for k, v in zip(cli._EXPR_METRICS, values)]
+        report = summarize(trace_rows, metrics)
+        expected = _csv_writer_bytes(["method", "metric", "mean", "std"],
+                                     report.table_rows())
+        assert table.read_bytes() == expected
+        assert hashlib.sha256(expected).hexdigest() == _ODD_TABLE_SHA256
+        assert list(csv.reader(io.StringIO(expected.decode())))[-1][0] == odd
 
 
 class TestGenData:
@@ -607,6 +710,23 @@ class TestVerifyTheory:
                          "ZX", "--seed", 0, "--report", tmp_path / "theory.csv"]) == 0
             assert calls == {"anticommuting_counts": 1, "_walsh_hadamard": 1,
                              "_double_commutator_sums": 1 + trials}
+
+    def test_term_masks_read_once_per_observable(self, tmp_path, monkeypatch):
+        """Theorem 1 and the double sums share one scan of each observable's
+        4^n - 1 coefficients."""
+        from gensel import theory
+
+        real, seen = theory._term_masks, []
+
+        def counted(o):
+            seen.append(o)
+            return real(o)
+
+        monkeypatch.setattr(theory, "_term_masks", counted)
+        monkeypatch.setattr(cli, "_term_masks", counted)
+        assert _run(["verify-theory", "--n", 3, "--trials", 3, "--observable", "ZXI",
+                     "--seed", 0, "--report", tmp_path / "theory.csv"]) == 0
+        assert len(seen) == 4 and len(set(map(id, seen))) == 4
 
 
 class TestReport:

@@ -20,7 +20,7 @@ from gensel.experiments import (
     run_comparison,
     select_for_method,
     summarize,
-    trace_rows,
+    trace_columns,
     train_cells,
     trial_models,
     two_sample_t_test,
@@ -379,7 +379,8 @@ class TestSummarize:
         dataset, _ = generate_dataset(SMALL_SPEC)
         config = SpsaConfig(epochs=3)
         (record,) = train_cells([("exact", 0)], 1, dataset, SMALL_SPEC, config)
-        summary = summarize(trace_rows(record, 0), []).summaries["exact"]
+        traces = zip(*trace_columns([record], [0]))
+        summary = summarize(traces, []).summaries["exact"]
         assert summary.final_rmse.tolist() == [record.rmse_trace[-1]]
         assert summary.normalized.tolist() == [record.normalized_trace.tolist()]
 

@@ -12,6 +12,7 @@ from gensel.pauli import PauliString, ScaledPauli, commutator, multiply
 from gensel.selection import SelectionProblem, build_pool, solve_exact
 from gensel.simulator import (
     CircuitModel,
+    CompiledCircuit,
     StateVector,
     _heisenberg_terms,
     apply_pauli_rotation,
@@ -318,10 +319,41 @@ def _term_sum(circuit, theta) -> np.ndarray:
     return functools.reduce(np.add, columns, np.zeros(circuit.inputs))
 
 
+def _closure(fn) -> dict:
+    cells = (cell.cell_contents for cell in fn.__closure__)
+    return dict(zip(fn.__code__.co_freevars, cells))
+
+
 def _buckets(evaluate) -> list:
-    """The (members, phi, gather) buckets an evaluator of stack_circuits holds."""
-    cells = (cell.cell_contents for cell in evaluate.__closure__)
-    return dict(zip(evaluate.__code__.co_freevars, cells))["buckets"]
+    """The (members, phi, gather, common, tail) buckets an evaluator of
+    stack_circuits holds, as its buffers read them."""
+    return _closure(_closure(evaluate)["buffers"])["buckets"]
+
+
+def _synthetic_circuit(rng, terms: int, depth: int, xs) -> CompiledCircuit:
+    """Term tables of exactly ``terms`` terms, zeros of either sign among them."""
+    phi = rng.choice([0.0, -0.0, 0.5, -1.25, 1e-300], size=(len(xs), terms))
+    phi[:, ::3] = rng.uniform(-1, 1, size=phi[:, ::3].shape) * np.cos(xs)[:, None]
+    factors = rng.integers(0, 3, size=(terms, depth))
+    return CompiledCircuit(depth, len(xs), phi.size + factors.size, phi, factors)
+
+
+class _CountingAdd:
+    """np.add that counts its direct calls (its reduce is one more call)."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return np.add(*args, **kwargs)
+
+    def reduce(self, *args, **kwargs):
+        self.calls += 1
+        return np.add.reduce(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np.add, name)
 
 
 class TestStackCircuits:
@@ -406,9 +438,70 @@ class TestStackCircuits:
                 assert alone.tobytes() == got[:, t, j].tobytes()
         buckets = _buckets(evaluate)
         assert len(buckets) >= 2
-        for members, phi, _ in buckets:
-            for t in members:
-                assert len(phi) <= 8 or len(phi) < 2 * len(circuits[t].factors)
+        for members, phi, _, common, tail in buckets:
+            counts = [len(circuits[t].factors) for t in members]
+            assert len(tail) <= simulator._RAGGED_SLICES
+            assert len(phi) == sum(max(k, common) for k in counts)
+            if common == min(counts):  # the ragged tail, no padding
+                assert len(phi) == sum(counts)
+            for k in counts:
+                assert max(k, common) <= 8 or max(k, common) < 2 * k
+        # The circuits of 0 to 8 terms share one bucket, all of it ragged.
+        (small,) = [b for b in buckets if len(circuits[b[0][0]].factors) <= 8]
+        assert small[3] == 0 and len(small[1]) == sum(range(9))
+
+
+    @pytest.mark.parametrize("inputs", [7, 1])
+    def test_ragged_terms_up_to_1000_and_past(self, rng, inputs):
+        """Circuits of every term count from 1 to 40, one of none and one of
+        1,200, in random order, with 7 inputs or 1: every row is, byte for
+        byte, its left-to-right term sum and the circuit evaluated alone."""
+        xs = np.array([0.0, -0.0, np.pi / 2, 1.3, 2.9, 4.1, 5.5])[:inputs]
+        counts = rng.permutation([*range(1, 41), 0, 1200])
+        circuits = [
+            _synthetic_circuit(rng, k, int(rng.integers(1, 7)), xs) for k in counts
+        ]
+        thetas = rng.uniform(-np.pi, np.pi, size=(3, len(circuits), 6))
+        thetas[0, ::2] = rng.choice([0.0, -0.0, np.pi / 2, -np.pi / 2], size=6)
+        evaluate = stack_circuits(circuits)
+        got = evaluate(thetas)
+        assert evaluate(thetas[1:2]).tobytes() == got[1:2].tobytes()
+        for t, c in enumerate(circuits):
+            alone = stack_circuits([c])(thetas[:, t : t + 1])[:, 0]
+            assert got[:, t].tobytes() == alone.tobytes()
+            for p in range(3):
+                expected = _term_sum(c, thetas[p, t, : c.depth])
+                assert got[p, t].tobytes() == expected.tobytes()
+        for members, phi, _, common, tail in _buckets(evaluate):
+            sizes = [len(circuits[t].factors) for t in members]
+            assert len(tail) <= simulator._RAGGED_SLICES
+            assert len(phi) == sum(max(k, common) for k in sizes)
+
+    def test_adds_per_evaluation_do_not_grow_with_terms(self, rng, monkeypatch):
+        """After its multiplies an evaluation makes one reduce and at most
+        _RAGGED_SLICES adds per bucket, however many terms a circuit has."""
+        add = _CountingAdd()
+
+        class NumPy:
+            def __getattr__(self, name):
+                return add if name == "add" else getattr(np, name)
+
+        monkeypatch.setattr(simulator, "np", NumPy())
+        xs = rng.uniform(0, 2 * np.pi, size=5)
+        thetas = rng.uniform(-np.pi, np.pi, size=(3, 41, 4))
+        calls = []
+        for largest in (40, 1200, 5000):
+            circuits = [
+                _synthetic_circuit(rng, k, 4, xs) for k in (*range(1, 41), largest)
+            ]
+            evaluate = stack_circuits(circuits)
+            evaluate(thetas)
+            add.calls = 0
+            evaluate(thetas)
+            calls.append(add.calls)
+            buckets = len(_buckets(evaluate))
+            assert add.calls <= buckets * (1 + simulator._RAGGED_SLICES)
+        assert calls[1] == calls[2]  # a 5,000-term circuit adds as 1,200 do
 
 
 def _dense_overlaps(model: CircuitModel, thetas, phis) -> np.ndarray:
