@@ -62,6 +62,10 @@ _METHOD_CHOICES = tuple(m.replace("_", "-") for m in SELECTION_METHODS)
 _TRACE_COLUMNS = ("method", "trial", "epoch", "rmse", "rmse_normalized")
 _EXPR_METRICS = ("n_commute_obs", "n_commute_pairs", "hellinger")
 _EXPR_COLUMNS = ("method", "trial", *_EXPR_METRICS)
+# The type `_read_table` reads each column of traces.csv and expr.csv as.
+_TRACE_TYPES = dict(zip(_TRACE_COLUMNS, (str, int, int, float, float)))
+_EXPR_TYPES = dict(zip(_EXPR_COLUMNS, (str, int, float, float, float)))
+_DTYPES = {int: np.int64, float: np.float64}
 
 # The config-file section that sets the fields of each dataclass.
 _SECTIONS = {
@@ -298,16 +302,47 @@ def _cmd_gen_data(args, cfg) -> int:
     return 0
 
 
-def _read_table(path: str, columns) -> list[tuple[str, ...]]:
-    """The named columns of a CSV file with a header row, each as a tuple."""
+def _read_table(path: str, columns: dict[str, type]) -> list:
+    """The named columns of a CSV file with a header row.
+
+    ``columns`` maps each name to str, int or float.  The body is read in one
+    np.loadtxt pass: an int or float column comes back as an int64 or float64
+    array, a str column as an object array of str.  A file loadtxt refuses
+    (a row of the wrong width, a token such as "1_0" that int() or float()
+    accepts) is read again by `_read_rows`.
+    """
     if not Path(path).is_file():
         raise FileNotFoundError(f"file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        header = next(csv.reader(fh), [])
         missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{path} has no column {', '.join(missing)}")
+        kinds = {header.index(c): _DTYPES.get(t, object) for c, t in columns.items()}
+        dtype = np.dtype([(f"f{i}", kinds.get(i, object)) for i in range(len(header))])
+        # Blank lines hold no row; with no other line, loadtxt would warn.
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is None:
+            table = np.zeros(0, dtype)
+        else:
+            from itertools import chain
+
+            try:
+                table = np.loadtxt(
+                    chain([first], fh), dtype, delimiter=",", comments=None,
+                    quotechar='"', ndmin=1,
+                )
+            except ValueError:
+                return _read_rows(path, columns)
+    return [table[f"f{header.index(c)}"] for c in columns]
+
+
+def _read_rows(path: str, columns: dict[str, type]) -> list[tuple]:
+    """`_read_table` through csv.reader and int() / float(): each column a
+    tuple, and Python's own message for a token they refuse."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
         rows = [row for row in reader if row]  # blank lines hold no row
     widths = set(map(len, rows)) - {len(header)}
     if widths:
@@ -315,15 +350,19 @@ def _read_table(path: str, columns) -> list[tuple[str, ...]]:
             f"{path} has a row of {min(widths)} fields under {len(header)} columns"
         )
     table = list(zip(*rows)) or [()] * len(header)
-    return [table[header.index(c)] for c in columns]
+    return [tuple(map(kind, table[header.index(c)])) for c, kind in columns.items()]
 
 
 def _cmd_train(args, cfg) -> int:
-    xs, ys = _read_table(args.data, ("x", "y"))
-    dataset = list(zip(map(float, xs), map(float, ys)))
-    for row, (x, y) in enumerate(dataset, 1):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"{args.data} row {row} is not finite: x = {x}, y = {y}")
+    xs, ys = np.asarray(_read_table(args.data, {"x": float, "y": float}), dtype=float)
+    bad = ~(np.isfinite(xs) & np.isfinite(ys))
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(
+            f"{args.data} row {row + 1} is not finite: "
+            f"x = {float(xs[row])}, y = {float(ys[row])}"
+        )
+    dataset = list(zip(xs.tolist(), ys.tolist()))
     spec = _section(cfg, DatasetSpec)
     spsa = _section(cfg, SpsaConfig, epochs=args.epochs)
     genetic = _section(cfg, GeneticConfig)
@@ -416,19 +455,17 @@ def _cmd_verify_theory(args, cfg) -> int:
 
 
 def _cmd_report(args, cfg) -> int:
-    method, trial, epoch, rmse, norm = _read_table(args.traces, _TRACE_COLUMNS)
-    if not method:
+    traces = _read_table(args.traces, _TRACE_TYPES)
+    if not len(traces[0]):
         raise ValueError(f"no training traces in {args.traces}")
-    expr_method, expr_trial, *expr = _read_table(args.expr, _EXPR_COLUMNS)
+    expr_method, expr_trial, *expr = _read_table(args.expr, _EXPR_TYPES)
     seen = set()
-    for m, t in zip(expr_method, map(int, expr_trial)):
+    for m, t in zip(expr_method, expr_trial):
         if (m, t) in seen:
             raise ValueError(f"duplicate expressibility row: method {m}, trial {t}")
         seen.add((m, t))
     report = summarize(
-        zip(
-            method, map(int, trial), map(int, epoch), map(float, rmse), map(float, norm)
-        ),
+        traces,
         (
             (m, k, float(v))
             for k, column in zip(_EXPR_METRICS, expr)
@@ -562,7 +599,9 @@ def parse_and_dispatch(argv=None) -> int:
     try:
         args.seed = _resolve_seed(args.seed)
         return args.handler(args, _load_config(args.config))
-    except (ValueError, RuntimeError, OSError, MemoryError, configparser.Error) as exc:
+    except (
+        ValueError, RuntimeError, OSError, MemoryError, OverflowError, configparser.Error
+    ) as exc:
         # Some messages (configparser's) span lines, a bare MemoryError has
         # none; an error prints as one line.
         message = " ".join(str(exc).split()) or type(exc).__name__

@@ -399,22 +399,25 @@ def _method_order(methods) -> list[str]:
 
 
 def summarize(traces, metrics) -> ExperimentReport:
-    """Aggregate trace rows and metric values into the comparison report.
+    """Aggregate trace columns and metric values into the comparison report.
 
-    ``traces`` yields (method, trial, epoch, rmse, rmse_normalized) rows, in
-    any order; ``metrics`` yields (method, metric, value) triples, one per
-    trial and metric.  Methods come in SELECTION_METHODS order, others after
-    them sorted; trials and epochs in index order.  Every trial of a method
-    must have the same number of epochs, and no (method, trial, epoch)
-    may repeat.
+    ``traces`` holds the (method, trial, epoch, rmse, rmse_normalized)
+    columns of the trace points, as `trace_columns` returns them: sequences
+    or arrays of one length, the points in any order.  ``metrics`` yields
+    (method, metric, value) triples, one per trial and metric.  Methods come
+    in SELECTION_METHODS order, others after them sorted; trials and epochs
+    in index order.  Every trial of a method must have the same number of
+    epochs, and no (method, trial, epoch) may repeat.
     """
-    columns = list(zip(*traces)) or [()] * 5
-    methods = np.array(columns[0], dtype=str)
-    index = np.array(columns[1:3], dtype=np.int64)  # trial, epoch
-    points = np.array(columns[3:], dtype=float)  # rmse, rmse_normalized
+    method_column, *numbers = traces
+    methods = np.asarray(method_column, dtype=object)
+    index = np.array(numbers[:2], dtype=np.int64)  # trial, epoch
+    points = np.array(numbers[2:], dtype=float)  # rmse, rmse_normalized
     summaries = {}
-    for method in _method_order(set(columns[0])):
-        rows = np.flatnonzero(methods == method)
+    for method in _method_order(set(methods)):
+        # An object scalar: NumPy would cast a str to its str dtype, which
+        # drops trailing NULs.
+        rows = np.flatnonzero(methods == np.array(method, dtype=object))
         rows = rows[np.lexsort(index[::-1, rows])]  # by trial, then epoch
         trial, epoch = index[:, rows]
         repeats = (trial[1:] == trial[:-1]) & (epoch[1:] == epoch[:-1])
@@ -464,7 +467,7 @@ def run_comparison(
     """Train every method on one shared dataset across seeded trials.
 
     Every (method, trial) cell trains in one batch (``train_cells``).  The
-    trials' trace rows and selection metrics go through ``summarize``,
+    trials' trace columns and selection metrics go through ``summarize``,
     the same aggregation that ``gensel report`` applies to the CSVs.
     """
     dataset, _ = generate_dataset(spec)
@@ -475,4 +478,4 @@ def run_comparison(
         counts = evaluate_selection(record.chosen, spec.observable)
         metrics += [(method, k, v) for k, v in counts._asdict().items()]
     traces = trace_columns(records, [t for _, t in cells])
-    return summarize(zip(*traces), metrics)
+    return summarize(traces, metrics)

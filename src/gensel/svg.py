@@ -25,6 +25,12 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The "x,y x,y ..." points of an SVG path, each coordinate as `_fmt`."""
+    pairs = np.column_stack((xs, ys)).ravel().tolist()
+    return " ".join(["%.3f,%.3f"] * len(xs)) % tuple(pairs)
+
+
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -64,10 +70,11 @@ def write_curves_svg(
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(x: float) -> float:
+    # Scalars for the ticks, arrays for the paths: the same operations.
+    def sx(x):
         return _MARGIN_L + plot_w * x / x_max
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _MARGIN_T + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     lines: list[str] = []
@@ -126,25 +133,26 @@ def write_curves_svg(
         f'transform="rotate(-90 18 {_MARGIN_T + plot_h // 2})">{_YLABEL}</text>'
     )
 
-    # Bands then curves, so every mean line stays visible.
+    # Bands (mean +/- std inside the plot) then curves, so every mean line
+    # stays visible.  np.where, not np.clip: a NaN edge lies on the bound.
+    xs = sx(np.arange(epochs))
     for i, (label, mean, std) in enumerate(series):
         mean = np.asarray(mean, dtype=float)
         std = np.asarray(std, dtype=float)
         color = _PALETTE[i % len(_PALETTE)]
-        upper = [(sx(e), sy(min(y_hi, m + s))) for e, (m, s) in enumerate(zip(mean, std))]
-        lower = [(sx(e), sy(max(y_lo, m - s))) for e, (m, s) in enumerate(zip(mean, std))]
-        pts = upper + lower[::-1]
-        poly = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
+        upper, lower = mean + std, mean - std
+        upper = np.where(upper < y_hi, upper, y_hi)
+        lower = np.where(lower > y_lo, lower, y_lo)
+        poly = _points(
+            np.concatenate((xs, xs[::-1])), sy(np.concatenate((upper, lower[::-1])))
+        )
         lines.append(
             f'<polygon points="{poly}" fill="{color}" fill-opacity="0.15" '
             'stroke="none"/>'
         )
     for i, (label, mean, std) in enumerate(series):
-        mean = np.asarray(mean, dtype=float)
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(
-            f"{_fmt(sx(e))},{_fmt(sy(m))}" for e, m in enumerate(mean)
-        )
+        pts = _points(xs, sy(np.asarray(mean, dtype=float)))
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="1.8"/>'

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: flags, CSV shapes, errors, reproducibility."""
 
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,10 +278,11 @@ def test_csv_cells_round_trip(tmp_path):
     assert [float(v) for v in row[3:6]] == rows[0][3:6]
 
 
-def _csv_writer_bytes(header, rows) -> bytes:
-    """What csv.writer with lineterminator="\\n" writes for the rows."""
+def _csv_writer_bytes(header, rows, lineterminator="\n") -> bytes:
+    """What csv.writer with the lineterminator ("\\n" by default) writes for
+    the rows."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(buffer, lineterminator=lineterminator)
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue().encode("utf-8")
@@ -369,12 +372,195 @@ class TestColumnarCsv:
                      table, "--out-curves", tmp_path / "c.svg", "--deterministic"]) == 0
         metrics = [(m, k, float(v)) for m, _, *values in expr_rows
                    for k, v in zip(cli._EXPR_METRICS, values)]
-        report = summarize(trace_rows, metrics)
+        report = summarize(list(zip(*trace_rows)), metrics)
         expected = _csv_writer_bytes(["method", "metric", "mean", "std"],
                                      report.table_rows())
         assert table.read_bytes() == expected
         assert hashlib.sha256(expected).hexdigest() == _ODD_TABLE_SHA256
         assert list(csv.reader(io.StringIO(expected.decode())))[-1][0] == odd
+
+
+def _write_odd_report_inputs(directory, tags, trial_format="{}"):
+    """traces.csv and expr.csv with one method per tag (None writes as ""),
+    three trials of four epochs each, written by csv.writer with CRLF line
+    ends, so that it quotes a tag holding a bare CR.  The traces' trial
+    numbers are written as ``trial_format`` formats them."""
+    traces_rows, expr_rows = [], []
+    for k, tag in enumerate(tags):
+        for t in range(3 * k, 3 * k + 3):  # "" and None share a method, not a trial
+            trial = trial_format.format(t)
+            traces_rows += [(tag, trial, e, (t + 2) / (e + 1), 1 / (e + 1) + t / 64)
+                            for e in range(4)]
+            expr_rows.append((tag, t, t % 3, 2 * t, 0.125 * (t + 1)))
+    traces, expr = directory / "traces.csv", directory / "expr.csv"
+    traces.write_bytes(_csv_writer_bytes(cli._TRACE_COLUMNS, traces_rows, "\r\n"))
+    expr.write_bytes(_csv_writer_bytes(cli._EXPR_COLUMNS, expr_rows, "\r\n"))
+    return traces, expr
+
+
+def _csv_reader_columns(path, columns):
+    """The named columns as csv.reader and int() / float() give them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    return [[kind(row[header.index(c)]) for row in rows] for c, kind in columns.items()]
+
+
+def _assert_same_columns(got, expected):
+    """Equal columns; floats bit for bit."""
+    assert len(got) == len(expected)
+    for column, reference in zip(got, expected):
+        assert len(column) == len(reference)
+        if reference and isinstance(reference[0], float):
+            bits = np.asarray(column, dtype=float).view(np.uint64)
+            assert bits.tolist() == np.asarray(reference).view(np.uint64).tolist()
+        else:
+            assert list(column) == reference
+
+
+@pytest.fixture(scope="module")
+def readme_traces(tmp_path_factory):
+    """traces.csv of the README workflow (40 trials x 201 epochs)."""
+    d = tmp_path_factory.mktemp("readme")
+    (d / "run.ini").write_text("[spsa]\nlearning_rate = 0.005\n")
+    assert _run(["gen-data", "--seed", 0, "--out", d / "data.csv"]) == 0
+    assert _run(["train", "--data", d / "data.csv", "--config", d / "run.ini",
+                 "--method", "exact", "--method", "random", "--trials", 20,
+                 "--seed", 42, "--out", d / "traces.csv"]) == 0
+    return d / "traces.csv"
+
+
+class TestTypedReader:
+    """_read_table reads typed columns in one np.loadtxt pass, and a file
+    loadtxt refuses through csv.reader and int() / float()."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        real = cli._read_rows
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_read_rows", counted)
+        return calls
+
+    def test_readme_traces_as_csv_reader(self, readme_traces, fallbacks):
+        columns = cli._read_table(readme_traces, cli._TRACE_TYPES)
+        assert fallbacks == []
+        assert [c.dtype for c in columns] == [
+            np.dtype(object), np.int64, np.int64, np.float64, np.float64
+        ]
+        assert len(columns[0]) == 8040
+        _assert_same_columns(
+            columns, _csv_reader_columns(readme_traces, cli._TRACE_TYPES)
+        )
+
+    def test_reading_makes_no_object_per_row(self, readme_traces):
+        """The README traces (8,040 rows) read with at most one collection:
+        a row list or tuple per row would run about 21."""
+        assert gc.isenabled()
+        cli._read_table(readme_traces, cli._TRACE_TYPES)
+        before = sum(s["collections"] for s in gc.get_stats())
+        cli._read_table(readme_traces, cli._TRACE_TYPES)
+        after = sum(s["collections"] for s in gc.get_stats())
+        assert after - before <= 1
+
+    # sha256 of table1.csv and curves.svg, as the row-wise reader wrote them.
+    _NO_CR = ("30ddfdc44e21018ea6a6ac7afd3ca93b76c4876411c8131f037dced6a73b189d",
+              "74bada73ceca4c773b4ba185b9b4ff919076d8b22f977ea5788feca53287e4cb")
+    _ALL = ("d02631e812430a9429d81b46d27ce80da6e128c1c9cc155a9a4576d4dcdd7a35",
+            "b8cd54fa208fdcab0761c1d7482f0f627f88817b6869e6cb7d3b012eb13dba59")
+
+    @pytest.mark.parametrize(
+        "tags, trial_format, digests, fallback",
+        [
+            ([t for t in _ODD_TEXT if t is None or "\r" not in t], "{}", _NO_CR, False),
+            (_ODD_TEXT, "{}", _ALL, False),
+            (_ODD_TEXT, "0_{}", _ALL, True),  # int() reads 0_12, loadtxt does not
+        ],
+        ids=["no-cr", "all", "all-csv-reader"],
+    )
+    def test_report_on_odd_method_tags(self, tmp_path, fallbacks, tags, trial_format,
+                                       digests, fallback):
+        """Every odd tag, a quoted bare CR too, reads back as csv.reader reads
+        it, and the report keeps the bytes the row-wise reader gave, on
+        either path."""
+        traces, expr = _write_odd_report_inputs(tmp_path, tags, trial_format)
+        outputs = tmp_path / "table1.csv", tmp_path / "curves.svg"
+        assert _run(["report", "--traces", traces, "--expr", expr, "--out-table",
+                     outputs[0], "--out-curves", outputs[1], "--deterministic"]) == 0
+        assert len(fallbacks) == (1 if fallback else 0)  # the traces, not expr.csv
+        for path, types in ((traces, cli._TRACE_TYPES), (expr, cli._EXPR_TYPES)):
+            _assert_same_columns(cli._read_table(path, types),
+                                 _csv_reader_columns(path, types))
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs) == (
+            digests
+        )
+
+    @pytest.mark.parametrize(
+        "column, token",
+        [("trial", " 1"), ("trial", "1_0"), ("trial", "1.0"), ("trial", str(2**63)),
+         ("rmse", ""), ("rmse", "nan"), ("rmse", "-0.0"), ("rmse", "5e-324"),
+         ("rmse", "1_0.5"), ("rmse", " 2.5e17\t")],
+    )
+    def test_numeric_tokens_as_int_and_float(self, tmp_path, column, token):
+        """A token gives the value int() / float() give it, or their error."""
+        traces = tmp_path / "traces.csv"
+        row = {"method": "exact", "trial": "0", "epoch": "1", "rmse": "0.5",
+               "rmse_normalized": "1.0", column: token}
+        traces.write_text("method,trial,epoch,rmse,rmse_normalized\n"
+                          "exact,0,0,1.0,1.0\n" + ",".join(row.values()) + "\n")
+        try:
+            expected = _csv_reader_columns(traces, cli._TRACE_TYPES)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                cli._read_table(traces, cli._TRACE_TYPES)
+            assert str(caught.value) == str(exc)
+        else:
+            _assert_same_columns(cli._read_table(traces, cli._TRACE_TYPES), expected)
+
+    def test_trial_past_int64_is_one_line_error(self, tmp_path, capsys):
+        traces, expr = _write_odd_report_inputs(tmp_path, ["exact"])
+        text = traces.read_text().replace("exact,2,", f"exact,{2**63},")
+        traces.write_text(text)
+        capsys.readouterr()
+        assert _run(["report", "--traces", traces, "--expr", expr, "--out-table",
+                     tmp_path / "t.csv", "--out-curves", tmp_path / "c.svg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\n\r"])
+    def test_header_only_traces_warn_nothing(self, tmp_path, capsys, body):
+        traces = tmp_path / "traces.csv"
+        traces.write_text("method,trial,epoch,rmse,rmse_normalized\n" + body,
+                          newline="")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = _run(["report", "--traces", traces, "--expr", tmp_path / "e.csv",
+                         "--out-table", tmp_path / "t.csv",
+                         "--out-curves", tmp_path / "c.svg"])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: no training traces in {traces}\n")
+
+    @pytest.mark.parametrize(
+        "line, fields",
+        [("exact,0,1,0.5,1.0,7", 6), ("   ", 1)],
+        ids=["long", "whitespace"],
+    )
+    def test_row_width_is_one_line_error(self, tmp_path, capsys, line, fields):
+        traces = tmp_path / "traces.csv"
+        traces.write_text(
+            f"method,trial,epoch,rmse,rmse_normalized\nexact,0,0,0.5,1.0\n{line}\n"
+        )
+        code = _run(["report", "--traces", traces, "--expr", tmp_path / "e.csv",
+                     "--out-table", tmp_path / "t.csv",
+                     "--out-curves", tmp_path / "c.svg"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {traces} has a row of {fields} fields under 5 columns\n"
+        )
 
 
 class TestGenData:

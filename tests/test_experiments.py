@@ -328,14 +328,14 @@ class TestSummarize:
         for method in ("zeta", "random", "alpha", "exact"):
             traces += self._rows(method, 0, [2.0, 1.0])
         metrics = [("random", "hellinger", 0.5), ("exact", "hellinger", 0.1)]
-        report = summarize(traces, metrics)
+        report = summarize(list(zip(*traces)), metrics)
         assert list(report.summaries) == ["exact", "random", "alpha", "zeta"]
         assert list(report.metrics) == ["exact", "random"]
 
     def test_rows_in_any_order(self):
         traces = self._rows("exact", 1, [4.0, 2.0, 1.0])
         traces += self._rows("exact", 0, [2.0, 1.0, 1.0])
-        report = summarize(traces[::-1], [])
+        report = summarize(list(zip(*traces[::-1])), [])
         summary = report.summaries["exact"]
         assert summary.final_rmse.tolist() == [1.0, 1.0]
         assert summary.normalized.tolist() == [[1.0, 0.5, 0.5], [1.0, 0.5, 0.25]]
@@ -344,7 +344,7 @@ class TestSummarize:
     def test_table_rows(self):
         traces = self._rows("exact", 0, [2.0, 1.0]) + self._rows("exact", 1, [4.0, 1.0])
         metrics = [("exact", "n_commute_obs", 0.0), ("exact", "n_commute_obs", 2.0)]
-        rows = summarize(traces, metrics).table_rows()
+        rows = summarize(list(zip(*traces)), metrics).table_rows()
         assert rows == [
             ("exact", "final_rmse", 1.0, 0.0),
             ("exact", "final_rmse_normalized", 0.375, pytest.approx(0.125 * 2**0.5)),
@@ -354,7 +354,7 @@ class TestSummarize:
     def test_inconsistent_epochs_rejected(self):
         traces = self._rows("exact", 0, [2.0, 1.0]) + self._rows("exact", 1, [2.0])
         with pytest.raises(ValueError, match="inconsistent numbers of epochs"):
-            summarize(traces, [])
+            summarize(list(zip(*traces)), [])
 
     def test_duplicate_row_rejected(self):
         """Two runs' rows pasted together would silently keep only one run."""
@@ -364,14 +364,14 @@ class TestSummarize:
         with pytest.raises(
             ValueError, match=r"^duplicate trace row: method exact, trial 1, epoch 0$"
         ):
-            summarize(traces[::-1], [])
+            summarize(list(zip(*traces[::-1])), [])
 
     def test_t_test_needs_two_trials_of_exact_and_random(self):
         one = self._rows("exact", 0, [2.0, 1.0]) + self._rows("random", 0, [2.0, 1.5])
-        assert summarize(one, []).t_statistic is None
+        assert summarize(list(zip(*one)), []).t_statistic is None
         two = one + self._rows("exact", 1, [2.0, 0.5])
         two += self._rows("random", 1, [2.0, 1.0])
-        report = summarize(two, [])
+        report = summarize(list(zip(*two)), [])
         t, p = two_sample_t_test([1.0, 0.5], [1.5, 1.0])
         assert (report.t_statistic, report.p_value) == (t, p)
 
@@ -379,8 +379,7 @@ class TestSummarize:
         dataset, _ = generate_dataset(SMALL_SPEC)
         config = SpsaConfig(epochs=3)
         (record,) = train_cells([("exact", 0)], 1, dataset, SMALL_SPEC, config)
-        traces = zip(*trace_columns([record], [0]))
-        summary = summarize(traces, []).summaries["exact"]
+        summary = summarize(trace_columns([record], [0]), []).summaries["exact"]
         assert summary.final_rmse.tolist() == [record.rmse_trace[-1]]
         assert summary.normalized.tolist() == [record.normalized_trace.tolist()]
 
