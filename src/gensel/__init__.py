@@ -23,9 +23,7 @@ from .selection import (
     SelectionMetrics,
     SelectionProblem,
     SelectionResult,
-    build_pool,
     evaluate_selection,
-    score_matrix,
     select_baseline,
     solve_exact,
     solve_genetic,
@@ -51,13 +49,12 @@ from .optimizer import (
     train_batch,
 )
 from .theory import (
+    IdentityCheck,
     ObservableInAlgebra,
     TheoryVerificationError,
     casimir_constant,
     g_purity,
-    verify_lemma1,
-    verify_lemma2_and_theorem2,
-    verify_theorem1,
+    verify_identities,
 )
 from .experiments import (
     DatasetSpec,

@@ -46,13 +46,11 @@ from .pauli import PauliString
 from .selection import evaluate_selection
 from .svg import write_curves_svg
 from .theory import (
+    IdentityCheck,
     ObservableInAlgebra,
-    _lemma2_and_theorem2,
-    _term_masks,
-    _theorem1,
-    _transform_pair,
     casimir_constant,
     random_observable,
+    verify_identities,
 )
 
 __all__ = ["main", "parse_and_dispatch"]
@@ -84,21 +82,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-# csv.writer writes a field as it is unless it holds one of these or is the
-# empty field of a one-field row; the str of a number is neither.
+# csv.writer with lineterminator="\r\n" writes a field as it is unless it
+# holds one of these or is the empty field of a one-field row; the str of a
+# number is neither.
 _CSV_SPECIAL = frozenset(',"\r\n')
 _NUMBERS = (int, float, np.number)
 
 
 class _CsvFields(dict):
     """Text -> its CSV field, filled on lookup by csv.writer's own
-    QUOTE_MINIMAL rule; ``lone`` for rows of one field, where "" is quoted."""
+    QUOTE_MINIMAL rule; ``lone`` for rows of one field, where "" is quoted.
+
+    The writer's line terminator is "\r\n", so text holding a bare CR is
+    quoted too: csv.reader would end the row there otherwise.
+    """
 
     def __init__(self, lone: bool):
         super().__init__()
         self.lone = lone
         self.buffer = io.StringIO()
-        self.writer = csv.writer(self.buffer, lineterminator="\n")
+        self.writer = csv.writer(self.buffer, lineterminator="\r\n")
 
     def __missing__(self, text):
         field = text
@@ -106,14 +109,14 @@ class _CsvFields(dict):
             self.buffer.seek(0)
             self.buffer.truncate()
             self.writer.writerow([text] if self.lone else [text, "x"])
-            field = self.buffer.getvalue()[: -1 if self.lone else -3]
+            field = self.buffer.getvalue()[: -2 if self.lone else -4]
         self[text] = field
         return field
 
 
 def _write_csv(path, header, columns) -> None:
-    """Write the columns as CSV under the header: the bytes csv.writer with
-    lineterminator="\n" gives their rows.
+    """Write the columns as CSV under the header: the rows csv.writer with
+    lineterminator="\r\n" writes, each ended by "\n" instead.
 
     As there, a text cell is written as it is and None as "", any other cell
     through str (a float as its shortest round-trip repr), then quoted by
@@ -410,28 +413,6 @@ def _cmd_expressibility(args, cfg) -> int:
     return 0
 
 
-def _verify_rows(observables, n):
-    c = casimir_constant(n)
-    pair = _transform_pair(n)  # one pair of transforms serves every observable
-    rows = []
-    for o in observables:
-        terms = _term_masks(o)  # one scan of the 4^n - 1 coefficients, both checks
-        thm1 = _theorem1(o, pair[0], terms)
-        lem2 = _lemma2_and_theorem2(o, pair, terms=terms)
-        scale = max(abs(lem2.c2_norm_sq), 1e-300)
-        rel_err = max(
-            abs(thm1.lhs - thm1.rhs) / max(abs(thm1.rhs), 1e-300),
-            abs(lem2.total_sum - lem2.c2_norm_sq) / scale,
-            max(0.0, lem2.lower_bound - lem2.diag_sum) / scale,
-            max(0.0, lem2.offdiag_sum - lem2.upper_bound) / scale,
-        )
-        rows.append([
-            n, 1 << n, c, thm1.lhs, thm1.rhs, lem2.total_sum, lem2.c2_norm_sq,
-            lem2.diag_sum, lem2.offdiag_sum, lem2.lower_bound, lem2.upper_bound, rel_err,
-        ])
-    return rows
-
-
 def _cmd_verify_theory(args, cfg) -> int:
     n = args.n
     casimir_constant(n)  # an n out of range fails before any 4^n-sized draw
@@ -445,12 +426,8 @@ def _cmd_verify_theory(args, cfg) -> int:
         max_terms = 8
     for _ in range(args.trials):
         observables.append(random_observable(n, rng, max_terms=max_terms))
-    rows = _verify_rows(observables, n)
-    header = [
-        "n", "d", "c_measured", "thm1_lhs", "thm1_rhs", "lemma1_lhs", "lemma1_rhs",
-        "diag_sum", "offdiag_sum", "lower_bound", "upper_bound", "max_rel_err",
-    ]
-    _write_outputs(args, args.report, header, zip(*rows))
+    checks = verify_identities(observables, n)
+    _write_outputs(args, args.report, IdentityCheck._fields, zip(*checks))
     return 0
 
 

@@ -16,6 +16,8 @@ L(L-1)/2, provably optimal) if one exists, else it runs again as a
 branch-and-bound over all subsets.  It packs a candidate's row of c_jk into a
 bitset only when the search first reaches it; only greedy forms a table.
 Heuristic solvers (greedy, genetic) and the comparison baselines live here too.
+Every pair count (a subset's score, a baseline's, ``evaluate_selection``'s)
+is one sum over the anticommutation table of the strings' masks.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .pauli import (
     PauliString,
     anticommutation_table,
     canonical_masks,
-    commutes,
     mask_arrays,
     pauli_string_at,
     symplectic_parity,
@@ -39,9 +40,7 @@ __all__ = [
     "SelectionProblem",
     "SelectionResult",
     "SelectionMetrics",
-    "build_pool",
     "seeded_order",
-    "score_matrix",
     "solve_exact",
     "solve_greedy",
     "solve_genetic",
@@ -52,6 +51,8 @@ __all__ = [
 BASELINE_METHODS = ("random", "grad_only", "pair_only")
 # The largest m x m uint8 table solve_greedy fills: a full 8-qubit pool's.
 GREEDY_TABLE_BYTES = 1 << 30
+# Seeded permutations pair_only scans for a clique before it gives up.
+CLIQUE_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,7 @@ class SelectionProblem:
 
     def subset_score(self, indices: Iterable[int]) -> int:
         idx = list(indices)
-        x, z = self.x[idx], self.z[idx]
-        return int(anticommutation_table(x, z, x, z).sum()) // 2
+        return _anticommuting_pairs(self.x[idx], self.z[idx])
 
 
 class SelectionMetrics(NamedTuple):
@@ -117,32 +117,19 @@ class SelectionMetrics(NamedTuple):
     n_commute_pairs: int
 
 
+def _anticommuting_pairs(x: np.ndarray, z: np.ndarray) -> int:
+    """The number of unordered anticommuting pairs among the masks (x, z)."""
+    return int(anticommutation_table(x, z, x, z).sum()) // 2
+
+
 def _pool_masks(observable: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """The uint64 (x, z) masks of ``build_pool(observable)``, in its order."""
+    """The uint64 (x, z) masks of the observable's pool: every non-identity
+    string that anticommutes with it, in canonical order."""
     if observable.is_identity:
         raise ValueError("observable must be non-identity")
     x, z = canonical_masks(observable.n)
     keep = symplectic_parity(x, z, np.uint64(observable.x), np.uint64(observable.z)) == 1
     return x[keep], z[keep]
-
-
-def build_pool(
-    observable: PauliString,
-    subsample_size: int | None = None,
-    seed: int | None = None,
-) -> list[PauliString]:
-    """All non-identity ``observable.n``-qubit strings anticommuting with it.
-
-    Returned in canonical enumeration order.  If ``subsample_size`` is given,
-    a uniformly random subset of that size is drawn with ``seed`` and returned
-    in the same canonical order.
-    """
-    x, z = _pool_masks(observable)
-    if subsample_size is not None:
-        keep = np.sort(seeded_order(len(x), seed, subsample_size))
-        x, z = x[keep], z[keep]
-    masks = zip(x.tolist(), z.tolist())
-    return [PauliString._mk(observable.n, xm, zm) for xm, zm in masks]
 
 
 def seeded_order(
@@ -151,9 +138,9 @@ def seeded_order(
     """Indices into a canonical pool of ``size`` in one seeded trial's order.
 
     A seeded uniform subsample of ``subsample_size`` indices (all of them
-    without one), shuffled by ``default_rng(seed).permutation``.  The pool's
-    masks taken in this order are the masks of ``pool[idx]``, so a trial
-    reads the run's problem in this order instead of building its own.
+    without one), shuffled by ``default_rng(seed).permutation``.  A trial
+    reads the run's pool masks in this order instead of building its own
+    pool.
     """
     keep = np.arange(size)
     if subsample_size is not None:
@@ -174,16 +161,6 @@ def _common_width(candidates: Sequence[PauliString]) -> int:
     if len(set(candidates)) != len(candidates):
         raise ValueError("candidates must be pairwise distinct")
     return n
-
-
-def score_matrix(candidates: Sequence[PauliString]) -> np.ndarray:
-    """Symmetric 0/1 matrix with entry 1 iff the candidate pair anticommutes."""
-    candidates = list(candidates)
-    _common_width(candidates)
-    c = np.zeros((len(candidates),) * 2, dtype=np.uint8)
-    for j, a in enumerate(candidates):
-        c[j, :j] = c[:j, j] = [not commutes(a, b) for b in candidates[:j]]
-    return c
 
 
 def _indices(problem: SelectionProblem, order) -> np.ndarray:
@@ -427,9 +404,10 @@ def select_baseline(
         # Half of all 4^n strings anticommute with a non-identity observable.
         if budget > 4**n // 2:
             raise ValueError(f"budget {budget} exceeds pool size {4**n // 2}")
-        # The pool's seeded subsample is this uniform draw of L distinct
-        # members, and builds only the L strings it returns.
-        chosen = tuple(build_pool(observable, subsample_size=budget, seed=seed))
+        # The pool's seeded subsample of L is a uniform draw of L distinct
+        # members, kept in canonical order; only those L strings are built.
+        problem = SelectionProblem(observable, None, budget)
+        chosen = problem.strings(np.sort(seeded_order(len(problem.x), seed, budget)))
     else:
         if budget > 2 * n + 1:
             raise ValueError(
@@ -440,7 +418,7 @@ def select_baseline(
         picks = _random_clique(*canonical_masks(n), budget, rng)
         chosen = tuple(pauli_string_at(n, i + 1) for i in picks)
 
-    score = int(score_matrix(chosen).sum()) // 2
+    score = _anticommuting_pairs(*mask_arrays(chosen))
     return SelectionResult(chosen, score, method, score == budget * (budget - 1) // 2)
 
 
@@ -449,15 +427,14 @@ def _random_clique(
     z: np.ndarray,
     size: int,
     rng: np.random.Generator,
-    attempts: int = 200,
 ) -> list[int]:
     """Positions of ``size`` mutually anticommuting strings among masks (x, z).
 
-    Each attempt scans a seeded permutation and keeps every string that
-    anticommutes with all kept so far: the first one still ``free``, since a
-    string passed over or kept is never freed again.
+    Each of ``CLIQUE_ATTEMPTS`` attempts scans a seeded permutation and keeps
+    every string that anticommutes with all kept so far: the first one still
+    ``free``, since a string passed over or kept is never freed again.
     """
-    for _ in range(attempts):
+    for _ in range(CLIQUE_ATTEMPTS):
         order = rng.permutation(len(x))
         px, pz = x[order], z[order]
         free = np.ones(len(order), dtype=bool)
@@ -470,7 +447,7 @@ def _random_clique(
             free &= symplectic_parity(px, pz, px[i], pz[i]) == 1
     raise RuntimeError(
         f"no mutually anticommuting set of size {size} found in "
-        f"{attempts} randomized attempts"
+        f"{CLIQUE_ATTEMPTS} randomized attempts"
     )
 
 
@@ -478,9 +455,16 @@ def evaluate_selection(
     chosen: Sequence[PauliString], observable: PauliString
 ) -> SelectionMetrics:
     """Count chosen generators commuting with the observable and commuting pairs."""
-    chosen = list(chosen)
+    chosen = tuple(chosen)
     if len(set(chosen)) != len(chosen):
         raise ValueError("chosen generators must be distinct")
-    n_obs = sum(1 for g in chosen if commutes(g, observable))
-    pairs = len(chosen) * (len(chosen) - 1) // 2
-    return SelectionMetrics(n_obs, pairs - int(score_matrix(chosen).sum()) // 2)
+    if (n := _common_width(chosen)) > 63:
+        raise ValueError(f"generators on {n} qubits do not fit 63-qubit masks")
+    if chosen and observable.n != n:
+        raise ValueError(f"qubit-count mismatch: {n} vs {observable.n}")
+    x, z = mask_arrays(chosen)
+    anti_obs = symplectic_parity(x, z, np.uint64(observable.x), np.uint64(observable.z))
+    size = len(chosen)
+    return SelectionMetrics(
+        size - int(anti_obs.sum()), size * (size - 1) // 2 - _anticommuting_pairs(x, z)
+    )

@@ -2,7 +2,8 @@
 
 The basis used everywhere is the full set of 4^n - 1 non-identity Pauli
 strings, normalized as G_P = P / sqrt(2^n) so that Tr(G_P G_Q) = delta_PQ.
-Over this basis the following hold and are checked here numerically:
+Over this basis the following hold, and ``verify_identities`` checks them
+numerically:
 
   * sum_j ||[G_j, O]||_F^2               = c   ||O||_F^2      (first-order sum)
   * sum_{j,k} ||[G_k, [G_j, O]]||_F^2    = c^2 ||O||_F^2      (double sum)
@@ -29,8 +30,8 @@ and omega(O_t, O_t) = 0, so that sum is (M[0] - M at O_t) / 2.  This needs
 the full basis: one string short, the sum counts products that no P_j
 gives, and the double sum fails its check against c.  Counts are integers
 per term, weighted by the squared coefficients only at the end.  The pair
-costs O(n 4^n) time and three arrays of 4^n words, once per call; each
-observable then costs a gather per term.  Nothing is counted in closed
+costs O(n 4^n) time and three arrays of 4^n words, once per
+``verify_identities`` call; each observable then costs a gather per term.  Nothing is counted in closed
 form: N is transformed from the basis masks, and c is measured from it.
 
 ``g_purity`` is the squared norm of O's projection onto the span of a set
@@ -58,10 +59,9 @@ from .pauli import (
 __all__ = [
     "TheoryVerificationError",
     "ObservableInAlgebra",
+    "IdentityCheck",
     "casimir_constant",
-    "verify_theorem1",
-    "verify_lemma1",
-    "verify_lemma2_and_theorem2",
+    "verify_identities",
     "g_purity",
     "random_observable",
 ]
@@ -71,6 +71,8 @@ __all__ = [
 # and each observable grow as 4^n words; verify-theory peaks near 116 MiB
 # at n = 10.
 _MAX_QUBITS = 10
+# Relative slack of the checks verify_identities makes.
+REL_TOL = 1e-8
 
 
 class TheoryVerificationError(RuntimeError):
@@ -134,24 +136,21 @@ def _coefficient_index(p: PauliString, n: int) -> int:
     return canonical_index(p) - 1
 
 
-class Theorem1Result(NamedTuple):
-    lhs: float
-    rhs: float
-    c: float
+class IdentityCheck(NamedTuple):
+    """Both sides of each identity for one observable: a verify-theory row."""
 
-
-class Lemma1Result(NamedTuple):
-    lhs: float
-    rhs: float
-
-
-class Lemma2Theorem2Result(NamedTuple):
+    n: int
+    d: int
+    c_measured: float
+    thm1_lhs: float
+    thm1_rhs: float
+    lemma1_lhs: float  # the whole double sum
+    lemma1_rhs: float  # c^2 ||O||^2
     diag_sum: float
     offdiag_sum: float
     lower_bound: float
     upper_bound: float
-    total_sum: float  # the whole double sum, Lemma 1's lhs
-    c2_norm_sq: float  # c^2 ||O||^2, Lemma 1's rhs
+    max_rel_err: float
 
 
 @lru_cache(maxsize=None)
@@ -196,98 +195,62 @@ def casimir_constant(n: int) -> float:
     return c
 
 
-def _transform_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, M) of the module docstring for the n-qubit basis."""
+def verify_identities(
+    observables: Sequence[ObservableInAlgebra], n: int
+) -> list[IdentityCheck]:
+    """Both sides of every identity of the module docstring, per observable.
+
+    Raises TheoryVerificationError, within ``REL_TOL`` relative slack, if
+    the diagonal part of the double sum is below c^2 ||O||^2 / (d^2 - 1),
+    the off-diagonal part is above c^2 ||O||^2 (d^2 - 2)/(d^2 - 1), or the
+    whole sum is not c^2 ||O||^2.  ``max_rel_err`` is the largest relative
+    miss of Theorem 1 and of those three.  N and M are transformed once per
+    call, and each observable's terms are read once.
+    """
+    c = casimir_constant(n)
     counts = anticommuting_counts(*_basis_masks(n), n)
-    return counts, _walsh_hadamard(counts.copy())
-
-
-def _theorem1(
-    o: ObservableInAlgebra, counts: np.ndarray, terms=None
-) -> Theorem1Result:
-    # [P_j, O] = sum over the terms t that anticommute with P_j of
-    # 2 w_t P_j O_t, distinct strings, so by orthogonality
-    # ||[G_j, O]||^2 = sum_{t anti j} 4 w_t^2 d / d^2; term t counts N(O_t) times.
-    # ``terms``, if given, is _term_masks(o).
-    tx, tz, w2 = _term_masks(o) if terms is None else terms
-    lhs = 4.0 * float(np.sum(w2 * counts[(tx << o.n) | tz])) / 2.0**o.n
-    c = casimir_constant(o.n)
-    return Theorem1Result(lhs, c * o.norm_sq(), c)
-
-
-def verify_theorem1(o: ObservableInAlgebra) -> Theorem1Result:
-    """Compute both sides of sum_j ||[G_j, O]||^2 = c ||O||^2."""
-    return _theorem1(o, anticommuting_counts(*_basis_masks(o.n), o.n))
-
-
-def _double_commutator_sums(
-    o: ObservableInAlgebra, pair, terms=None
-) -> tuple[float, float]:
-    """(total, diagonal) of sum over (j, k) of ||[G_k, [G_j, O]]||^2.
-
-    The terms of [P_j, O] are the products Q = P_j O_t of the terms O_t that
-    anticommute with P_j, with weight 4 w_t^2; distinct t give distinct Q.
-    The outer commutator with P_k kills the Q that commute with it and
-    doubles the rest, so ||[G_k, [G_j, O]]||^2 = (4/d^2) sum_{Q anti P_k}
-    4 w_t^2.  Summed over k and j, term t counts (M[0] - M at O_t) / 2 times
-    (module docstring); on the diagonal k = j, N(O_t) times, since P_j
-    anticommutes with P_j O_t whenever it anticommutes with O_t.
-    ``terms``, if given, is _term_masks(o).
-    """
-    counts, spectrum = pair
-    tx, tz, w2 = _term_masks(o) if terms is None else terms
-    total = (spectrum[0] - spectrum[(tz << o.n) | tx]) // 2
-    diag = counts[(tx << o.n) | tz]
-    scale = 16.0 / 4.0**o.n
-    return scale * float(np.sum(w2 * total)), scale * float(np.sum(w2 * diag))
-
-
-def verify_lemma1(o: ObservableInAlgebra) -> Lemma1Result:
-    """Compute both sides of sum_{j,k} ||[G_k, [G_j, O]]||^2 = c^2 ||O||^2."""
-    total, _ = _double_commutator_sums(o, _transform_pair(o.n))
-    c = casimir_constant(o.n)
-    return Lemma1Result(total, c * c * o.norm_sq())
-
-
-def verify_lemma2_and_theorem2(
-    o: ObservableInAlgebra, rel_tol: float = 1e-8
-) -> Lemma2Theorem2Result:
-    """Diagonal/off-diagonal split of the double sum plus its two bounds.
-
-    Asserts, within ``rel_tol`` relative slack, that the diagonal part is at
-    least c^2 ||O||^2 / (d^2 - 1), the off-diagonal part is at most
-    c^2 ||O||^2 (d^2 - 2)/(d^2 - 1), and the two parts together reproduce
-    c^2 ||O||^2.  A violation raises TheoryVerificationError.  The result
-    also carries both sides of Lemma 1, so one evaluation of the double sum
-    serves all three checks.
-    """
-    return _lemma2_and_theorem2(o, _transform_pair(o.n), rel_tol)
-
-
-def _lemma2_and_theorem2(
-    o: ObservableInAlgebra, pair, rel_tol: float = 1e-8, terms=None
-) -> Lemma2Theorem2Result:
-    total, diag = _double_commutator_sums(o, pair, terms)
-    offdiag = total - diag
-    c = casimir_constant(o.n)
-    d2 = 4.0**o.n
-    full = c * c * o.norm_sq()
-    lower = full / (d2 - 1.0)
-    upper = full * (d2 - 2.0) / (d2 - 1.0)
-    scale = max(full, 1e-300)
-    if diag < lower - rel_tol * scale:
-        raise TheoryVerificationError(
-            f"diagonal sum {diag} below lower bound {lower}"
+    spectrum = _walsh_hadamard(counts.copy())
+    d2 = 4.0**n
+    checks = []
+    for o in observables:
+        if o.n != n:
+            raise ValueError(f"qubit-count mismatch: observable on {o.n} qubits vs n={n}")
+        tx, tz, w2 = _term_masks(o)
+        norm_sq = o.norm_sq()
+        # [P_j, O] is 2 w_t P_j O_t summed over the terms t anticommuting
+        # with P_j, so ||[G_j, O]||^2 = (4/d) sum_{t anti j} w_t^2 and term t
+        # counts N(O_t) times.  [P_k, .] doubles the Q = P_j O_t it
+        # anticommutes with and kills the rest: ||[G_k, [G_j, O]]||^2 =
+        # (16/d^2) sum_{Q anti P_k} w_t^2, and term t counts (M[0] - M at
+        # O_t) / 2 times over all (j, k), N(O_t) times on the diagonal k = j.
+        first = float(np.sum(w2 * counts[(tx << n) | tz]))
+        outer = (spectrum[0] - spectrum[(tz << n) | tx]) // 2
+        thm1, thm1_rhs = 4.0 * first / 2.0**n, c * norm_sq
+        total = 16.0 / d2 * float(np.sum(w2 * outer))
+        diag = 16.0 / d2 * first
+        offdiag = total - diag
+        full = c * c * norm_sq
+        lower = full / (d2 - 1.0)
+        upper = full * (d2 - 2.0) / (d2 - 1.0)
+        scale = max(full, 1e-300)
+        if diag < lower - REL_TOL * scale:
+            raise TheoryVerificationError(f"diagonal sum {diag} below lower bound {lower}")
+        if offdiag > upper + REL_TOL * scale:
+            raise TheoryVerificationError(
+                f"off-diagonal sum {offdiag} above upper bound {upper}"
+            )
+        if abs(total - full) > REL_TOL * scale:
+            raise TheoryVerificationError(f"double sum {total} != c^2 ||O||^2 = {full}")
+        rel_err = max(
+            abs(thm1 - thm1_rhs) / max(abs(thm1_rhs), 1e-300),
+            abs(total - full) / scale,
+            max(0.0, lower - diag) / scale,
+            max(0.0, offdiag - upper) / scale,
         )
-    if offdiag > upper + rel_tol * scale:
-        raise TheoryVerificationError(
-            f"off-diagonal sum {offdiag} above upper bound {upper}"
-        )
-    if abs(total - full) > rel_tol * scale:
-        raise TheoryVerificationError(
-            f"double sum {total} != c^2 ||O||^2 = {full}"
-        )
-    return Lemma2Theorem2Result(diag, offdiag, lower, upper, total, full)
+        checks.append(IdentityCheck(
+            n, 1 << n, c, thm1, thm1_rhs, total, full, diag, offdiag, lower, upper, rel_err
+        ))
+    return checks
 
 
 def g_purity(o: ObservableInAlgebra, basis: Sequence[PauliString]) -> float:

@@ -52,6 +52,48 @@ def all_labels(n: int, include_identity: bool = False):
     return labels
 
 
+def labels_anticommute(a: str, b: str) -> bool:
+    """Whether the strings labelled ``a`` and ``b`` anticommute.
+
+    Two single-qubit Paulis anticommute iff both are non-identity and they
+    differ; two strings anticommute iff an odd number of their qubits do.
+    """
+    return sum(p != q and "I" not in (p, q) for p, q in zip(a, b)) % 2 == 1
+
+
+# The letter of one qubit's (x, z) bits.
+_LETTER_OF_BITS = {("0", "0"): "I", ("1", "0"): "X", ("1", "1"): "Y", ("0", "1"): "Z"}
+
+
+def canonical_labels(n: int) -> list[str]:
+    """Labels of the non-identity n-qubit strings in the package's canonical
+    order: index k, written as 2n bits, is (x_0 .. x_{n-1}, z_0 .. z_{n-1})."""
+    bits = (format(k, f"0{2 * n}b") for k in range(1, 4**n))
+    return ["".join(map(_LETTER_OF_BITS.get, zip(b[:n], b[n:]))) for b in bits]
+
+
+def pool_labels(observable: str, size: int | None = None, seed=None) -> list[str]:
+    """Labels of the strings anticommuting with ``observable``, in canonical
+    order; with ``size``, the draw ``default_rng(seed).choice(pool, size,
+    replace=False)`` of them, kept in that order."""
+    pool = [q for q in canonical_labels(len(observable)) if labels_anticommute(q, observable)]
+    if size is None:
+        return pool
+    keep = np.random.default_rng(seed).choice(len(pool), size, replace=False)
+    return [pool[i] for i in sorted(keep)]
+
+
+def label_table(labels) -> np.ndarray:
+    """uint8 table: entry (j, k) is 1 iff labels j and k anticommute, by the
+    letter parity of ``labels_anticommute`` taken a qubit at a time."""
+    codes = np.array([[LETTERS.index(ch) for ch in label] for label in labels])
+    table = np.zeros((len(labels),) * 2, dtype=np.uint8)
+    for column in codes.T:
+        a, b = column[:, None], column[None, :]
+        table ^= (a != b) & (a != 0) & (b != 0)
+    return table
+
+
 def random_label(rng: np.random.Generator, n: int, identity_ok: bool = False) -> str:
     while True:
         label = "".join(LETTERS[i] for i in rng.integers(0, 4, size=n))

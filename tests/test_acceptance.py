@@ -34,7 +34,6 @@ from gensel.pauli import (
 )
 from gensel.selection import (
     SelectionProblem,
-    build_pool,
     evaluate_selection,
     solve_exact,
 )
@@ -48,9 +47,7 @@ from gensel.theory import (
     ObservableInAlgebra,
     casimir_constant,
     random_observable,
-    verify_lemma1,
-    verify_lemma2_and_theorem2,
-    verify_theorem1,
+    verify_identities,
 )
 
 from conftest import dense_commutator, dense_pauli, dense_ry_all, frob_sq, random_label
@@ -114,12 +111,9 @@ def test_criterion_2_theory_identities(rng):
     for n in (1, 2, 3):
         basis = _dense_normalized_basis(n)
         c = casimir_constant(n)
-        for _ in range(20):
-            o = random_observable(n, rng)
+        observables = [random_observable(n, rng) for _ in range(20)]
+        for o, check in zip(observables, verify_identities(observables, n)):
             obs = _dense_observable(o, basis)
-            thm1 = verify_theorem1(o)
-            lem1 = verify_lemma1(o)
-            lem2 = verify_lemma2_and_theorem2(o, rel_tol=1e-8)
 
             dense_thm1 = sum(frob_sq(dense_commutator(g, obs)) for g in basis)
             dense_total = 0.0
@@ -134,25 +128,24 @@ def test_criterion_2_theory_identities(rng):
 
             rel = 1e-9 if n <= 2 else 1e-8
             scale = max(1.0, dense_thm1)
-            assert abs(thm1.lhs - dense_thm1) <= rel * scale
-            assert abs(thm1.lhs - thm1.rhs) <= 1e-9 * max(1.0, thm1.rhs)
+            assert abs(check.thm1_lhs - dense_thm1) <= rel * scale
+            assert abs(check.thm1_lhs - check.thm1_rhs) <= 1e-9 * max(1.0, check.thm1_rhs)
             scale2 = max(1.0, dense_total)
-            assert abs(lem1.lhs - dense_total) <= rel * scale2
-            assert abs(lem1.lhs - lem1.rhs) <= 1e-9 * scale2
-            assert abs(lem2.diag_sum - dense_diag) <= rel * scale2
+            assert abs(check.lemma1_lhs - dense_total) <= rel * scale2
+            assert abs(check.lemma1_lhs - check.lemma1_rhs) <= 1e-9 * scale2
+            assert abs(check.diag_sum - dense_diag) <= rel * scale2
             # inequalities with slack >= -1e-8 (relative)
-            assert lem2.diag_sum - lem2.lower_bound >= -1e-8 * scale2
-            assert lem2.upper_bound - lem2.offdiag_sum >= -1e-8 * scale2
+            assert check.diag_sum - check.lower_bound >= -1e-8 * scale2
+            assert check.upper_bound - check.offdiag_sum >= -1e-8 * scale2
             assert c == pytest.approx(2.0 * 2**n, rel=1e-9)
 
     casimir_constant.cache_clear()
     start = time.perf_counter()
     o5 = ObservableInAlgebra.single(P("ZIIII"))
-    thm1 = verify_theorem1(o5)
-    lem1 = verify_lemma1(o5)
+    (check,) = verify_identities([o5], 5)
     elapsed = time.perf_counter() - start
-    assert abs(thm1.lhs - thm1.rhs) <= 1e-9 * thm1.rhs
-    assert abs(lem1.lhs - lem1.rhs) <= 1e-9 * lem1.rhs
+    assert abs(check.thm1_lhs - check.thm1_rhs) <= 1e-9 * check.thm1_rhs
+    assert abs(check.lemma1_lhs - check.lemma1_rhs) <= 1e-9 * check.lemma1_rhs
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
@@ -171,7 +164,7 @@ def _dense_observable(o, basis):
 @criterion(3, "exact solver: score 10 with (0,0) at n=5 in <1s; oracle on 100 pools")
 def test_criterion_3_selection_optimality(rng):
     o = P("ZIIII")
-    problem = SelectionProblem(o, build_pool(o), 5)
+    problem = SelectionProblem(o, None, 5)
     start = time.perf_counter()
     result = solve_exact(problem)
     elapsed = time.perf_counter() - start

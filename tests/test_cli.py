@@ -1,5 +1,6 @@
 """End-to-end CLI tests: flags, CSV shapes, errors, reproducibility."""
 
+import ast
 import csv
 import gc
 import hashlib
@@ -29,9 +30,9 @@ from gensel.experiments import (
     trial_models,
 )
 from gensel.optimizer import SpsaConfig
-from gensel.pauli import PauliString
-from gensel.selection import build_pool, score_matrix
 from gensel.simulator import compile_circuit
+
+from conftest import label_table, pool_labels
 
 
 def _read_csv(path):
@@ -182,15 +183,15 @@ class TestSelect:
              "--pool-subsample", 20, "--seed", 4, "--out", out]
         ) == 0
         (row,) = _read_csv(out)
-        pool = build_pool(PauliString.from_label("ZII"), subsample_size=20, seed=4)
-        c = score_matrix(pool)
+        pool = pool_labels("ZII", 20, 4)
+        c = label_table(pool)
         subsets = np.array(list(itertools.combinations(range(20), 8)))
         best = int(c[subsets[:, :, None], subsets[:, None, :]].sum(axis=(1, 2)).max())
         assert best // 2 < 28  # no 8-clique
         assert int(row["score"]) == best // 2
         assert int(row["n_commute_pairs"]) == 28 - best // 2
         chosen = {row[f"generator_{i}"] for i in range(1, 9)}
-        assert chosen <= {p.label for p in pool}
+        assert chosen <= set(pool)
 
     def test_pool_subsample(self, tmp_path):
         out = tmp_path / "sub.csv"
@@ -267,6 +268,20 @@ class TestSelect:
         assert "subcommand = select" in prov.read_text()
 
 
+def test_cli_imports_no_private_name_of_the_package():
+    """The CLI reaches the library through its public names only."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "gensel")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_csv_cells_round_trip(tmp_path):
     """Quoted strings and float reprs read back as written."""
     path = tmp_path / "t.csv"
@@ -299,13 +314,31 @@ _ODD_TEXT = [
 ]
 
 
+def _csv_rows_bytes(header, rows) -> bytes:
+    """Each row as csv.writer with lineterminator="\\r\\n" writes it, so that
+    a field holding a bare CR is quoted, ended by "\\n" instead."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    lines = []
+    for row in [header, *rows]:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n"))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 class TestColumnarCsv:
-    """_write_csv writes columns as the bytes csv.writer gives their rows."""
+    """_write_csv writes columns as the bytes csv.writer gives their rows,
+    a field with a bare CR quoted."""
 
     def _assert_as_csv_writer(self, tmp_path, header, rows, columns=None):
         path = tmp_path / "t.csv"
         cli._write_csv(path, header, list(zip(*rows)) if columns is None else columns)
-        assert path.read_bytes() == _csv_writer_bytes(header, rows)
+        assert path.read_bytes() == _csv_rows_bytes(header, rows)
+        cells = itertools.chain(header, *rows)
+        if not any(isinstance(v, str) and "\r" in v for v in cells):
+            assert path.read_bytes() == _csv_writer_bytes(header, rows)
 
     def test_select_row(self, tmp_path):
         header = ["method", "seed", "generator_1", "generator_2", "score",
@@ -466,10 +499,12 @@ class TestTypedReader:
         after = sum(s["collections"] for s in gc.get_stats())
         assert after - before <= 1
 
-    # sha256 of table1.csv and curves.svg, as the row-wise reader wrote them.
+    # sha256 of table1.csv and curves.svg, as the row-wise reader wrote them;
+    # with a bare CR in a tag, table1.csv as that reader wrote it but for the
+    # quotes around that tag.
     _NO_CR = ("30ddfdc44e21018ea6a6ac7afd3ca93b76c4876411c8131f037dced6a73b189d",
               "74bada73ceca4c773b4ba185b9b4ff919076d8b22f977ea5788feca53287e4cb")
-    _ALL = ("d02631e812430a9429d81b46d27ce80da6e128c1c9cc155a9a4576d4dcdd7a35",
+    _ALL = ("7a86c249eb201b7f41f9634c19f22c5e689e3e197da07472e71522f3637a8cfa",
             "b8cd54fa208fdcab0761c1d7482f0f627f88817b6869e6cb7d3b012eb13dba59")
 
     @pytest.mark.parametrize(
@@ -497,6 +532,23 @@ class TestTypedReader:
         assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs) == (
             digests
         )
+
+    def test_bare_cr_tag_round_trips_through_table1(self, tmp_path, fallbacks):
+        """A method tag holding a bare CR is quoted in table1.csv, so that
+        csv.reader and _read_table (in its one loadtxt pass) read it back
+        whole."""
+        traces, expr = _write_odd_report_inputs(tmp_path, ["exact", "cr\rhere"])
+        table = tmp_path / "table1.csv"
+        assert _run(["report", "--traces", traces, "--expr", expr, "--out-table",
+                     table, "--out-curves", tmp_path / "c.svg", "--deterministic"]) == 0
+        with open(table, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["method", "metric", "mean", "std"]
+        assert {len(row) for row in rows} == {4}
+        assert {row[0] for row in rows} == {"exact", "cr\rhere"}
+        (methods,) = cli._read_table(table, {"method": str})
+        assert list(methods) == [row[0] for row in rows]
+        assert fallbacks == []
 
     @pytest.mark.parametrize(
         "column, token",
@@ -875,11 +927,12 @@ class TestVerifyTheory:
         assert float(row["max_rel_err"]) <= 1e-9
 
     def test_double_sums_computed_once_per_observable(self, tmp_path, monkeypatch):
-        """One call transforms the basis counts once, for all its observables."""
+        """One call transforms the basis counts once, for all its observables,
+        and then reads each observable's terms once."""
         from gensel import theory
 
         theory.casimir_constant(2)  # cached, so its own count is not seen
-        names = ("anticommuting_counts", "_walsh_hadamard", "_double_commutator_sums")
+        names = ("anticommuting_counts", "_walsh_hadamard", "_term_masks")
         calls = dict.fromkeys(names, 0)
 
         def counted(name, real):
@@ -895,11 +948,12 @@ class TestVerifyTheory:
             assert _run(["verify-theory", "--n", 2, "--trials", trials, "--observable",
                          "ZX", "--seed", 0, "--report", tmp_path / "theory.csv"]) == 0
             assert calls == {"anticommuting_counts": 1, "_walsh_hadamard": 1,
-                             "_double_commutator_sums": 1 + trials}
+                             "_term_masks": 1 + trials}
 
     def test_term_masks_read_once_per_observable(self, tmp_path, monkeypatch):
         """Theorem 1 and the double sums share one scan of each observable's
-        4^n - 1 coefficients."""
+        4^n - 1 coefficients, and the CLI reaches it only through
+        verify_identities."""
         from gensel import theory
 
         real, seen = theory._term_masks, []
@@ -909,7 +963,6 @@ class TestVerifyTheory:
             return real(o)
 
         monkeypatch.setattr(theory, "_term_masks", counted)
-        monkeypatch.setattr(cli, "_term_masks", counted)
         assert _run(["verify-theory", "--n", 3, "--trials", 3, "--observable", "ZXI",
                      "--seed", 0, "--report", tmp_path / "theory.csv"]) == 0
         assert len(seen) == 4 and len(set(map(id, seen))) == 4

@@ -29,7 +29,6 @@ from gensel.optimizer import SpsaConfig, rmse_cost
 from gensel.pauli import PauliString
 from gensel.selection import (
     SelectionProblem,
-    build_pool,
     evaluate_selection,
     solve_exact,
     solve_genetic,
@@ -37,7 +36,14 @@ from gensel.selection import (
 )
 from gensel.simulator import CircuitModel, state_overlaps
 
+from conftest import pool_labels
+
 P = PauliString.from_label
+
+
+def _pool(observable, size=None, seed=None):
+    """The reference pool of ``observable`` as strings (conftest)."""
+    return [P(q) for q in pool_labels(observable.label, size, seed)]
 
 SMALL_SPEC = DatasetSpec(n=3, depth=3, samples=16, teacher_seed=2)
 
@@ -202,7 +208,7 @@ SMALL_GENETIC = GeneticConfig(population=16, generations=15)
 
 def _per_trial_selection(method, observable, budget, seed, subsample):
     """The reference: a fresh pool in the seed's order, with its own table."""
-    pool = build_pool(observable, subsample_size=subsample, seed=seed)
+    pool = _pool(observable, subsample, seed)
     order = np.random.default_rng(seed).permutation(len(pool))
     problem = SelectionProblem(observable, [pool[i] for i in order], budget)
     if method == "exact":
@@ -241,7 +247,7 @@ class TestRunScopedPool:
     @staticmethod
     def _check(method, label, budget, subsample, seeds):
         o = P(label)
-        problem = SelectionProblem(o, build_pool(o), budget)
+        problem = SelectionProblem(o, _pool(o), budget)
         for seed in seeds:
             want = _per_trial_selection(method, o, budget, seed, subsample)
             for given in (problem, None):
@@ -262,13 +268,13 @@ class TestRunScopedPool:
 
     def test_budget_past_the_subsample_rejected(self):
         o = P("ZII")
-        problem = SelectionProblem(o, build_pool(o), 6)
+        problem = SelectionProblem(o, _pool(o), 6)
         with pytest.raises(ValueError, match="budget 6 infeasible for pool of 5"):
             select_for_method("exact", o, 6, 0, pool_subsample=5, problem=problem)
 
     def test_problem_for_another_budget_rejected(self):
         o = P("ZII")
-        problem = SelectionProblem(o, build_pool(o), 4)
+        problem = SelectionProblem(o, _pool(o), 4)
         with pytest.raises(ValueError, match="another observable or budget"):
             select_for_method("exact", o, 3, 0, problem=problem)
 
@@ -306,7 +312,7 @@ class TestRunScopedPool:
 
     def test_exact_trial_makes_no_table_copy(self):
         o = P("ZIIII")
-        problem = SelectionProblem(o, build_pool(o), 5)  # a 512-string pool
+        problem = SelectionProblem(o, _pool(o), 5)  # a 512-string pool
         select_for_method("exact", o, 5, 0, problem=problem)
         tracemalloc.start()
         try:

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from gensel import pauli, selection
-from gensel.pauli import PauliString, commutes, pauli_strings
+from gensel.pauli import PauliString, anticommutation_table, commutes, pauli_strings
 from gensel.selection import (
     SelectionProblem,
     _AdjacencyRows,
     _random_clique,
-    build_pool,
     evaluate_selection,
-    score_matrix,
     seeded_order,
     select_baseline,
     solve_exact,
@@ -23,9 +21,19 @@ from gensel.selection import (
     solve_greedy,
 )
 
-from conftest import random_label
+from conftest import label_table, labels_anticommute, pool_labels, random_label
 
 P = PauliString.from_label
+
+
+def _pool(label, size=None, seed=None):
+    """The reference pool of the observable ``label`` as strings (conftest)."""
+    return [P(q) for q in pool_labels(label, size, seed)]
+
+
+def _whole_pool(problem):
+    """Every string of a problem's pool, built from its masks."""
+    return list(problem.strings(np.arange(len(problem.x))))
 
 
 def _pairwise_clique(strings, size, rng, attempts=200):
@@ -42,144 +50,163 @@ def _pairwise_clique(strings, size, rng, attempts=200):
 
 
 class TestBuildPool:
+    """The pool build: ``SelectionProblem(o, None, L)`` holds o's pool as
+    masks, and a trial reads it in ``seeded_order``."""
+
     def test_single_qubit_pool(self):
-        assert {p.label for p in build_pool(P("Z"))} == {"X", "Y"}
+        problem = SelectionProblem(P("Z"), None, 1)
+        assert {p.label for p in _whole_pool(problem)} == {"X", "Y"}
 
     def test_five_qubit_pool_size(self):
-        pool = build_pool(P("ZIIII"))
-        assert len(pool) == 512
+        problem = SelectionProblem(P("ZIIII"), None, 5)
+        assert len(problem.x) == len(problem.z) == 512
         # the first factor must carry an X component (X or Y)
-        assert all(p.label[0] in "XY" for p in pool)
+        assert all(p.label[0] in "XY" for p in _whole_pool(problem))
 
     def test_zz_pool_by_enumeration(self):
         o = P("ZZ")
-        pool = build_pool(o)
+        pool = _whole_pool(SelectionProblem(o, None, 1))
         expected = [p for p in pauli_strings(2) if not commutes(p, o)]
         assert pool == expected
         assert len(pool) == 8
 
     def test_members_anticommute(self, rng):
         for _ in range(10):
-            o = P(random_label(rng, 3))
-            for p in build_pool(o):
-                assert not commutes(p, o)
+            label = random_label(rng, 3)
+            for p in _whole_pool(SelectionProblem(P(label), None, 1)):
+                assert labels_anticommute(p.label, label)
 
     def test_subsample(self):
-        o = P("ZIIII")
-        sub = build_pool(o, subsample_size=32, seed=5)
-        assert len(sub) == 32
-        assert sub == build_pool(o, subsample_size=32, seed=5)
-        full = build_pool(o)
-        assert set(sub) <= set(full)
+        problem = SelectionProblem(P("ZIIII"), None, 5)
+        order = seeded_order(len(problem.x), 5, 32)
+        sub = problem.strings(np.sort(order))
+        assert len(set(sub)) == 32
+        assert order.tolist() == seeded_order(len(problem.x), 5, 32).tolist()
+        assert set(sub) <= set(_pool("ZIIII"))
+        assert list(sub) == _pool("ZIIII", 32, 5)
 
     def test_equals_enumeration_listing(self, rng):
-        """Same strings in the same order as filtering the canonical listing,
-        in full and subsampled (the subsample keeps the listing's order)."""
+        """The masks and strings of filtering the canonical listing, in the
+        same order; a seeded subsample, sorted, keeps the listing's order."""
         for n in range(1, 6):
             labels = {"Z" + "I" * (n - 1), "X" * n, "Y" + "Z" * (n - 1)}
             labels |= {random_label(rng, n) for _ in range(3)}
             for label in sorted(labels):
                 o = P(label)
                 listing = [p for p in pauli_strings(n) if not commutes(p, o)]
-                pool = build_pool(o)
-                assert pool == listing
-                assert [(p.x, p.z) for p in pool] == [(p.x, p.z) for p in listing]
+                problem = SelectionProblem(o, None, 1)
+                x, z = pauli.mask_arrays(listing)
+                assert problem.x.tobytes() == x.tobytes()
+                assert problem.z.tobytes() == z.tobytes()
+                assert _whole_pool(problem) == listing == _pool(label)
                 size = len(listing) // 3
                 keep = np.random.default_rng(n).choice(len(listing), size, replace=False)
-                assert build_pool(o, subsample_size=size, seed=n) == [
-                    listing[i] for i in sorted(keep)
-                ]
+                picks = np.sort(seeded_order(len(problem.x), n, size))
+                assert list(problem.strings(picks)) == [listing[i] for i in sorted(keep)]
 
     def test_seeded_order_lists_the_seeded_subsample_shuffled(self):
-        o = P("ZIIX")
-        pool = build_pool(o)
+        problem = SelectionProblem(P("ZIIX"), None, 1)
         for seed, size in ((0, None), (4, None), (4, 50), (2**64 - 1, 7)):
-            sub = build_pool(o, subsample_size=size, seed=seed)
+            sub = _pool("ZIIX", size, seed)
             shuffle = np.random.default_rng(seed).permutation(len(sub))
-            assert [pool[i] for i in seeded_order(len(pool), seed, size)] == [
-                sub[i] for i in shuffle
-            ]
+            order = seeded_order(len(problem.x), seed, size)
+            assert list(problem.strings(order)) == [sub[i] for i in shuffle]
+            assert seeded_order(len(problem.x), seed, size).tolist() == order.tolist()
         with pytest.raises(ValueError, match="exceeds pool size"):
-            seeded_order(len(pool), 0, len(pool) + 1)
+            seeded_order(len(problem.x), 0, len(problem.x) + 1)
 
     def test_subsample_too_large(self):
-        with pytest.raises(ValueError, match="exceeds pool size"):
-            build_pool(P("Z"), subsample_size=3, seed=0)
+        with pytest.raises(ValueError, match="subsample size 3 exceeds pool size 2"):
+            seeded_order(len(SelectionProblem(P("Z"), None, 1).x), 0, 3)
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError, match="non-identity"):
-            build_pool(P("II"))
+            SelectionProblem(P("II"), None, 1)
 
 
 class TestScoreMatrix:
+    """The coefficients c_jk: every pair count reads the anticommutation
+    table of the masks, checked against the label parity table."""
+
+    @staticmethod
+    def _pairs(strings):
+        return int(label_table([p.label for p in strings]).sum()) // 2
+
     def test_anticommuting_pair(self):
-        c = score_matrix([P("X"), P("Y")])
-        assert c.tolist() == [[0, 1], [1, 0]]
+        problem = SelectionProblem(P("Z"), [P("X"), P("Y")], 2)
+        assert problem.subset_score([0, 1]) == 1
+        assert evaluate_selection([P("X"), P("Y")], P("Z")) == (0, 0)
 
     def test_disjoint_supports_commute(self):
-        c = score_matrix([P("XI"), P("IX")])
-        assert c.tolist() == [[0, 0], [0, 0]]
+        problem = SelectionProblem(P("ZZ"), [P("XI"), P("IX")], 2)
+        assert problem.subset_score([0, 1]) == 0
+        assert evaluate_selection([P("XI"), P("IX")], P("ZZ")) == (0, 1)
 
     def test_full_pool_row_sums(self):
-        pool = build_pool(P("ZIIII"))
-        c = score_matrix(pool)
-        assert c.shape == (512, 512)
-        assert (c.sum(axis=1) == 256).all()
+        problem = SelectionProblem(P("ZIIII"), None, 5)
+        table = anticommutation_table(problem.x, problem.z, problem.x, problem.z)
+        assert table.shape == (512, 512)
+        assert (table.sum(axis=1) == 256).all()
+        assert problem.subset_score(range(512)) == 512 * 256 // 2
 
     def test_matches_pairwise_commutes(self, rng):
         for _ in range(5):
             cands = list({P(random_label(rng, 3)) for _ in range(12)})
-            c = score_matrix(cands)
-            for j, a in enumerate(cands):
-                for k, b in enumerate(cands):
-                    expected = 0 if (j == k or commutes(a, b)) else 1
-                    assert c[j, k] == expected
+            problem = SelectionProblem(P("ZII"), cands, 2)
+            for j, k in itertools.combinations(range(len(cands)), 2):
+                expected = labels_anticommute(cands[j].label, cands[k].label)
+                assert problem.subset_score([j, k]) == expected
+            subset = sorted(rng.choice(len(cands), size=6, replace=False).tolist())
+            assert problem.subset_score(subset) == self._pairs([cands[i] for i in subset])
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            score_matrix([P("X"), P("X")])
-
-    @staticmethod
-    def _pairwise(cands):
-        return [[int(not commutes(a, b)) for b in cands] for a in cands]
+        with pytest.raises(ValueError, match="chosen generators must be distinct"):
+            evaluate_selection([P("X"), P("X")], P("Z"))
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            SelectionProblem(P("Z"), [P("X"), P("X")], 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_all_strings_match_pairwise_loop(self, n):
-        cands = list(pauli_strings(n))
-        c = score_matrix(cands)
-        assert c.dtype == np.uint8
-        assert c.tolist() == self._pairwise(cands)
+        strings = list(pauli_strings(n))
+        problem = SelectionProblem(P("Z" * n), strings, 1)
+        table = anticommutation_table(problem.x, problem.z, problem.x, problem.z)
+        assert table.tolist() == label_table([p.label for p in strings]).tolist()
+        assert problem.subset_score(range(len(strings))) == self._pairs(strings)
+        # Half of the 4^n strings, none of them the identity, anticommute with Z..Z.
+        pairs = len(strings) * (len(strings) - 1) // 2
+        assert evaluate_selection(strings, P("Z" * n)) == (
+            len(strings) - 4**n // 2, pairs - self._pairs(strings)
+        )
 
     @pytest.mark.parametrize("rows", [1, 7, 16])
     def test_several_blocks(self, monkeypatch, rows):
-        cands = build_pool(P("ZIIX"))  # 128 candidates
-        expected = score_matrix(cands)
-        monkeypatch.setattr(pauli, "BLOCK_SIZE", rows * len(cands))
-        c = score_matrix(cands)
-        assert c.dtype == np.uint8
-        assert c.tobytes() == expected.tobytes()
-        assert c.tolist() == self._pairwise(cands)
+        problem = SelectionProblem(P("ZIIX"), None, 5)  # 128 candidates
+        m = len(problem.x)
+        expected = label_table(pool_labels("ZIIX"))
+        monkeypatch.setattr(pauli, "BLOCK_SIZE", rows * m)
+        table = anticommutation_table(problem.x, problem.z, problem.x, problem.z)
+        assert table.dtype == np.uint8
+        assert table.tolist() == expected.tolist()
+        assert problem.subset_score(range(m)) == int(expected.sum()) // 2
 
-    def test_wide_strings_fall_back_to_pairwise_loop(self, rng):
+    def test_wide_strings_refused(self, rng):
         n = 70  # past the 63 qubits that fit a uint64 mask
         cands = list({P(random_label(rng, n)) for _ in range(6)})
-        cands += [P("X" + "I" * (n - 1)), P("Z" + "I" * (n - 1))]
-        c = score_matrix(cands)
-        assert c.dtype == np.uint8
-        assert c.tolist() == self._pairwise(cands)
-        assert c[-1, -2] == c[-2, -1] == 1
+        with pytest.raises(ValueError) as info:
+            evaluate_selection(cands, P("Z" + "I" * (n - 1)))
+        assert str(info.value) == "generators on 70 qubits do not fit 63-qubit masks"
 
 
 def test_adjacency_rows_match_bit_loop(rng):
     """Every row, packed on demand from random distinct strings' masks, in
-    pool order, permuted and subsampled, against the bits of score_matrix."""
+    pool order, permuted and subsampled, against the label parity table."""
     for n, m in ((1, 1), (2, 7), (2, 8), (3, 9), (6, 512)):
         idx = rng.choice(4**n, size=m, replace=False)
         cands = [pauli.pauli_string_at(n, int(i)) for i in idx]
         x, z = pauli.mask_arrays(cands)
         keep = np.sort(rng.choice(m, size=(m + 1) // 2, replace=False))
         for order in (np.arange(m), rng.permutation(m), rng.permutation(keep)):
-            table = score_matrix([cands[i] for i in order])
+            table = label_table([cands[i].label for i in order])
             expected = [sum(1 << int(k) for k in np.flatnonzero(row)) for row in table]
             rows = _AdjacencyRows(x[order], z[order])
             assert [rows[v] for v in reversed(range(len(order)))] == expected[::-1]
@@ -189,7 +216,7 @@ def test_adjacency_rows_match_bit_loop(rng):
 class TestSelectionProblem:
     def test_holds_the_candidates_masks(self):
         o = P("ZIII")
-        pool = build_pool(o)
+        pool = _pool("ZIII")
         problem = SelectionProblem(o, pool, 4)
         x, z = pauli.mask_arrays(pool)
         assert problem.x.dtype == problem.z.dtype == np.uint64
@@ -207,8 +234,8 @@ class TestSelectionProblem:
         if block is not None:  # rows computed a few at a time
             monkeypatch.setattr(pauli, "BLOCK_SIZE", block * 8)
         o = P("ZI")
-        pool = build_pool(o)
-        c = score_matrix(pool)
+        pool = _pool("ZI")
+        c = label_table(pool_labels("ZI"))
         assert (c == c.T).all() and not c.diagonal().any()
         c[7, 6] ^= 1  # both rows in the last block
         with pytest.raises(TypeError, match="positional argument"):
@@ -218,13 +245,13 @@ class TestSelectionProblem:
         m = len(pool)
         bits = np.array([[rows[v] >> k & 1 for k in range(m)] for v in range(m)])
         assert (bits == bits.T).all() and not bits.diagonal().any()
-        assert (bits == score_matrix(pool)).all()
+        assert (bits == label_table(pool_labels("ZI"))).all()
 
     def test_whole_pool_held_as_masks(self, monkeypatch):
-        """Without candidates the problem holds build_pool's masks, and the
+        """Without candidates the problem holds the pool's masks, and the
         solvers build strings for their L picks only, with the same results."""
         o = P("ZIII")
-        pool = build_pool(o)
+        pool = _pool("ZIII")
         solvers = (solve_exact, solve_greedy, lambda p: solve_genetic(p, seed=3))
         want = [solve(SelectionProblem(o, pool, 4)) for solve in solvers]
         built = []
@@ -290,7 +317,7 @@ def _random_problem(rng, max_candidates=15):
 class TestSolveExact:
     def test_full_pool_clique_at_n5(self):
         o = P("ZIIII")
-        problem = SelectionProblem(o, build_pool(o), 5)
+        problem = SelectionProblem(o, None, 5)
         start = time.perf_counter()
         result = solve_exact(problem)
         elapsed = time.perf_counter() - start
@@ -323,11 +350,11 @@ class TestSolveExact:
     def _past_the_clique_bound(rng):
         """Problems with L > 2n, where no L-clique exists."""
         for budget in range(3, 7):  # the full n = 2 pool of 8
-            yield SelectionProblem(P("ZI"), build_pool(P("ZI")), budget)
+            yield SelectionProblem(P("ZI"), _pool("ZI"), budget)
         o = P("ZII")
         for budget in (7, 8):  # n = 3 pools of 14 to 16 of the 32
             for m in (14, 15, 16):
-                pool = build_pool(o, subsample_size=m, seed=int(rng.integers(99)))
+                pool = _pool("ZII", m, int(rng.integers(99)))
                 yield SelectionProblem(o, pool, budget)
 
     def test_matches_exhaustive_enumeration(self, rng):
@@ -346,7 +373,7 @@ class TestSolveExact:
 
     def test_deterministic(self):
         o = P("ZIIII")
-        problem = SelectionProblem(o, build_pool(o), 5)
+        problem = SelectionProblem(o, None, 5)
         assert solve_exact(problem).chosen == solve_exact(problem).chosen
 
     @pytest.mark.parametrize(
@@ -371,9 +398,9 @@ class TestSolveExact:
         """Rows packed from the masks pick what rows packed from the pool's
         table, in each seed's order, pick."""
         o = P("Z" + "I" * (n - 1))
-        pool = build_pool(o)
+        pool = _pool(o.label)
         problem = SelectionProblem(o, pool, budget)
-        table = score_matrix(pool)
+        table = label_table(pool_labels(o.label))
         pairs = budget * (budget - 1) // 2
         for seed in range(3):
             order = seeded_order(len(pool), seed, subsample)
@@ -406,7 +433,7 @@ class TestSolveExact:
 class TestSolveGreedy:
     def test_reaches_clique_on_full_pool(self):
         o = P("ZIIII")
-        problem = SelectionProblem(o, build_pool(o), 5)
+        problem = SelectionProblem(o, None, 5)
         result = solve_greedy(problem)
         assert result.score == 10
         assert result.optimal_flag
@@ -419,7 +446,7 @@ class TestSolveGreedy:
     def test_peak_memory_stays_below_twice_the_table(self):
         """Greedy's permuted table, filled a row at a time, is all it holds."""
         o = P("ZIIII")
-        problem = SelectionProblem(o, build_pool(o), 5)  # a 512-string pool
+        problem = SelectionProblem(o, _pool("ZIIII"), 5)  # a 512-string pool
         order = seeded_order(len(problem.candidates), 0)
         tracemalloc.start()
         try:
@@ -433,7 +460,7 @@ class TestSolveGreedy:
         """A table of exactly GREEDY_TABLE_BYTES is filled (a full 8-qubit
         pool's is 2^30 bytes); past it, greedy refuses before allocating."""
         o = P("ZI")
-        problem = SelectionProblem(o, build_pool(o), 3)  # an 8 x 8 table
+        problem = SelectionProblem(o, _pool("ZI"), 3)  # an 8 x 8 table
         monkeypatch.setattr(selection, "GREEDY_TABLE_BYTES", 64)
         assert len(solve_greedy(problem).chosen) == 3
         monkeypatch.setattr(selection, "GREEDY_TABLE_BYTES", 63)
@@ -453,13 +480,13 @@ class TestSolveGenetic:
 
     def test_zero_generations_uses_initial_population(self):
         o = P("ZIIII")
-        problem = SelectionProblem(o, build_pool(o, subsample_size=64, seed=0), 5)
+        problem = SelectionProblem(o, _pool("ZIIII", 64, 0), 5)
         result = solve_genetic(problem, population=16, generations=0, seed=1)
         assert 0 <= result.score <= 10
 
     def test_deterministic_per_seed(self):
         o = P("ZIIII")
-        problem = SelectionProblem(o, build_pool(o, subsample_size=64, seed=0), 5)
+        problem = SelectionProblem(o, _pool("ZIIII", 64, 0), 5)
         a = solve_genetic(problem, seed=9)
         b = solve_genetic(problem, seed=9)
         assert a.chosen == b.chosen and a.score == b.score
@@ -502,7 +529,7 @@ class TestBaselines:
         """The seeded subsample it builds is the draw over the whole pool."""
         for label in ("Z", "XY", "ZIX", "IYZI", "ZIIII"):
             o = P(label)
-            pool = build_pool(o)
+            pool = _pool(label)
             for budget in {1, len(label), min(2 * len(label) + 2, len(pool))}:
                 for seed in range(6):
                     idx = np.random.default_rng(seed).choice(
@@ -599,3 +626,8 @@ class TestEvaluateSelection:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             evaluate_selection([P("X"), P("X")], P("Z"))
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="qubit-count mismatch: 2 vs 1"):
+            evaluate_selection([P("XI")], P("Z"))
+        assert evaluate_selection([], P("Z")) == (0, 0)

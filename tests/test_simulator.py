@@ -9,7 +9,7 @@ import pytest
 import gensel.experiments as experiments
 import gensel.simulator as simulator
 from gensel.pauli import PauliString, ScaledPauli, commutator, multiply
-from gensel.selection import SelectionProblem, build_pool, solve_exact
+from gensel.selection import SelectionProblem, solve_exact
 from gensel.simulator import (
     CircuitModel,
     CompiledCircuit,
@@ -263,9 +263,8 @@ class TestCompiledEvaluator:
         """
         for label, depths in (("ZII", range(2, 7)), ("XIZIY", (5, 10))):
             observable = P(label)
-            pool = build_pool(observable)
             for depth in depths:
-                result = solve_exact(SelectionProblem(observable, pool, depth))
+                result = solve_exact(SelectionProblem(observable, None, depth))
                 assert result.score == depth * (depth - 1) // 2
                 model = CircuitModel(observable.n, result.chosen, observable)
                 assert len(_heisenberg_terms(model)) == depth + 1

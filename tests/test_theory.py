@@ -8,21 +8,24 @@ import pytest
 from gensel import pauli, theory
 from gensel.pauli import PauliString, commutator, commutes, pauli_strings
 from gensel.theory import (
+    IdentityCheck,
     ObservableInAlgebra,
     TheoryVerificationError,
-    _double_commutator_sums,
-    _transform_pair,
     casimir_constant,
     g_purity,
     random_observable,
-    verify_lemma1,
-    verify_lemma2_and_theorem2,
-    verify_theorem1,
+    verify_identities,
 )
 
 from conftest import dense_commutator, dense_pauli, dense_projection_sq, frob_sq
 
 P = PauliString.from_label
+
+
+def _check(o: ObservableInAlgebra) -> IdentityCheck:
+    """The identities of one observable."""
+    (check,) = verify_identities([o], o.n)
+    return check
 
 
 def _dense_basis(n: int) -> list[np.ndarray]:
@@ -133,7 +136,8 @@ class TestVectorisedSums:
 
     @staticmethod
     def _sums(o):
-        return (verify_theorem1(o).lhs, *_double_commutator_sums(o, _transform_pair(o.n)))
+        check = _check(o)
+        return check.thm1_lhs, check.lemma1_lhs, check.diag_sum
 
     def test_matches_per_pair_reference_n4(self, rng):
         for _ in range(3):
@@ -150,17 +154,16 @@ class TestVectorisedSums:
 
     @pytest.mark.parametrize("n, max_terms", [(3, None), (4, None), (4, 8), (5, 8)])
     def test_double_sums_equal_pairwise_sweep(self, rng, n, max_terms):
-        pair = _transform_pair(n)
-        for _ in range(3):
-            o = random_observable(n, rng, max_terms=max_terms)
-            assert _double_commutator_sums(o, pair) == _pairwise_double_sums(o)
+        observables = [random_observable(n, rng, max_terms=max_terms) for _ in range(3)]
+        for o, check in zip(observables, verify_identities(observables, n)):
+            assert (check.lemma1_lhs, check.diag_sum) == _pairwise_double_sums(o)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_double_sums_of_every_single_string(self, n):
-        pair = _transform_pair(n)
-        for p in pauli_strings(n):
-            o = ObservableInAlgebra.single(p, 0.5)
-            assert _double_commutator_sums(o, pair) == _pairwise_double_sums(o), p
+        strings = list(pauli_strings(n))
+        observables = [ObservableInAlgebra.single(p, 0.5) for p in strings]
+        for p, o, check in zip(strings, observables, verify_identities(observables, n)):
+            assert (check.lemma1_lhs, check.diag_sum) == _pairwise_double_sums(o), p
 
     @pytest.mark.parametrize("short", ["basis", "count"])
     def test_sums_on_a_short_basis_raise(self, monkeypatch, short):
@@ -172,7 +175,7 @@ class TestVectorisedSums:
         """
         o = ObservableInAlgebra.single(P("XIZ"))
         casimir_constant(3)  # cached from the full basis
-        verify_lemma2_and_theorem2(o)
+        verify_identities([o], 3)
         if short == "basis":
             bx, bz = theory._basis_masks(3)
             monkeypatch.setattr(theory, "_basis_masks", lambda n: (bx[:-1], bz[:-1]))
@@ -182,7 +185,7 @@ class TestVectorisedSums:
                 theory, "anticommuting_counts", lambda x, z, n: real(x[:-1], z[:-1], n)
             )
         with pytest.raises(TheoryVerificationError, match="double sum"):
-            verify_lemma2_and_theorem2(o)
+            verify_identities([o], 3)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_casimir_matches_per_pair_reference(self, n):
@@ -255,60 +258,62 @@ class TestCasimirConstant:
 
 class TestTheorem1:
     def test_single_z_at_n1(self):
-        result = verify_theorem1(ObservableInAlgebra.single(P("Z")))
-        assert result.lhs == pytest.approx(4.0, abs=1e-12)
-        assert result.rhs == pytest.approx(4.0, abs=1e-12)
+        result = _check(ObservableInAlgebra.single(P("Z")))
+        assert result.thm1_lhs == pytest.approx(4.0, abs=1e-12)
+        assert result.thm1_rhs == pytest.approx(4.0, abs=1e-12)
 
     def test_zero_observable(self):
-        result = verify_theorem1(ObservableInAlgebra(1, np.zeros(3)))
-        assert result.lhs == 0.0
-        assert result.rhs == 0.0
+        result = _check(ObservableInAlgebra(1, np.zeros(3)))
+        assert result.thm1_lhs == 0.0
+        assert result.thm1_rhs == 0.0
 
     def test_random_unit_observables_match_identity(self, rng):
         for n in (1, 2):
             for _ in range(20):
                 o = random_observable(n, rng)
-                result = verify_theorem1(o)
-                assert abs(result.lhs - result.rhs) <= 1e-9 * max(1.0, result.rhs)
+                result = _check(o)
+                assert abs(result.thm1_lhs - result.thm1_rhs) <= 1e-9 * max(
+                    1.0, result.thm1_rhs
+                )
 
     def test_symbolic_matches_dense(self, rng):
         for n in (1, 2):
             for _ in range(5):
                 o = random_observable(n, rng)
                 dense_lhs, _, _ = _dense_sums(o)
-                result = verify_theorem1(o)
-                assert result.lhs == pytest.approx(dense_lhs, rel=1e-9)
+                assert _check(o).thm1_lhs == pytest.approx(dense_lhs, rel=1e-9)
 
 
 class TestLemma1:
     def test_unit_norm_at_n1(self):
-        result = verify_lemma1(ObservableInAlgebra.single(P("Z")))
-        assert result.lhs == pytest.approx(16.0, abs=1e-12)
-        assert result.rhs == pytest.approx(16.0, abs=1e-12)
+        result = _check(ObservableInAlgebra.single(P("Z")))
+        assert result.lemma1_lhs == pytest.approx(16.0, abs=1e-12)
+        assert result.lemma1_rhs == pytest.approx(16.0, abs=1e-12)
 
     def test_zero_observable(self):
-        result = verify_lemma1(ObservableInAlgebra(1, np.zeros(3)))
-        assert result.lhs == result.rhs == 0.0
+        result = _check(ObservableInAlgebra(1, np.zeros(3)))
+        assert result.lemma1_lhs == result.lemma1_rhs == 0.0
 
     def test_random_observables_match_identity_and_dense(self, rng):
         for n in (1, 2):
             for _ in range(5):
                 o = random_observable(n, rng)
-                result = verify_lemma1(o)
-                assert abs(result.lhs - result.rhs) <= 1e-8 * max(1.0, result.rhs)
+                result = _check(o)
+                assert abs(result.lemma1_lhs - result.lemma1_rhs) <= 1e-8 * max(
+                    1.0, result.lemma1_rhs
+                )
                 _, dense_total, _ = _dense_sums(o)
-                assert result.lhs == pytest.approx(dense_total, rel=1e-9)
+                assert result.lemma1_lhs == pytest.approx(dense_total, rel=1e-9)
 
     def test_n3_symbolic_vs_dense(self, rng):
         o = random_observable(3, rng)
-        result = verify_lemma1(o)
         _, dense_total, _ = _dense_sums(o)
-        assert result.lhs == pytest.approx(dense_total, rel=1e-8)
+        assert _check(o).lemma1_lhs == pytest.approx(dense_total, rel=1e-8)
 
 
 class TestLemma2Theorem2:
     def test_single_z_at_n1(self):
-        result = verify_lemma2_and_theorem2(ObservableInAlgebra.single(P("Z")))
+        result = _check(ObservableInAlgebra.single(P("Z")))
         assert result.diag_sum + result.offdiag_sum == pytest.approx(16.0)
         assert result.lower_bound == pytest.approx(16.0 / 3.0)
         assert result.upper_bound == pytest.approx(32.0 / 3.0)
@@ -319,26 +324,34 @@ class TestLemma2Theorem2:
         for n in (1, 2):
             basis = list(ObservableInAlgebra(n, np.eye(4**n - 1)[0]).terms())
             o = ObservableInAlgebra.single(basis[0][0])
-            result = verify_lemma2_and_theorem2(o)
+            result = _check(o)
             assert result.diag_sum >= result.lower_bound - 1e-10
             assert result.offdiag_sum <= result.upper_bound + 1e-10
 
     def test_zero_observable(self):
-        result = verify_lemma2_and_theorem2(ObservableInAlgebra(2, np.zeros(15)))
+        result = _check(ObservableInAlgebra(2, np.zeros(15)))
         assert result.diag_sum == result.offdiag_sum == 0.0
         assert result.lower_bound == result.upper_bound == 0.0
-        assert result.total_sum == result.c2_norm_sq == 0.0
+        assert result.lemma1_lhs == result.lemma1_rhs == 0.0
+        assert result.max_rel_err == 0.0
 
     def test_carries_lemma1_sides(self, rng):
+        """One call's rows are the rows of one call per observable, and each
+        carries the whole double sum and c^2 ||O||^2 beside its split."""
         for n in (1, 2, 3):
-            o = random_observable(n, rng)
-            result = verify_lemma2_and_theorem2(o)
-            assert (result.total_sum, result.c2_norm_sq) == tuple(verify_lemma1(o))
+            observables = [random_observable(n, rng) for _ in range(3)]
+            checks = verify_identities(observables, n)
+            assert checks == [_check(o) for o in observables]
+            c = casimir_constant(n)
+            for o, check in zip(observables, checks):
+                assert check.lemma1_lhs == _pairwise_double_sums(o)[0]
+                assert check.lemma1_rhs == c * c * o.norm_sq()
+                assert check.offdiag_sum == check.lemma1_lhs - check.diag_sum
 
     def test_split_matches_dense(self, rng):
         for n in (1, 2):
             o = random_observable(n, rng)
-            result = verify_lemma2_and_theorem2(o)
+            result = _check(o)
             _, dense_total, dense_diag = _dense_sums(o)
             assert result.diag_sum == pytest.approx(dense_diag, rel=1e-9)
             assert result.offdiag_sum == pytest.approx(
@@ -346,16 +359,52 @@ class TestLemma2Theorem2:
             )
 
 
+class TestVerifyIdentities:
+    def test_fields_are_the_verify_theory_columns(self):
+        assert IdentityCheck._fields == (
+            "n", "d", "c_measured", "thm1_lhs", "thm1_rhs", "lemma1_lhs", "lemma1_rhs",
+            "diag_sum", "offdiag_sum", "lower_bound", "upper_bound", "max_rel_err",
+        )
+
+    def test_row_of_one_observable(self):
+        """n = 1, O = Z: c = 4, d^2 = 4, ||O||^2 = 1."""
+        check = _check(ObservableInAlgebra.single(P("Z")))
+        assert check == (1, 2, 4.0, 4.0, 4.0, 16.0, 16.0, 8.0, 8.0, 16 / 3, 32 / 3, 0.0)
+        assert verify_identities([], 1) == []
+
+    def test_observable_of_another_width_refused(self):
+        o = ObservableInAlgebra.single(P("ZI"))
+        with pytest.raises(ValueError) as info:
+            verify_identities([ObservableInAlgebra.single(P("ZIX")), o], 3)
+        assert str(info.value) == "qubit-count mismatch: observable on 2 qubits vs n=3"
+
+    @pytest.mark.parametrize(
+        "factor, message",
+        [(3.0, "^diagonal sum"), (0.5, "^off-diagonal sum"), (1 + 1e-8, "^double sum")],
+    )
+    def test_each_check_raises(self, monkeypatch, factor, message):
+        """A Casimir constant off by ``factor`` moves c^2 ||O||^2 and both
+        bounds away from the counted sums; within REL_TOL, nothing raises."""
+        o = ObservableInAlgebra.single(P("XIZ"))
+        c = casimir_constant(3)
+        monkeypatch.setattr(theory, "casimir_constant", lambda n: c * (1 + 1e-9))
+        (check,) = verify_identities([o], 3)
+        assert check.max_rel_err == pytest.approx(2e-9, rel=1e-3)
+        monkeypatch.setattr(theory, "casimir_constant", lambda n: c * factor)
+        with pytest.raises(TheoryVerificationError, match=message):
+            verify_identities([o], 3)
+
+
 class TestScaling:
     def test_quadratic_homogeneity(self, rng):
         o = random_observable(2, rng)
         for lam in (0.5, 2.0, -3.0):
-            scaled = ObservableInAlgebra(2, lam * o.coeffs)
-            assert verify_theorem1(scaled).lhs == pytest.approx(
-                lam * lam * verify_theorem1(o).lhs, rel=1e-12
+            scaled = _check(ObservableInAlgebra(2, lam * o.coeffs))
+            assert scaled.thm1_lhs == pytest.approx(
+                lam * lam * _check(o).thm1_lhs, rel=1e-12
             )
-            assert verify_lemma1(scaled).lhs == pytest.approx(
-                lam * lam * verify_lemma1(o).lhs, rel=1e-12
+            assert scaled.lemma1_lhs == pytest.approx(
+                lam * lam * _check(o).lemma1_lhs, rel=1e-12
             )
 
 
