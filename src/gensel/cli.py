@@ -451,12 +451,7 @@ def _cmd_report(args, cfg) -> int:
     )
     table = zip(*report.table_rows())
     _write_outputs(args, args.out_table, ["method", "metric", "mean", "std"], table)
-    write_curves_svg(
-        args.out_curves,
-        report.curves(),
-        title="training curves",
-        deterministic=args.deterministic,
-    )
+    write_curves_svg(args.out_curves, report.curves(), deterministic=args.deterministic)
     if report.t_statistic is None:
         print("t-test (exact vs random, final epoch): not available")
     else:

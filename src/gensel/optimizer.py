@@ -232,22 +232,20 @@ def rmse_cost(model: CircuitModel, theta, dataset) -> float:
     return float(np.sqrt(np.mean((preds - ys) ** 2)))
 
 
-def _spsa_update(theta, momentum, costs, delta, config, rows=None):
+def _spsa_update(theta, momentum, costs, delta, config, rows):
     """One SPSA step for every row of theta (T, W).
 
     Row t moves along its Rademacher direction delta[t] (0 past the trial's
     depth), gets the costs of theta_t + c delta_t and theta_t - c delta_t
-    from ``costs`` (rows (2, T, W) -> (2, T)), estimates the gradient as
-    their difference over 2c times delta_t (note 1/delta_j = delta_j), folds
-    it into the momentum m <- beta m + g and moves theta <- theta - a m.
-    ``rows``, if given, is a (k + 2, T, W) buffer: theta +- c delta go into
-    its last two rows and ``costs`` gets all of it, so its first k rows are
-    costed in the same call.
+    from ``costs`` (rows (k + 2, T, W) -> (k + 2, T)), estimates the gradient
+    as their difference over 2c times delta_t (note 1/delta_j = delta_j),
+    folds it into the momentum m <- beta m + g and moves theta <- theta - a m.
+    ``rows`` is a (k + 2, T, W) buffer: theta +- c delta go into its last two
+    rows and ``costs`` gets all of it, so its first k rows are costed in the
+    same call.
     """
     c = config.perturbation
     shift = c * delta
-    if rows is None:
-        rows = np.empty((2,) + theta.shape)
     np.add(theta, shift, out=rows[-2])
     np.subtract(theta, shift, out=rows[-1])
     plus, minus = costs(rows)[-2:]

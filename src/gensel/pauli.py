@@ -40,6 +40,7 @@ __all__ = [
     "pauli_strings",
     "row_blocks",
     "symplectic_parity",
+    "walsh_hadamard",
 ]
 
 _LETTER_FROM_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -219,13 +220,13 @@ def anticommuting_counts(x, z, n: int) -> np.ndarray:
     is F(Q) = sum over the basis of (-1)^<k, Q>, so N(Q) = (len(x) - F(Q)) / 2.
     """
     f = np.bincount(((z << n) | x).astype(np.intp), minlength=1 << 2 * n)
-    f = _walsh_hadamard(f)
+    f = walsh_hadamard(f)
     np.subtract(len(x), f, out=f)
     f //= 2
     return f
 
 
-def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
+def walsh_hadamard(f: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform g[m] = sum_k f[k] (-1)^popcount(k & m)
     of an integer array of length 2^b, overwriting f.  Each pass writes the even
     and odd entries' sums and differences to the halves of the other buffer,

@@ -38,12 +38,17 @@ makes a bounded number of NumPy calls per bucket; members of lower depth
 read factors of 1.0.  As x + (-0.0) = x for every x, a circuit's
 predictions do not depend on the circuits stacked with it.
 
-The dense kernel acts on amplitude vectors.  Basis convention: amplitude
-index bit q corresponds to qubit q, so |0..0> is index 0.  A Pauli string
-acts via bit flips (X components) and phase factors (Z/Y components) in
-O(2^n), as (P @ amps)[b] = (phase*signs)[b] * amps[src[b]] with
-src = b ^ x-mask; no gate is ever materialized as a matrix.  Those tables,
-built once per gate, serve the dense fallback and the single-state helpers.
+Every statevector runs through one kernel, ``_rotate``, which applies
+exp(-i theta G) in place to each row of a block of amplitudes; R_Y(x) is
+exp(-i (x/2) Y) on each qubit, so the encoding is n such rotations.  Basis
+convention: amplitude index bit q corresponds to qubit q, so |0..0> is
+index 0.  A Pauli string acts via bit flips (X components) and phase
+factors (Z/Y components), as (G @ amps)[j] = factor[j] * amps[partner[j]];
+no gate is ever materialized as a matrix.  Over all 2^n amplitudes partner
+is b ^ x-mask: the dense fallback builds these tables and its encoded batch
+once, at compile, and rotates one copy of that batch per evaluation; the
+single-state helpers build them per call.
+
 ``state_overlaps`` gives expressibility <0|U(theta)^dag U(phi)|0> without a
 state of width 2^n.  Every row starts at |0..0>, so only the amplitudes on
 the F2-span of the X masks applied so far are live, and the overlap sums
@@ -76,9 +81,6 @@ __all__ = [
     "state_overlaps",
 ]
 
-ENCODING_RY_UNIFORM = "ry-uniform"
-
-
 @dataclass
 class StateVector:
     """Dense array of 2^n complex amplitudes."""
@@ -107,17 +109,15 @@ class StateVector:
 
 @dataclass(frozen=True)
 class CircuitModel:
-    """Encoding rule, ordered generator list and observable for one circuit."""
+    """Ordered generator list and observable for one circuit; every model
+    encodes its input by R_Y(x) on every qubit."""
 
     n: int
     generators: tuple[PauliString, ...]
     observable: PauliString
-    encoding: str = ENCODING_RY_UNIFORM
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        if self.encoding != ENCODING_RY_UNIFORM:
-            raise ValueError(f"unsupported encoding rule {self.encoding!r}")
         for g in self.generators:
             if g.n != self.n:
                 raise ValueError("generator qubit count does not match model")
@@ -133,63 +133,50 @@ class CircuitModel:
         return len(self.generators)
 
 
-def _pauli_table(n: int, p: PauliString) -> tuple[np.ndarray | None, np.ndarray]:
-    """(src, phase*signs) with (P @ amps)[..., b] = (phase*signs)[b] * amps[..., src[b]].
-
-    ``src`` is None when P has no X component, as the index map is then the
-    identity.
-    """
-    src = np.arange(1 << n) ^ p.x
-    return (src if p.x else None), _phase_signs(p, src)
-
-
-def _phase_signs(p: PauliString, src: np.ndarray) -> np.ndarray:
-    """The factor P applies to the amplitude it moves from each index in src."""
+def _pauli_table(p: PauliString, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(src, factor) for the amplitudes at basis indices ``basis``: P maps the
+    amplitude at index src[j] = basis[j] ^ x onto basis[j], times factor[j]."""
+    src = basis ^ p.x
     parity = (np.bitwise_count(np.uint64(p.z) & src.astype(np.uint64)) & 1).astype(int)
     signs = 1 - 2 * parity
     phase = 1j ** ((p.x & p.z).bit_count() % 4)
-    return phase * signs
+    return src, phase * signs
 
 
-def _apply_pauli(amps: np.ndarray, table) -> np.ndarray:
-    """P @ amps along the last axis, from P's table."""
-    src, phase_signs = table
-    if src is None:
-        return phase_signs * amps
-    gathered = amps.take(src, axis=-1)
-    return np.multiply(phase_signs, gathered, out=gathered)
+def _rotate(amps: np.ndarray, partner, factor, theta, spare: np.ndarray) -> None:
+    """exp(-i theta_r G) in place on each row r of the (rows, k) block amps.
+
+    G maps column partner[j] onto column j times factor[j]; theta is a float
+    or a (rows, 1) column, and spare a (rows, k) block this overwrites.  The
+    rows become cos theta * amps - (i sin theta) * (G @ amps), grouped as
+    written: the tests' full-width reference rounds the same products.
+    """
+    # Every position is valid; mode="wrap" skips take's bounds buffer.
+    amps.take(partner, axis=1, out=spare, mode="wrap")
+    np.multiply(factor, spare, out=spare)
+    np.multiply(1j * np.sin(theta), spare, out=spare)
+    np.multiply(np.cos(theta), amps, out=amps)
+    np.subtract(amps, spare, out=amps)
 
 
-def _apply_ry_all_amps(amps: np.ndarray, n: int, angle: float) -> np.ndarray:
-    """R_Y(angle) on every qubit, applied qubit by qubit along the last axis."""
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    lead = amps.shape[:-1]
-    for q in range(n):
-        shaped = amps.reshape(*lead, 1 << (n - 1 - q), 2, 1 << q)
-        a0 = shaped[..., 0, :]
-        a1 = shaped[..., 1, :]
-        new = np.empty_like(shaped)
-        new[..., 0, :] = c * a0 - s * a1
-        new[..., 1, :] = s * a0 + c * a1
-        amps = new.reshape(*lead, 1 << n)
+def _rotated(amps: np.ndarray, gates) -> np.ndarray:
+    """A copy of the (rows, 2^n) block amps rotated by exp(-i theta G) for
+    each (G, theta) of ``gates`` in order."""
+    amps = np.array(amps, dtype=complex)
+    spare, basis = np.empty_like(amps), np.arange(amps.shape[1])
+    for g, theta in gates:
+        _rotate(amps, *_pauli_table(g, basis), theta, spare)
     return amps
 
 
-def _rotate(amps: np.ndarray, table, theta) -> np.ndarray:
-    """exp(-i theta P) @ amps; theta may be scalar or a leading-axis array."""
-    theta = np.asarray(theta)
-    cos_t = np.cos(theta)[..., None] if theta.ndim else np.cos(theta)
-    sin_t = np.sin(theta)[..., None] if theta.ndim else np.sin(theta)
-    # cos_t * amps - (1j * sin_t) * (P @ amps) in two buffers; each product
-    # keeps this operand order, so results match the plain expression bitwise.
-    flipped = _apply_pauli(amps, table)
-    np.multiply(1j * sin_t, flipped, out=flipped)
-    out = cos_t * amps
-    return np.subtract(out, flipped, out=out)
+def _encoding(n: int, x) -> list[tuple[PauliString, float | np.ndarray]]:
+    """R_Y(x) on every qubit as the gates exp(-i (x/2) Y_q), q = 0..n-1."""
+    return [(PauliString(n, 1 << q, 1 << q), x / 2.0) for q in range(n)]
 
 
-def _expectation_amps(amps: np.ndarray, table) -> np.ndarray:
-    flipped = _apply_pauli(amps, table)
+def _expectation_amps(amps: np.ndarray, src, factor) -> np.ndarray:
+    flipped = amps.take(src, axis=-1)
+    np.multiply(factor, flipped, out=flipped)
     value = np.multiply(np.conj(amps), flipped, out=flipped).sum(axis=-1)
     if np.any(np.abs(value.imag) > 1e-12):
         raise RuntimeError(
@@ -200,7 +187,7 @@ def _expectation_amps(amps: np.ndarray, table) -> np.ndarray:
 
 def apply_ry_encoding(state: StateVector, x: float) -> StateVector:
     """Apply R_Y(x) = exp(-i(x/2)Y) to every qubit; norm is preserved."""
-    return StateVector(state.n, _apply_ry_all_amps(state.amplitudes, state.n, x))
+    return StateVector(state.n, _rotated(state.amplitudes[None], _encoding(state.n, x))[0])
 
 
 def apply_pauli_rotation(
@@ -211,16 +198,15 @@ def apply_pauli_rotation(
         raise ValueError(f"qubit-count mismatch: {g.n} vs state.n={state.n}")
     if g.is_identity:
         raise ValueError("identity generator contributes only a global phase")
-    return StateVector(
-        state.n, _rotate(state.amplitudes, _pauli_table(state.n, g), theta)
-    )
+    return StateVector(state.n, _rotated(state.amplitudes[None], [(g, theta)])[0])
 
 
 def expectation(state: StateVector, o: PauliString) -> float:
     """<psi|O|psi>; RuntimeError if the imaginary residue exceeds 1e-12."""
     if o.n != state.n:
         raise ValueError(f"qubit-count mismatch: {o.n} vs state.n={state.n}")
-    return float(_expectation_amps(state.amplitudes, _pauli_table(state.n, o)))
+    table = _pauli_table(o, np.arange(1 << state.n))
+    return float(_expectation_amps(state.amplitudes, *table))
 
 
 # Past _TERMS_PER_DENSE_WORK * L * 2^n live terms, compile_circuit builds the
@@ -273,21 +259,19 @@ def _heisenberg_terms(model: CircuitModel) -> list[tuple] | None:
 
 def _compile_dense(model: CircuitModel, xs: np.ndarray) -> Callable[..., np.ndarray]:
     """The statevector evaluator: encoded states and Pauli tables built once."""
-    n = model.n
-    # R_Y(x) on every qubit from |0..0> yields a product state whose
-    # amplitude on basis index b is cos(x/2)^(n - |b|) sin(x/2)^|b|.
-    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(int)
-    c = np.cos(xs / 2.0)[:, None]
-    s = np.sin(xs / 2.0)[:, None]
-    encoded = (c ** (n - weights[None, :]) * s ** weights[None, :]).astype(complex)
-    gates = [_pauli_table(n, g) for g in model.generators]
-    observable = _pauli_table(n, model.observable)
+    zero = np.zeros((len(xs), 1 << model.n))
+    zero[:, 0] = 1.0
+    encoded = _rotated(zero, _encoding(model.n, xs[:, None]))
+    basis = np.arange(1 << model.n)
+    gates = [_pauli_table(g, basis) for g in model.generators]
+    observable = _pauli_table(model.observable, basis)
 
     def evaluate(theta: np.ndarray) -> np.ndarray:
-        amps = encoded
-        for table, t in zip(gates, theta):
-            amps = _rotate(amps, table, float(t))
-        return _expectation_amps(amps, observable)
+        amps = encoded.copy()
+        spare = np.empty_like(amps)
+        for (src, factor), t in zip(gates, theta):
+            _rotate(amps, src, factor, float(t), spare)
+        return _expectation_amps(amps, *observable)
 
     return evaluate
 
@@ -521,30 +505,25 @@ def _span_states(model: CircuitModel, thetas) -> tuple[np.ndarray, np.ndarray]:
     spare = np.empty(rows * size, dtype=complex)
     live[:rows] = 1.0
     support = np.zeros(1, dtype=np.intp)
-    for g, coord, theta in zip(model.generators, coords, thetas.T):
+    for g, coord, theta in zip(model.generators, coords, thetas.T[..., None]):
         k = len(support)
         amps = live[: rows * k].reshape(rows, k)
-        cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
         if coord is None:
             doubled = spare[: 2 * rows * k].reshape(rows, 2 * k)
             new = doubled[:, k:]
             # Where the full-width rotation's partner amplitude is 0.  Each
             # part of -i sin theta times G's factor is one rounded product,
             # the negation of the bits that i sin theta gives.
-            np.multiply(_phase_signs(g, support), amps, out=new)
-            np.multiply(-1j * sin_t, new, out=new)
-            np.multiply(cos_t, amps, out=doubled[:, :k])
             support = np.concatenate([support, support ^ g.x])
+            np.multiply(_pauli_table(g, support[k:])[1], amps, out=new)
+            np.multiply(-1j * np.sin(theta), new, out=new)
+            np.multiply(np.cos(theta), amps, out=doubled[:, :k])
             live, spare = spare, live
-            continue
-        # cos * amps - (i sin) * (G @ amps) in _rotate's operand order.
-        flipped = spare[: rows * k].reshape(rows, k)
-        # Every position is valid; mode="wrap" skips take's bounds buffer.
-        amps.take(np.arange(k) ^ coord, axis=1, out=flipped, mode="wrap")
-        np.multiply(_phase_signs(g, support ^ g.x), flipped, out=flipped)
-        np.multiply(1j * sin_t, flipped, out=flipped)
-        np.multiply(cos_t, amps, out=amps)
-        np.subtract(amps, flipped, out=amps)
+        else:
+            _rotate(
+                amps, np.arange(k) ^ coord, _pauli_table(g, support)[1], theta,
+                spare[: rows * k].reshape(rows, k),
+            )
     return live[: rows * len(support)].reshape(rows, len(support)), support
 
 

@@ -45,10 +45,10 @@ def _tick_values(lo: float, hi: float, count: int = 6) -> list[float]:
 def write_curves_svg(
     path,
     series: Sequence[tuple[str, np.ndarray, np.ndarray]],
-    title: str = "",
     deterministic: bool = False,
 ) -> None:
-    """Write one SVG with a (label, mean, std) band per series.
+    """Write one SVG titled "training curves" with a (label, mean, std) band
+    per series.
 
     The x axis is the sample index (epoch number); all series must share a
     common length.
@@ -87,11 +87,10 @@ def write_curves_svg(
         stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
         lines.append(f"<!-- generated: {stamp} -->")
     lines.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-    if title:
-        lines.append(
-            f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
-        )
+    lines.append(
+        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
+        'font-family="sans-serif" font-size="16">training curves</text>'
+    )
 
     # Axes.
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h

@@ -49,11 +49,11 @@ import numpy as np
 
 from .pauli import (
     PauliString,
-    _walsh_hadamard,
     anticommuting_counts,
     canonical_index,
     canonical_masks,
     pauli_string_at,
+    walsh_hadamard,
 )
 
 __all__ = [
@@ -209,7 +209,7 @@ def verify_identities(
     """
     c = casimir_constant(n)
     counts = anticommuting_counts(*_basis_masks(n), n)
-    spectrum = _walsh_hadamard(counts.copy())
+    spectrum = walsh_hadamard(counts.copy())
     d2 = 4.0**n
     checks = []
     for o in observables:
@@ -270,9 +270,8 @@ def random_observable(
     n: int,
     rng: np.random.Generator,
     max_terms: int | None = None,
-    unit_norm: bool = True,
 ) -> ObservableInAlgebra:
-    """Random observable in the algebra, optionally sparse and unit-norm."""
+    """Random unit-norm observable in the algebra, optionally sparse."""
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
     if max_terms is not None and max_terms < 1:
@@ -284,6 +283,4 @@ def random_observable(
     else:
         idx = rng.choice(size, size=max_terms, replace=False)
         coeffs[idx] = rng.standard_normal(max_terms)
-    if unit_norm:
-        coeffs = coeffs / np.linalg.norm(coeffs)
-    return ObservableInAlgebra(n, coeffs)
+    return ObservableInAlgebra(n, coeffs / np.linalg.norm(coeffs))

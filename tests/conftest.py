@@ -1,9 +1,10 @@
 """Shared dense-matrix oracles, built independently of the package.
 
 Everything here works from text labels and np.kron only, so the oracles do
-not reuse any symbolic code path they are meant to check.  The basis-index
-convention matches the simulator: amplitude index bit q is qubit q, so the
-factor for qubit 0 is the last kron operand.
+not reuse any symbolic code path they are meant to check; ``pauli_amps``
+alone reads a string's bit masks, to check the statevector kernels bitwise.
+The basis-index convention matches the simulator: amplitude index bit q is
+qubit q, so the factor for qubit 0 is the last kron operand.
 """
 
 import numpy as np
@@ -111,6 +112,18 @@ def dense_ry_all(n: int, angle: float) -> np.ndarray:
     for _ in range(n):
         m = np.kron(m, dense_ry(angle))
     return m
+
+
+def pauli_amps(amps: np.ndarray, n: int, g) -> np.ndarray:
+    """G @ amps along the last axis, from G's bit masks: each index b takes
+    the amplitude at b ^ x times G's factor for it, the product in the
+    simulator's operand order."""
+    idx = np.arange(1 << n)
+    src = idx ^ g.x
+    parity = (np.bitwise_count(np.uint64(g.z) & src.astype(np.uint64)) & 1).astype(int)
+    signs = 1 - 2 * parity
+    phase = 1j ** ((g.x & g.z).bit_count() % 4)
+    return phase * signs * amps[..., src]
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from gensel.optimizer import (
 from gensel.pauli import PauliString
 from gensel.simulator import CircuitModel, compile_circuit, run_model, run_model_batch
 
-from conftest import random_label
+from conftest import pauli_amps, random_label
 
 P = PauliString.from_label
 
@@ -103,6 +103,12 @@ def _quadratic_costs(rows):
     return (rows**2).sum(axis=-1)
 
 
+def _update(theta, momentum, costs, delta, config):
+    """``_spsa_update`` with a buffer of just the two rows it fills."""
+    rows = np.empty((2,) + np.shape(theta))
+    return optimizer._spsa_update(theta, momentum, costs, delta, config, rows)
+
+
 class TestSpsaStep:
     """The update rule train_batch applies, ``_spsa_update``, on directions
     from ``_directions``; each row of theta is one trial."""
@@ -111,7 +117,7 @@ class TestSpsaStep:
         cfg = SpsaConfig(learning_rate=0.0, momentum=0.5, perturbation=0.1)
         theta = np.array([[0.3, -0.4]])
         delta = optimizer._directions([cfg.seed], [1], 2)[0]
-        new_theta, new_momentum = optimizer._spsa_update(
+        new_theta, new_momentum = _update(
             theta, np.zeros((1, 2)), _quadratic_costs, delta, cfg
         )
         assert np.array_equal(new_theta, theta)
@@ -123,7 +129,7 @@ class TestSpsaStep:
         cfg = SpsaConfig(learning_rate=0.25, momentum=0.0, perturbation=0.05, seed=3)
         for k in range(1, 21):
             delta = optimizer._directions([cfg.seed], [k], 1)[0]
-            new_theta, momentum = optimizer._spsa_update(
+            new_theta, momentum = _update(
                 np.zeros((1, 1)), np.zeros((1, 1)), lambda r: v * r[..., 0], delta, cfg
             )
             recovered = float(momentum[0, 0])  # beta = 0, so momentum == estimate
@@ -136,7 +142,7 @@ class TestSpsaStep:
         cfg = SpsaConfig(learning_rate=1.0, momentum=0.0, perturbation=0.02, seed=11)
         # Steps 1..2000 of one seed, as 2000 rows of one update.
         delta = optimizer._directions([cfg.seed], range(1, 2001), 3)[:, 0]
-        _, momentum = optimizer._spsa_update(
+        _, momentum = _update(
             np.zeros((2000, 3)), np.zeros((2000, 3)), lambda r: r @ v, delta, cfg
         )
         assert np.allclose(momentum.mean(axis=0), v, atol=0.08)
@@ -153,7 +159,7 @@ class TestSpsaStep:
         cfg = SpsaConfig()
         theta = np.zeros((3, 4))
         delta = optimizer._directions([0, 1, 2], [5], 4)[0]
-        optimizer._spsa_update(theta, np.zeros((3, 4)), costs, delta, cfg)
+        _update(theta, np.zeros((3, 4)), costs, delta, cfg)
         assert len(calls) == 1
         shift = cfg.perturbation * delta
         assert np.array_equal(calls[0], np.array([theta + shift, theta - shift]))
@@ -166,7 +172,7 @@ class TestSpsaStep:
         momentum = np.zeros((1, 1))
         values = []
         for delta in deltas:
-            _, momentum = optimizer._spsa_update(
+            _, momentum = _update(
                 np.zeros((1, 1)), momentum, lambda r: v * r[..., 0], delta, cfg
             )
             values.append(float(momentum[0, 0]))
@@ -182,7 +188,7 @@ class TestSpsaStep:
         theta = np.ones((10, 2))
         momentum = np.zeros((10, 2))
         for delta in deltas:
-            theta, momentum = optimizer._spsa_update(
+            theta, momentum = _update(
                 theta, momentum, _quadratic_costs, delta, cfg
             )
         assert np.all(np.linalg.norm(theta, axis=1) < 0.5)
@@ -469,15 +475,6 @@ def _spsa_reference(circuit, ys, config):
     return _spsa_loop(cost, depth, config)
 
 
-def _pauli_amps(amps, n, g):
-    idx = np.arange(1 << n)
-    src = idx ^ g.x
-    parity = (np.bitwise_count(np.uint64(g.z) & src.astype(np.uint64)) & 1).astype(int)
-    signs = 1 - 2 * parity
-    phase = 1j ** ((g.x & g.z).bit_count() % 4)
-    return phase * signs * amps[..., src]
-
-
 def _uncompiled_batch(model, theta, xs):
     """Batched circuit evaluation that derives everything per call."""
     size = 1 << model.n
@@ -487,6 +484,6 @@ def _uncompiled_batch(model, theta, xs):
     amps = (c ** (model.n - weights[None, :]) * s ** weights[None, :]).astype(complex)
     for g, t in zip(model.generators, theta):
         t = np.asarray(float(t))
-        amps = np.cos(t) * amps - 1j * np.sin(t) * _pauli_amps(amps, model.n, g)
+        amps = np.cos(t) * amps - 1j * np.sin(t) * pauli_amps(amps, model.n, g)
     o = model.observable
-    return np.sum(np.conj(amps) * _pauli_amps(amps, model.n, o), axis=-1).real
+    return np.sum(np.conj(amps) * pauli_amps(amps, model.n, o), axis=-1).real

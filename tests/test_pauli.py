@@ -191,7 +191,7 @@ class TestMaskKernels:
         f = rng.integers(-50, 50, size=1 << bits)
         k = np.arange(1 << bits)
         dense = 1 - 2 * (np.bitwise_count(k[:, None] & k).astype(np.int64) & 1)
-        assert pauli._walsh_hadamard(f.copy()).tolist() == (dense @ f).tolist()
+        assert pauli.walsh_hadamard(f.copy()).tolist() == (dense @ f).tolist()
 
     def test_parity_broadcasts_elementwise(self, rng):
         a = [P(random_label(rng, 5)) for _ in range(50)]

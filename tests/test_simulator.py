@@ -25,7 +25,7 @@ from gensel.simulator import (
     state_overlaps,
 )
 
-from conftest import dense_pauli, dense_ry_all, random_label
+from conftest import dense_pauli, dense_ry_all, pauli_amps, random_label
 
 P = PauliString.from_label
 
@@ -108,6 +108,15 @@ class TestPauliRotation:
             expected = _dense_rotation(g, theta) @ state.amplitudes
             assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
+    def test_bitwise_equal_to_full_width_reference(self, rng):
+        for n in range(1, 9):
+            for _ in range(5):
+                g = P(random_label(rng, n))
+                theta = float(rng.uniform(-np.pi, np.pi))
+                state = _random_state(rng, n)
+                got = apply_pauli_rotation(state, g, theta).amplitudes
+                assert np.array_equal(got, _full_width_rotation(state.amplitudes, n, g, theta))
+
     def test_norm_preserved_over_100_gates(self, rng):
         state = _random_state(rng, 4)
         for _ in range(100):
@@ -134,6 +143,14 @@ class TestExpectation:
             expected = np.vdot(state.amplitudes, dense_pauli(o) @ state.amplitudes)
             assert abs(got - expected.real) < 1e-12
             assert abs(expected.imag) < 1e-12
+
+    def test_bitwise_equal_to_full_width_reference(self, rng):
+        for n in range(1, 9):
+            for _ in range(5):
+                o = P(random_label(rng, n))
+                amps = _random_state(rng, n).amplitudes
+                want = np.sum(np.conj(amps) * pauli_amps(amps, n, o)).real
+                assert expectation(StateVector(n, amps), o) == want
 
     def test_imaginary_residue_raises(self):
         """Amplitudes near 1e6 leave a rounding residue far above 1e-12.
@@ -238,6 +255,30 @@ class TestCompiledEvaluator:
         model = _random_model_with_y(rng, 3, 24)
         assert _heisenberg_terms(model) is None
         self._assert_matches_oracle(rng, model)
+
+    def test_dense_fallback_bitwise_equal_to_full_width_reference(self, rng, monkeypatch):
+        """The dense rows of stack_circuits carry the bits of the full-width
+        reference: R_Y(x) as the rotations exp(-i (x/2) Y_q) for q = 0..n-1,
+        then every gate, then the observable."""
+        monkeypatch.setattr(simulator, "_MAX_TERMS", 4)
+        for n in range(1, 7):
+            model = _random_model_with_y(rng, n, 2 * n + 4)
+            xs = rng.uniform(0, 2 * np.pi, size=7)
+            circuit = compile_circuit(model, xs)
+            assert circuit.dense is not None
+            thetas = rng.uniform(-np.pi, np.pi, size=(3, 1, model.depth))
+            got = stack_circuits([circuit])(thetas)[:, 0]
+            for theta, row in zip(thetas[:, 0], got):
+                amps = np.zeros((len(xs), 1 << n), dtype=complex)
+                amps[:, 0] = 1.0
+                for q in range(n):
+                    y = PauliString(n, 1 << q, 1 << q)
+                    amps = _full_width_rotation(amps, n, y, xs / 2.0)
+                for g, t in zip(model.generators, theta):
+                    amps = _full_width_rotation(amps, n, g, float(t))
+                o = model.observable
+                want = np.sum(np.conj(amps) * pauli_amps(amps, n, o), axis=-1).real
+                assert np.array_equal(row, want)
 
     def test_term_cap_falls_back_to_dense(self, rng, monkeypatch):
         """Under the term cap, not the 4 * L * 2^n limit, the dense path is used."""
@@ -516,13 +557,23 @@ def _dense_overlaps(model: CircuitModel, thetas, phis) -> np.ndarray:
     return np.array([np.vdot(state(a), state(b)) for a, b in zip(thetas, phis)])
 
 
+def _full_width_rotation(amps, n: int, g: PauliString, theta) -> np.ndarray:
+    """exp(-i theta G) @ amps over all 2^n amplitudes, in fresh arrays: the
+    reference for the in-place kernel, its products in the kernel's operand
+    order.  theta is a float or one angle per row of amps."""
+    theta = np.asarray(theta)
+    cos_t = np.cos(theta)[..., None] if theta.ndim else np.cos(theta)
+    sin_t = np.sin(theta)[..., None] if theta.ndim else np.sin(theta)
+    return cos_t * amps - (1j * sin_t) * pauli_amps(amps, n, g)
+
+
 def _full_width_states(model: CircuitModel, thetas) -> np.ndarray:
-    """Reference for _span_states: _rotate over all 2^n amplitudes per gate."""
+    """Reference for _span_states: every gate over all 2^n amplitudes."""
     thetas = np.asarray(thetas, dtype=float)
     amps = np.zeros((len(thetas), 1 << model.n), dtype=complex)
     amps[:, 0] = 1.0
     for l, g in enumerate(model.generators):
-        amps = simulator._rotate(amps, simulator._pauli_table(model.n, g), thetas[:, l])
+        amps = _full_width_rotation(amps, model.n, g, thetas[:, l])
     return amps
 
 

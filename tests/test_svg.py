@@ -46,7 +46,7 @@ def _per_point_paths(series):
 
 def _written_paths(tmp_path, series):
     path = tmp_path / "c.svg"
-    write_curves_svg(path, series, title="t", deterministic=True)
+    write_curves_svg(path, series, deterministic=True)
     text = path.read_text()
     return (re.findall(r'<polygon points="([^"]*)"', text),
             re.findall(r'<polyline points="([^"]*)"', text))

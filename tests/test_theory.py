@@ -434,7 +434,8 @@ class TestGPurity:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_basis_gives_norm_and_disjoint_set_zero(self, rng, n):
-        o = random_observable(n, rng, max_terms=4, unit_norm=False)
+        unit = random_observable(n, rng, max_terms=4)
+        o = ObservableInAlgebra(n, 2.5 * unit.coeffs)
         assert g_purity(o, list(pauli_strings(n))) == pytest.approx(
             o.norm_sq(), rel=1e-12
         )
