@@ -24,7 +24,7 @@ from .selection import (
     SelectionProblem,
     SelectionResult,
     evaluate_selection,
-    select_baseline,
+    select_for_method,
     solve_exact,
     solve_genetic,
     solve_greedy,

@@ -29,13 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
-    SELECTION_METHODS,
     DatasetSpec,
     ExpressibilityConfig,
-    GeneticConfig,
     expressibility_hellinger,
     generate_dataset,
-    select_for_method,
     summarize,
     trace_columns,
     train_cells,
@@ -43,7 +40,12 @@ from .experiments import (
 )
 from .optimizer import SpsaConfig
 from .pauli import PauliString
-from .selection import evaluate_selection
+from .selection import (
+    SELECTION_METHODS,
+    GeneticConfig,
+    evaluate_selection,
+    select_for_method,
+)
 from .svg import write_curves_svg
 from .theory import (
     IdentityCheck,
@@ -371,14 +373,12 @@ def _cmd_train(args, cfg) -> int:
     genetic = _section(cfg, GeneticConfig)
     methods = [_method_tag(m) for m in (args.method or ["exact"])]
     cells = [(method, trial) for method in methods for trial in range(args.trials)]
-    # Each worker trains one contiguous chunk of the cells as one batch; a
-    # trial's trace does not depend on its batch, so any split writes the
-    # same rows.
+    # Worker k trains every jobs-th cell from cell k as one batch, so each
+    # gets a share of every method; a trial's trace does not depend on its
+    # batch, so any split writes the same rows.
     jobs = max(1, min(args.jobs, len(cells)))
-    bounds = [len(cells) * k // jobs for k in range(jobs + 1)]
     payloads = [
-        (cells[lo:hi], args.seed, dataset, spec, spsa, genetic)
-        for lo, hi in zip(bounds, bounds[1:])
+        (cells[k::jobs], args.seed, dataset, spec, spsa, genetic) for k in range(jobs)
     ]
     if jobs > 1:
         # Imported here: the pool module adds about 10 ms to every start.
@@ -388,7 +388,7 @@ def _cmd_train(args, cfg) -> int:
             chunks = list(pool.map(train_cells, *zip(*payloads)))
     else:
         chunks = [train_cells(*p) for p in payloads]
-    records = [record for chunk in chunks for record in chunk]
+    records = [chunks[i % jobs][i // jobs] for i in range(len(cells))]
     columns = trace_columns(records, [trial for _, trial in cells])
     _write_outputs(args, args.out, _TRACE_COLUMNS, columns, spec, spsa, genetic)
     return 0

@@ -2,7 +2,9 @@
 
 A single synthetic regression dataset is produced by a randomly drawn
 teacher circuit; every selection method is then trained against that shared
-dataset over many seeded trials.  Expressibility of a circuit is the
+dataset over many seeded trials.  Each trial selects its circuit through
+``selection.select_for_method``, and ``trial_models`` builds the one pool
+problem that a run's cells share.  Expressibility of a circuit is the
 Hellinger distance between its sampled output-state fidelity distribution
 and the fidelity law of Haar-random states, P(F) = (d-1)(1-F)^(d-2).
 
@@ -23,22 +25,17 @@ import numpy as np
 from .optimizer import SpsaConfig, TrialRecord, train_batch
 from .pauli import PauliString, pauli_string_at
 from .selection import (
-    BASELINE_METHODS,
+    SELECTION_METHODS,
+    GeneticConfig,
     SelectionProblem,
-    SelectionResult,
     evaluate_selection,
-    seeded_order,
-    select_baseline,
-    solve_exact,
-    solve_genetic,
-    solve_greedy,
+    select_for_method,
 )
 from .simulator import CircuitModel, run_model_batch, state_overlaps
 
 __all__ = [
     "DatasetSpec",
     "ExpressibilityConfig",
-    "GeneticConfig",
     "Teacher",
     "MethodSummary",
     "ExperimentReport",
@@ -48,18 +45,14 @@ __all__ = [
     "haar_bin_probs",
     "hellinger_distance",
     "expressibility_hellinger",
-    "select_for_method",
     "trial_models",
     "train_cells",
     "trace_columns",
     "summarize",
     "run_comparison",
     "two_sample_t_test",
-    "SELECTION_METHODS",
 ]
 
-POOL_METHODS = ("exact", "greedy", "genetic")
-SELECTION_METHODS = POOL_METHODS + BASELINE_METHODS
 # The epochs where the paper claims exact selection trains faster.
 EARLY_EPOCHS = range(10, 151)
 
@@ -112,13 +105,6 @@ class ExpressibilityConfig:
                 f"fidelity_samples ({self.fidelity_samples}) must be >= bins "
                 f"({self.bins})"
             )
-
-
-@dataclass(frozen=True)
-class GeneticConfig:
-    population: int = 64
-    generations: int = 120
-    mutation_rate: float = 0.3
 
 
 class Teacher(NamedTuple):
@@ -199,51 +185,6 @@ def derive_seed(master_seed: int, method: str, trial_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def select_for_method(
-    method: str,
-    observable: PauliString,
-    budget: int,
-    seed: int,
-    genetic: GeneticConfig = GeneticConfig(),
-    pool_subsample: int | None = None,
-    problem: SelectionProblem | None = None,
-) -> SelectionResult:
-    """Run the named selection method and return its chosen generators.
-
-    Pool-based methods see the candidate pool in a seed-derived random order
-    (``seeded_order``).  The solvers are deterministic given candidate order,
-    so each trial is reproducible, while different seeds pick different
-    (equally optimal) generator sets; selecting with several seeds therefore
-    varies the chosen circuits the way repeated seeded selection runs do.
-
-    ``problem``, the masks of the observable's whole pool at this budget,
-    serves all trials of a run; without it, this call builds one.
-    """
-    if method in BASELINE_METHODS:
-        if pool_subsample is not None:
-            raise ValueError(f"a pool subsample applies to pool methods, not {method}")
-        return select_baseline(method, observable, budget, seed)
-    if method not in POOL_METHODS:
-        raise ValueError(f"unknown selection method {method!r}")
-    if problem is None:
-        problem = SelectionProblem(observable, None, budget)
-    elif (problem.observable, problem.budget) != (observable, budget):
-        raise ValueError("the selection problem is for another observable or budget")
-    order = seeded_order(len(problem.x), seed, pool_subsample)
-    if method == "exact":
-        return solve_exact(problem, order=order)
-    if method == "greedy":
-        return solve_greedy(problem, order=order)
-    return solve_genetic(
-        problem,
-        population=genetic.population,
-        generations=genetic.generations,
-        mutation_rate=genetic.mutation_rate,
-        seed=seed,
-        order=order,
-    )
-
-
 def trial_models(
     cells: Sequence[tuple[str, int]],
     master_seed: int,
@@ -252,11 +193,12 @@ def trial_models(
 ) -> list[tuple[int, CircuitModel]]:
     """Seed of each (method, trial) cell and the circuit its selection builds.
 
-    The pool-based cells share one selection problem, built here once: the
-    masks of the observable's pool at the spec's depth.
+    The cells that draw from the pool (every method but random and
+    pair_only) share one selection problem, built here once: the masks of
+    the observable's pool at the spec's depth.
     """
     observable, problem = spec.observable, None
-    if any(method in POOL_METHODS for method, _ in cells):
+    if {method for method, _ in cells} & {"exact", "greedy", "genetic", "grad_only"}:
         problem = SelectionProblem(observable, None, spec.depth)
     picked = []
     for method, trial_index in cells:
@@ -468,7 +410,8 @@ def run_comparison(
 
     Every (method, trial) cell trains in one batch (``train_cells``).  The
     trials' trace columns and selection metrics go through ``summarize``,
-    the same aggregation that ``gensel report`` applies to the CSVs.
+    the same aggregation that ``gensel report`` applies to the CSVs.  No
+    expressibility runs here, so the report has no ``hellinger`` rows.
     """
     dataset, _ = generate_dataset(spec)
     cells = [(method, t) for method in methods for t in range(trials)]

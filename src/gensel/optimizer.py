@@ -365,12 +365,7 @@ def train_batch(
     return traces
 
 
-def train(
-    model: CircuitModel,
-    dataset: Sequence,
-    config: SpsaConfig,
-    method: str = "unspecified",
-) -> TrialRecord:
+def train(model: CircuitModel, dataset: Sequence, config: SpsaConfig) -> TrialRecord:
     """Run SPSA for config.epochs epochs and record the full RMSE trace.
 
     The one-trial case of ``train_batch`` with seed config.seed: the
@@ -379,4 +374,4 @@ def train(
     entries, index 0 being the pre-training RMSE.
     """
     trace = train_batch([(model, config.seed)], dataset, config)[0]
-    return TrialRecord(method, config.seed, tuple(model.generators), trace)
+    return TrialRecord("unspecified", config.seed, tuple(model.generators), trace)

@@ -334,13 +334,11 @@ def canonical_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(reverse, 1 << n)[1:], np.tile(reverse, 1 << n)[1:]
 
 
-def pauli_strings(n: int, include_identity: bool = False) -> Iterator[PauliString]:
-    """Iterate all n-qubit Pauli strings in canonical order (see pauli_string_at).
-
-    The identity comes first when included.
-    """
+def pauli_strings(n: int) -> Iterator[PauliString]:
+    """Iterate the non-identity n-qubit Pauli strings in canonical order
+    (see pauli_string_at; the identity, index 0, is left out)."""
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
     spec = f"0{2 * n}b"
-    for index in range(0 if include_identity else 1, 1 << (2 * n)):
+    for index in range(1, 1 << (2 * n)):
         yield _string_at(n, index, spec)

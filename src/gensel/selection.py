@@ -15,7 +15,9 @@ commuting pairs: run first with none allowed, it finds an L-clique (score
 L(L-1)/2, provably optimal) if one exists, else it runs again as a
 branch-and-bound over all subsets.  It packs a candidate's row of c_jk into a
 bitset only when the search first reaches it; only greedy forms a table.
-Heuristic solvers (greedy, genetic) and the comparison baselines live here too.
+Heuristic solvers (greedy, genetic) and the comparison baselines live here too,
+and ``select_for_method`` runs any of the six SELECTION_METHODS: every method
+but random and pair_only draws from the run's one SelectionProblem.
 Every pair count (a subset's score, a baseline's, ``evaluate_selection``'s)
 is one sum over the anticommutation table of the strings' masks.
 """
@@ -37,6 +39,8 @@ from .pauli import (
 )
 
 __all__ = [
+    "SELECTION_METHODS",
+    "GeneticConfig",
     "SelectionProblem",
     "SelectionResult",
     "SelectionMetrics",
@@ -44,11 +48,12 @@ __all__ = [
     "solve_exact",
     "solve_greedy",
     "solve_genetic",
-    "select_baseline",
+    "select_for_method",
     "evaluate_selection",
 ]
 
-BASELINE_METHODS = ("random", "grad_only", "pair_only")
+# The pool methods, then the baselines: the report's order.
+SELECTION_METHODS = ("exact", "greedy", "genetic", "random", "grad_only", "pair_only")
 # The largest m x m uint8 table solve_greedy fills: a full 8-qubit pool's.
 GREEDY_TABLE_BYTES = 1 << 30
 # Seeded permutations pair_only scans for a clique before it gives up.
@@ -296,12 +301,19 @@ def solve_greedy(problem: SelectionProblem, *, order=None) -> SelectionResult:
     return SelectionResult(chosen, best_score, "greedy", best_score == L * (L - 1) // 2)
 
 
+@dataclass(frozen=True)
+class GeneticConfig:
+    """Population size, generation count and mutation rate of ``solve_genetic``."""
+
+    population: int = 64
+    generations: int = 120
+    mutation_rate: float = 0.3
+
+
 def solve_genetic(
     problem: SelectionProblem,
-    population: int = 64,
-    generations: int = 120,
-    mutation_rate: float = 0.3,
-    seed: int | None = None,
+    genetic: GeneticConfig,
+    seed: int | None,
     *,
     order=None,
 ) -> SelectionResult:
@@ -313,6 +325,7 @@ def solve_genetic(
     index for an unchosen one.  The best individual ever seen is kept
     (elitism).  Deterministic given the seed.
     """
+    population = genetic.population
     if population < 2:
         raise ValueError(f"population size must be at least 2, got {population}")
     L, index = problem.budget, _indices(problem, order)
@@ -332,7 +345,7 @@ def solve_genetic(
     best_i = int(np.argmax(fits))
     best, best_fit = pop[best_i], fits[best_i]
 
-    for _ in range(generations):
+    for _ in range(genetic.generations):
         if best_fit == max_score:
             break
         new_pop = [best]
@@ -344,7 +357,7 @@ def solve_genetic(
             child = sorted(set(p1) | set(p2))
             while len(child) > L:
                 child.pop(int(rng.integers(0, len(child))))
-            if m > L and rng.random() < mutation_rate:
+            if m > L and rng.random() < genetic.mutation_rate:
                 out = int(rng.integers(0, L))
                 child[out] = _nth_unchosen(child, int(rng.integers(0, m - L)))
                 child.sort()
@@ -366,14 +379,22 @@ def _nth_unchosen(chosen: Sequence[int], r: int) -> int:
     return r
 
 
-def select_baseline(
+def select_for_method(
     method: str,
     observable: PauliString,
     budget: int,
-    seed: int | None = None,
+    seed: int | None,
+    genetic: GeneticConfig = GeneticConfig(),
+    pool_subsample: int | None = None,
+    problem: SelectionProblem | None = None,
 ) -> SelectionResult:
-    """Baseline selection of ``budget`` >= 1 strings on ``observable.n`` qubits.
+    """Select ``budget`` generators for ``observable`` by the named method.
 
+    exact, greedy, genetic: the solvers, on the pool in the seed's order
+               (``seeded_order``, after the seeded ``pool_subsample`` if
+               any).  The solvers are deterministic given that order, so
+               each trial is reproducible, while different seeds pick
+               different (equally optimal) generator sets.
     random:    L distinct strings uniform over all non-identity strings
                (no anticommutation constraint at all).
     grad_only: L distinct strings uniform over the pool anticommuting with
@@ -383,14 +404,19 @@ def select_baseline(
                on their masks (``_random_clique``); no constraint versus
                the observable.  No such set has more than 2n+1 strings,
                so a larger budget is a ValueError.
-    """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    if method not in BASELINE_METHODS:
-        raise ValueError(f"unknown baseline method {method!r}")
-    n = observable.n
-    rng = np.random.default_rng(seed)
 
+    ``problem``, the masks of the observable's whole pool at this budget,
+    serves every trial of a run that draws from the pool; without it, this
+    call builds one.  A baseline takes no pool subsample.
+    """
+    if method not in SELECTION_METHODS:
+        raise ValueError(f"unknown selection method {method!r}")
+    if method in ("random", "grad_only", "pair_only"):
+        if pool_subsample is not None:
+            raise ValueError(f"a pool subsample applies to pool methods, not {method}")
+        if budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget}")
+    n = observable.n
     if method == "random":
         # Draw canonical indices of non-identity strings; build only those.
         everyone = 4**n - 1
@@ -398,25 +424,36 @@ def select_baseline(
             raise ValueError(f"random selection needs n <= 31, got {n}")
         if budget > everyone:
             raise ValueError(f"budget {budget} exceeds {everyone} strings")
-        idx = rng.choice(everyone, size=budget, replace=False)
+        idx = np.random.default_rng(seed).choice(everyone, size=budget, replace=False)
         chosen = tuple(pauli_string_at(n, int(i) + 1) for i in sorted(idx))
-    elif method == "grad_only":
-        # Half of all 4^n strings anticommute with a non-identity observable.
-        if budget > 4**n // 2:
-            raise ValueError(f"budget {budget} exceeds pool size {4**n // 2}")
-        # The pool's seeded subsample of L is a uniform draw of L distinct
-        # members, kept in canonical order; only those L strings are built.
-        problem = SelectionProblem(observable, None, budget)
-        chosen = problem.strings(np.sort(seeded_order(len(problem.x), seed, budget)))
-    else:
+    elif method == "pair_only":
         if budget > 2 * n + 1:
             raise ValueError(
                 f"budget {budget} exceeds 2n+1 = {2 * n + 1}, the largest set of "
                 f"mutually anticommuting {n}-qubit Pauli strings"
             )
         # Position i of the canonical masks is canonical index i + 1.
-        picks = _random_clique(*canonical_masks(n), budget, rng)
+        picks = _random_clique(*canonical_masks(n), budget, np.random.default_rng(seed))
         chosen = tuple(pauli_string_at(n, i + 1) for i in picks)
+    else:
+        # Half of all 4^n strings anticommute with a non-identity observable.
+        if method == "grad_only" and budget > 4**n // 2:
+            raise ValueError(f"budget {budget} exceeds pool size {4**n // 2}")
+        if problem is None:
+            problem = SelectionProblem(observable, None, budget)
+        elif (problem.observable, problem.budget) != (observable, budget):
+            raise ValueError("the selection problem is for another observable or budget")
+        if method == "grad_only":
+            # The pool's seeded subsample of L is a uniform draw of L distinct
+            # members, kept in canonical order; only those L strings are built.
+            chosen = problem.strings(np.sort(seeded_order(len(problem.x), seed, budget)))
+        else:
+            order = seeded_order(len(problem.x), seed, pool_subsample)
+            if method == "exact":
+                return solve_exact(problem, order=order)
+            if method == "greedy":
+                return solve_greedy(problem, order=order)
+            return solve_genetic(problem, genetic, seed, order=order)
 
     score = _anticommuting_pairs(*mask_arrays(chosen))
     return SelectionResult(chosen, score, method, score == budget * (budget - 1) // 2)

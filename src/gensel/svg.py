@@ -35,11 +35,10 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _tick_values(lo: float, hi: float, count: int = 6) -> list[float]:
+def _tick_values(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, count)
-    return [float(v) for v in raw]
+    return [float(v) for v in np.linspace(lo, hi, 6)]
 
 
 def write_curves_svg(

@@ -114,8 +114,8 @@ class ObservableInAlgebra:
         return cls(n, coeffs)
 
     @classmethod
-    def single(cls, p: PauliString, coeff: float = 1.0) -> "ObservableInAlgebra":
-        return cls.from_terms(p.n, {p: coeff})
+    def single(cls, p: PauliString) -> "ObservableInAlgebra":
+        return cls.from_terms(p.n, {p: 1.0})
 
     def terms(self) -> list[tuple[PauliString, float]]:
         return [

@@ -22,7 +22,6 @@ from gensel.experiments import (
     haar_bin_probs,
     hellinger_distance,
     run_comparison,
-    select_for_method,
 )
 from gensel.optimizer import SpsaConfig
 from gensel.pauli import (
@@ -35,6 +34,7 @@ from gensel.pauli import (
 from gensel.selection import (
     SelectionProblem,
     evaluate_selection,
+    select_for_method,
     solve_exact,
 )
 from gensel.simulator import (

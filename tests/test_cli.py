@@ -1,6 +1,7 @@
 """End-to-end CLI tests: flags, CSV shapes, errors, reproducibility."""
 
 import ast
+import concurrent.futures
 import csv
 import gc
 import hashlib
@@ -24,12 +25,12 @@ from gensel.cli import main
 from gensel.experiments import (
     DatasetSpec,
     ExpressibilityConfig,
-    GeneticConfig,
     run_comparison,
     summarize,
     trial_models,
 )
 from gensel.optimizer import SpsaConfig
+from gensel.selection import GeneticConfig
 from gensel.simulator import compile_circuit
 
 from conftest import label_table, pool_labels
@@ -687,7 +688,7 @@ class TestTrain:
         assert out_a.read_bytes() == out_b.read_bytes() == out_c.read_bytes()
 
     def test_uneven_job_chunks_identical(self, small_setup, tmp_path):
-        """Four cells over three workers (chunks of 1, 1 and 2) write the
+        """Four cells dealt to three workers (2, 1 and 1 cells) write the
         bytes of one batch."""
         cfg, data = small_setup
         args = ["train", "--data", data, "--config", cfg, "--method", "exact",
@@ -696,6 +697,39 @@ class TestTrain:
         assert _run(args + ["--out", one, "--jobs", 1]) == 0
         assert _run(args + ["--out", three, "--jobs", 3]) == 0
         assert one.read_bytes() == three.read_bytes()
+
+    def test_jobs_deal_the_cells_round_robin(self, small_setup, tmp_path, monkeypatch):
+        """Worker k gets every jobs-th cell from cell k, so each worker trains
+        a share of every method; the records go back in cell order."""
+        dealt = []
+
+        class InProcessPool:
+            """Runs each worker's batch here and records its cells."""
+
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                batches = list(zip(*columns))
+                dealt.extend(list(batch[0]) for batch in batches)
+                return [fn(*batch) for batch in batches]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg, data = small_setup
+        args = ["train", "--data", data, "--config", cfg, "--method", "exact",
+                "--method", "random", "--trials", 2, "--seed", 5]
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert _run(args + ["--out", one, "--jobs", 1]) == 0
+        assert dealt == []
+        assert _run(args + ["--out", two, "--jobs", 2]) == 0
+        assert dealt == [[("exact", 0), ("random", 0)], [("exact", 1), ("random", 1)]]
+        assert one.read_bytes() == two.read_bytes()
 
     def test_job_chunks_identical_across_buckets(self, tmp_path):
         """Random depth-8 cells at n = 4 stack circuits of under and over 8
@@ -786,6 +820,24 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: evaluation counter mismatch")
         assert "\n" not in err.strip()
+
+
+def test_six_methods_keep_their_bytes(tmp_path):
+    """`train` and `expressibility` over all six methods, on the README's
+    data.csv, each select through the one entry point and keep their bytes."""
+    methods = ("exact", "greedy", "genetic", "random", "grad-only", "pair-only")
+    six = [arg for m in methods for arg in ("--method", m)]
+    data, traces, expr = (tmp_path / f for f in ("data.csv", "t.csv", "e.csv"))
+    assert _run(["gen-data", "--seed", 0, "--out", data]) == 0
+    assert _run(["train", "--data", data, *six, "--trials", 3, "--epochs", 20,
+                 "--seed", 5, "--out", traces]) == 0
+    assert _run(["expressibility", *six, "--trials", 3, "--seed", 5, "--out", expr]) == 0
+    assert hashlib.sha256(traces.read_bytes()).hexdigest() == (
+        "03d6eba1957fd45cf9687628f0beba5715a9eae65e0bd9db9c5842d7b7a96cc6"
+    )
+    assert hashlib.sha256(expr.read_bytes()).hexdigest() == (
+        "97288e51a45350483555c3b8e4f703c64140658bb9a9b6ad700b0bc89af9e544"
+    )
 
 
 class TestExpressibility:

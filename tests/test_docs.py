@@ -1,5 +1,7 @@
-"""The README's examples run, and every exported name exists."""
+"""The README's examples run, every exported name exists, and the package's
+settings do not grow unnoticed."""
 
+import ast
 import hashlib
 import importlib
 import pkgutil
@@ -32,6 +34,10 @@ README_OUTPUT_SHA256 = {
     "curves.svg": "29652efdb3146e39128f452476f4061ca904159efeecb477368d697c9b52d95a",
     "theory.csv": "38fa308b3bec30aecdbbcddeae0e8459e212af98ff1ba1449beabc31526b62f1",
 }
+
+# Parameters and class fields with a default in src/gensel.  A change that
+# adds a setting raises this on purpose and says why in CHANGES.md.
+MAX_SETTINGS = 42
 
 
 def _shell_steps(block: str) -> tuple[dict[str, str], list[list[str]]]:
@@ -94,3 +100,33 @@ def test_readme_shell_block_outputs(tmp_path, monkeypatch, capsys):
         for name in README_OUTPUT_SHA256
     }
     assert digests == README_OUTPUT_SHA256
+
+
+def _settings(module: str, tree: ast.Module) -> list[str]:
+    """The module's parameters and class fields that have a default."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            given = positional[len(positional) - len(args.defaults) :]
+            given += [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            where = f"{module}.{getattr(node, 'name', '<lambda>')}"
+            names += [f"{where}({a.arg})" for a in given]
+        elif isinstance(node, ast.ClassDef):
+            names += [
+                f"{module}.{node.name}.{field.target.id}"
+                for field in node.body
+                if isinstance(field, ast.AnnAssign) and field.value is not None
+            ]
+    return names
+
+
+def test_settings_do_not_grow():
+    """No parameter or class field with a default is added unnoticed."""
+    names = []
+    for path in sorted(Path(gensel.__file__).parent.glob("*.py")):
+        names += _settings(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    assert len(names) <= MAX_SETTINGS, f"{len(names)} settings: {', '.join(names)}"

@@ -11,14 +11,12 @@ from gensel import selection
 from gensel.experiments import (
     DatasetSpec,
     ExpressibilityConfig,
-    GeneticConfig,
     derive_seed,
     expressibility_hellinger,
     generate_dataset,
     haar_bin_probs,
     hellinger_distance,
     run_comparison,
-    select_for_method,
     summarize,
     trace_columns,
     train_cells,
@@ -28,8 +26,10 @@ from gensel.experiments import (
 from gensel.optimizer import SpsaConfig, rmse_cost
 from gensel.pauli import PauliString
 from gensel.selection import (
+    GeneticConfig,
     SelectionProblem,
     evaluate_selection,
+    select_for_method,
     solve_exact,
     solve_genetic,
     solve_greedy,
@@ -215,13 +215,7 @@ def _per_trial_selection(method, observable, budget, seed, subsample):
         return solve_exact(problem)
     if method == "greedy":
         return solve_greedy(problem)
-    return solve_genetic(
-        problem,
-        population=SMALL_GENETIC.population,
-        generations=SMALL_GENETIC.generations,
-        mutation_rate=SMALL_GENETIC.mutation_rate,
-        seed=seed,
-    )
+    return solve_genetic(problem, SMALL_GENETIC, seed)
 
 
 class TestRunScopedPool:
@@ -303,6 +297,38 @@ class TestRunScopedPool:
             tuple(trial_models([(m, t)], 7, SMALL_SPEC)[0][1].generators)
             for m, t in cells
         ]
+
+    def test_grad_only_draws_from_the_shared_problem(self):
+        """grad_only on a run's problem picks what it picks on its own pool."""
+        for label in ("Z", "XY", "ZIX", "IYZI", "ZIIII"):
+            o = P(label)
+            n = len(label)
+            for budget in {1, n, min(2 * n + 1, 4**n // 2)}:
+                shared = SelectionProblem(o, None, budget)
+                for seed in (0, 1, 7, 2**63 + 5):
+                    got = select_for_method("grad_only", o, budget, seed, problem=shared)
+                    assert got == select_for_method("grad_only", o, budget, seed)
+
+    def test_one_pool_for_grad_only_cells(self, monkeypatch):
+        """The grad_only cells of a run share one problem: one pool's masks,
+        and each cell picks what it picks on its own pool."""
+        o, depth = SMALL_SPEC.observable, SMALL_SPEC.depth
+        cells = [("grad_only", t) for t in range(10)]
+        alone = [
+            select_for_method("grad_only", o, depth, derive_seed(4, m, t)).chosen
+            for m, t in cells
+        ]
+        pools = []
+
+        def counted_pool(observable):
+            pools.append(observable)
+            return _pool_masks(observable)
+
+        _pool_masks = selection._pool_masks
+        monkeypatch.setattr(selection, "_pool_masks", counted_pool)
+        picked = trial_models(cells, 4, SMALL_SPEC)
+        assert pools == [o]
+        assert [tuple(model.generators) for _, model in picked] == alone
 
     def test_no_pool_for_baselines_only(self, monkeypatch):
         built = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gensel.optimizer as optimizer
-from gensel.experiments import derive_seed, select_for_method
+from gensel.experiments import derive_seed
 from gensel.optimizer import (
     SpsaConfig,
     TrialRecord,
@@ -16,6 +16,7 @@ from gensel.optimizer import (
     train_batch,
 )
 from gensel.pauli import PauliString
+from gensel.selection import select_for_method
 from gensel.simulator import CircuitModel, compile_circuit, run_model, run_model_batch
 
 from conftest import pauli_amps, random_label
@@ -217,8 +218,8 @@ class TestTrain:
     def test_trace_shape_and_normalization(self, rng):
         model = _toy_model()
         dataset = self._dataset(rng, model, [1.0])
-        record = train(model, dataset, SpsaConfig(epochs=30, seed=1), method="exact")
-        assert record.method == "exact"
+        record = train(model, dataset, SpsaConfig(epochs=30, seed=1))
+        assert record.method == "unspecified"
         assert record.rmse_trace.shape == (31,)
         assert record.normalized_trace[0] == 1.0
         assert np.all(record.rmse_trace >= 0)

@@ -150,7 +150,7 @@ class TestMaskKernels:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_table_matches_commutes(self, n):
-        strings = list(pauli_strings(n, include_identity=True))
+        strings = [pauli_string_at(n, 0), *pauli_strings(n)]
         x, z = mask_arrays(strings)
         table = anticommutation_table(x, z, x, z)
         assert table.dtype == np.uint8
@@ -309,7 +309,7 @@ class TestEnumeration:
             assert len(strings) == 4**n - 1
             assert len(set(strings)) == len(strings)
             assert not any(p.is_identity for p in strings)
-            with_id = list(pauli_strings(n, include_identity=True))
+            with_id = [pauli_string_at(n, 0), *pauli_strings(n)]
             assert len(with_id) == 4**n
             assert with_id[0].is_identity
 

@@ -10,12 +10,13 @@ import pytest
 from gensel import pauli, selection
 from gensel.pauli import PauliString, anticommutation_table, commutes, pauli_strings
 from gensel.selection import (
+    GeneticConfig,
     SelectionProblem,
     _AdjacencyRows,
     _random_clique,
     evaluate_selection,
     seeded_order,
-    select_baseline,
+    select_for_method,
     solve_exact,
     solve_genetic,
     solve_greedy,
@@ -252,7 +253,8 @@ class TestSelectionProblem:
         solvers build strings for their L picks only, with the same results."""
         o = P("ZIII")
         pool = _pool("ZIII")
-        solvers = (solve_exact, solve_greedy, lambda p: solve_genetic(p, seed=3))
+        genetic = GeneticConfig()
+        solvers = (solve_exact, solve_greedy, lambda p: solve_genetic(p, genetic, 3))
         want = [solve(SelectionProblem(o, pool, 4)) for solve in solvers]
         built = []
 
@@ -473,22 +475,20 @@ class TestSolveGenetic:
         for seed in range(5):
             problem = _random_problem(rng, max_candidates=20)
             exact = solve_exact(problem)
-            ga = solve_genetic(
-                problem, population=48, generations=200, mutation_rate=0.4, seed=seed
-            )
+            ga = solve_genetic(problem, GeneticConfig(48, 200, 0.4), seed)
             assert ga.score == exact.score
 
     def test_zero_generations_uses_initial_population(self):
         o = P("ZIIII")
         problem = SelectionProblem(o, _pool("ZIIII", 64, 0), 5)
-        result = solve_genetic(problem, population=16, generations=0, seed=1)
+        result = solve_genetic(problem, GeneticConfig(16, 0), 1)
         assert 0 <= result.score <= 10
 
     def test_deterministic_per_seed(self):
         o = P("ZIIII")
         problem = SelectionProblem(o, _pool("ZIIII", 64, 0), 5)
-        a = solve_genetic(problem, seed=9)
-        b = solve_genetic(problem, seed=9)
+        a = solve_genetic(problem, GeneticConfig(), 9)
+        b = solve_genetic(problem, GeneticConfig(), 9)
         assert a.chosen == b.chosen and a.score == b.score
 
     def test_mutation_picks_the_rth_unchosen_index(self, rng):
@@ -502,14 +502,14 @@ class TestSolveGenetic:
     def test_degenerate_population_rejected(self):
         problem = SelectionProblem(P("Z"), [P("X"), P("Y")], 2)
         with pytest.raises(ValueError, match="population"):
-            solve_genetic(problem, population=1)
+            solve_genetic(problem, GeneticConfig(population=1), None)
 
     def test_solver_quality_ordering(self, rng):
         """exact >= genetic >= a random subset, on the same problem."""
         for seed in range(5):
             problem = _random_problem(rng)
             exact = solve_exact(problem)
-            ga = solve_genetic(problem, population=32, generations=100, seed=seed)
+            ga = solve_genetic(problem, GeneticConfig(32, 100), seed)
             random_subset = rng.choice(
                 len(problem.candidates), size=problem.budget, replace=False
             )
@@ -521,7 +521,7 @@ class TestBaselines:
     def test_grad_only_never_commutes_with_observable(self):
         o = P("ZIIII")
         for seed in range(10):
-            result = select_baseline("grad_only", o, 5, seed)
+            result = select_for_method("grad_only", o, 5, seed)
             metrics = evaluate_selection(result.chosen, o)
             assert metrics.n_commute_obs == 0
 
@@ -536,15 +536,15 @@ class TestBaselines:
                         len(pool), size=budget, replace=False
                     )
                     want = tuple(pool[i] for i in sorted(idx))
-                    got = select_baseline("grad_only", o, budget, seed)
+                    got = select_for_method("grad_only", o, budget, seed)
                     assert got.chosen == want
         with pytest.raises(ValueError, match="budget 3 exceeds pool size 2"):
-            select_baseline("grad_only", P("Z"), 3, 0)
+            select_for_method("grad_only", P("Z"), 3, 0)
 
     def test_pair_only_has_no_commuting_pairs(self):
         o = P("ZIIII")
         for seed in range(10):
-            result = select_baseline("pair_only", o, 5, seed)
+            result = select_for_method("pair_only", o, 5, seed)
             metrics = evaluate_selection(result.chosen, o)
             assert metrics.n_commute_pairs == 0
             assert result.score == 10
@@ -554,7 +554,7 @@ class TestBaselines:
         o = P("ZIIII")
         obs_counts, pair_counts = [], []
         for seed in range(20):
-            result = select_baseline("random", o, 5, seed)
+            result = select_for_method("random", o, 5, seed)
             metrics = evaluate_selection(result.chosen, o)
             obs_counts.append(metrics.n_commute_obs)
             pair_counts.append(metrics.n_commute_pairs)
@@ -564,8 +564,8 @@ class TestBaselines:
     def test_deterministic_per_seed(self):
         o = P("ZIIII")
         for method in ("random", "grad_only", "pair_only"):
-            a = select_baseline(method, o, 5, 3)
-            b = select_baseline(method, o, 5, 3)
+            a = select_for_method(method, o, 5, 3)
+            b = select_for_method(method, o, 5, 3)
             assert a.chosen == b.chosen
 
     def test_infeasible_clique_reported(self):
@@ -582,7 +582,7 @@ class TestBaselines:
         o = P("Z" + "I" * (n - 1))
         for budget in sorted({1, 2, n, 2 * n, 2 * n + 1}):
             for seed in range(6):
-                result = select_baseline("pair_only", o, budget, seed)
+                result = select_for_method("pair_only", o, budget, seed)
                 rng = np.random.default_rng(seed)
                 assert result.chosen == _pairwise_clique(strings, budget, rng)
                 assert result.score == budget * (budget - 1) // 2
@@ -593,7 +593,7 @@ class TestBaselines:
 
         monkeypatch.setattr(pauli, "pauli_strings", no_listing)
         monkeypatch.setattr(selection, "pauli_strings", no_listing, raising=False)
-        result = select_baseline("pair_only", P("ZIIIII"), 13, 0)
+        result = select_for_method("pair_only", P("ZIIIII"), 13, 0)
         assert result.score == 13 * 12 // 2
 
     def test_pair_only_budget_past_bound(self):
@@ -603,14 +603,14 @@ class TestBaselines:
         at once.
         """
         with pytest.raises(ValueError, match=r"exceeds 2n\+1 = 3,"):
-            select_baseline("pair_only", P("Z"), 4, 0)
+            select_for_method("pair_only", P("Z"), 4, 0)
         with pytest.raises(ValueError, match=r"exceeds 2n\+1 = 21,"):
-            select_baseline("pair_only", P("Z" + "I" * 9), 22, 0)
-        assert select_baseline("pair_only", P("Z"), 3, 0).score == 3
+            select_for_method("pair_only", P("Z" + "I" * 9), 22, 0)
+        assert select_for_method("pair_only", P("Z"), 3, 0).score == 3
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown baseline"):
-            select_baseline("best", P("Z"), 1, 0)
+        with pytest.raises(ValueError, match="unknown selection method"):
+            select_for_method("best", P("Z"), 1, 0)
 
 
 class TestEvaluateSelection:

@@ -161,7 +161,7 @@ class TestVectorisedSums:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_double_sums_of_every_single_string(self, n):
         strings = list(pauli_strings(n))
-        observables = [ObservableInAlgebra.single(p, 0.5) for p in strings]
+        observables = [ObservableInAlgebra.from_terms(n, {p: 0.5}) for p in strings]
         for p, o, check in zip(strings, observables, verify_identities(observables, n)):
             assert (check.lemma1_lhs, check.diag_sum) == _pairwise_double_sums(o), p
 
@@ -419,7 +419,7 @@ class TestGPurity:
         assert g_purity(o, [P("Z")]) == 0.0
 
     def test_unnormalized_two_qubit_example(self):
-        o = ObservableInAlgebra.single(P("ZI"), 2.0)  # ZI itself: norm^2 4
+        o = ObservableInAlgebra.from_terms(2, {P("ZI"): 2.0})  # ZI itself: norm^2 4
         assert g_purity(o, list(pauli_strings(2))) == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
