@@ -50,7 +50,6 @@ from .svg import write_curves_svg
 from .theory import (
     IdentityCheck,
     ObservableInAlgebra,
-    casimir_constant,
     random_observable,
     verify_identities,
 )
@@ -414,19 +413,17 @@ def _cmd_expressibility(args, cfg) -> int:
 
 
 def _cmd_verify_theory(args, cfg) -> int:
-    n = args.n
-    casimir_constant(n)  # an n out of range fails before any 4^n-sized draw
-    observables = []
-    if args.observable:
-        p = _parse_observable(args.observable, n)
-        observables.append(ObservableInAlgebra.single(p))
-    rng = np.random.default_rng(args.seed)
-    max_terms = args.max_terms
-    if max_terms is None and n >= 4:
-        max_terms = 8
-    for _ in range(args.trials):
-        observables.append(random_observable(n, rng, max_terms=max_terms))
-    checks = verify_identities(observables, n)
+    n, rng = args.n, np.random.default_rng(args.seed)
+    max_terms = 8 if args.max_terms is None and n >= 4 else args.max_terms
+
+    def observables():
+        # Drawn one at a time, once verify_identities has sized the basis.
+        if args.observable:
+            yield ObservableInAlgebra.single(_parse_observable(args.observable, n))
+        for _ in range(args.trials):
+            yield random_observable(n, rng, max_terms=max_terms)
+
+    checks = verify_identities(observables(), n)
     _write_outputs(args, args.report, IdentityCheck._fields, zip(*checks))
     return 0
 

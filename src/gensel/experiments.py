@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .optimizer import SpsaConfig, TrialRecord, train_batch
-from .pauli import PauliString, pauli_string_at
+from .pauli import PauliString, random_strings
 from .selection import (
     SELECTION_METHODS,
     GeneticConfig,
@@ -120,12 +120,8 @@ def generate_dataset(spec: DatasetSpec) -> tuple[list[tuple[float, float]], Teac
     input_range; labels are the teacher's observable expectations, hence
     always in [-1, 1].  Deterministic per teacher_seed.
     """
-    if spec.n >= 32:  # 4^n - 1 no longer fits NumPy's int64 draw
-        raise ValueError(f"the teacher's generator draw needs n <= 31, got {spec.n}")
     rng = np.random.default_rng(spec.teacher_seed)
-    idx = rng.choice(4**spec.n - 1, size=spec.depth, replace=False)
-    generators = tuple(pauli_string_at(spec.n, int(i) + 1) for i in idx)
-    model = CircuitModel(spec.n, generators, spec.observable)
+    model = CircuitModel(spec.n, random_strings(spec.n, spec.depth, rng), spec.observable)
     theta = rng.uniform(*spec.theta_range, size=spec.depth)
     xs = rng.uniform(*spec.input_range, size=spec.samples)
     ys = run_model_batch(model, theta, xs)

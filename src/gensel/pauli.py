@@ -13,7 +13,8 @@ Products, commutation checks and commutator Frobenius norms are computed
 directly on the bit masks; no 2^n-dimensional matrix is built here.  The
 squared Frobenius norm of a (nested) commutator of Pauli strings is always
 an integer power of two, so those norms are returned as exact Python
-integers; callers may convert at their own boundary.
+integers; callers may convert at their own boundary.  The package's size
+limits live here too: ``check_bytes`` and two dtype limits (63, 31 qubits).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "anticommuting_counts",
     "canonical_index",
     "canonical_masks",
+    "check_bytes",
     "commutes",
     "mask_arrays",
     "multiply",
@@ -38,6 +40,7 @@ __all__ = [
     "double_commutator_norm_sq",
     "pauli_string_at",
     "pauli_strings",
+    "random_strings",
     "row_blocks",
     "symplectic_parity",
     "walsh_hadamard",
@@ -48,6 +51,17 @@ _BITS_FROM_LETTER = {v: k for k, v in _LETTER_FROM_BITS.items()}
 
 # i^k for k = 0..3; all phases arising in Pauli products are of this form.
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+
+# The most bytes one step may allocate: a full 8-qubit pool's greedy table
+# (2^30) fits, the masks of all 13-qubit strings (2^30 + 2^17) do not.
+MAX_BYTES = 1 << 30
+
+
+def check_bytes(what: str, nbytes: int) -> None:
+    """Refuse, in one line and before it allocates, a step past MAX_BYTES."""
+    if nbytes > MAX_BYTES:
+        gib = f"{nbytes / 2**30:g} GiB, past the {MAX_BYTES / 2**30:g} GiB bound"
+        raise ValueError(f"{what} needs {gib}")
 
 @dataclass(frozen=True)
 class PauliString:
@@ -185,6 +199,8 @@ def row_blocks(size: int, width: int) -> Iterator[slice]:
 
 def mask_arrays(paulis: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray]:
     """The x and z masks of strings on at most 63 qubits as uint64 arrays."""
+    if (n := max((p.n for p in paulis), default=0)) > 63:
+        raise ValueError(f"strings on {n} qubits do not fit 63-qubit masks")
     x = np.fromiter((p.x for p in paulis), dtype=np.uint64)
     z = np.fromiter((p.z for p in paulis), dtype=np.uint64)
     return x, z
@@ -204,6 +220,7 @@ def anticommutation_table(ax, az, bx, bz) -> np.ndarray:
     Evaluated a block of rows of a at a time (see ``row_blocks``), so peak
     memory is the table itself plus a few temporaries of BLOCK_SIZE words.
     """
+    check_bytes(f"the {len(ax)} x {len(bx)} anticommutation table", len(ax) * len(bx))
     out = np.empty((len(ax), len(bx)), dtype=np.uint8)
     for rows in row_blocks(len(ax), len(bx)):
         out[rows] = symplectic_parity(ax[rows, None], az[rows, None], bx, bz)
@@ -315,9 +332,6 @@ def _string_at(n: int, index: int, spec: str) -> PauliString:
     return PauliString._mk(n, int(bits[n - 1 :: -1], 2), int(bits[: n - 1 : -1], 2))
 
 
-_MAX_MASK_QUBITS = 12  # at n = 13 the two arrays of canonical_masks take 1 GiB
-
-
 def canonical_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The uint64 x and z masks of the 4^n - 1 non-identity strings, in
     canonical order: position i holds the string at index i + 1.
@@ -327,8 +341,8 @@ def canonical_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
-    if n > _MAX_MASK_QUBITS:
-        raise ValueError(f"qubit count must be at most {_MAX_MASK_QUBITS}, got {n}")
+    # Two arrays of 4^n words, built from two of 2^n.
+    check_bytes(f"listing the {4**n - 1} strings on {n} qubits", 16 * (4**n + 2**n))
     fields = np.arange(1 << n, dtype=np.uint64)
     reverse = sum((fields >> q & 1) << (n - 1 - q) for q in range(n))
     return np.repeat(reverse, 1 << n)[1:], np.tile(reverse, 1 << n)[1:]
@@ -342,3 +356,11 @@ def pauli_strings(n: int) -> Iterator[PauliString]:
     spec = f"0{2 * n}b"
     for index in range(1, 1 << (2 * n)):
         yield _string_at(n, index, spec)
+
+
+def random_strings(n: int, count: int, rng: np.random.Generator) -> list[PauliString]:
+    """``count`` distinct non-identity n-qubit strings, uniform, in draw order."""
+    if n >= 32:  # 4^n - 1 no longer fits NumPy's int64 draw
+        raise ValueError(f"a draw over the 4^n - 1 strings needs n <= 31, got {n}")
+    idx = rng.choice(4**n - 1, size=count, replace=False)
+    return [pauli_string_at(n, int(i) + 1) for i in idx]

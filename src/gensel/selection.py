@@ -11,9 +11,9 @@ their (x, z) masks.  A run computes the pool's masks once, as one
 SelectionProblem, and each trial hands the solvers its candidates' indices in
 its seeded order (``seeded_order``); only the L picks become PauliStrings.
 The exact solver is one depth-first search on bitsets that minimizes the
-commuting pairs: run first with none allowed, it finds an L-clique (score
-L(L-1)/2, provably optimal) if one exists, else it runs again as a
-branch-and-bound over all subsets.  It packs a candidate's row of c_jk into a
+commuting pairs: run first with none allowed where an L-clique can exist, it
+finds one (score L(L-1)/2, provably optimal) if there is one, else it runs
+as a branch-and-bound over all subsets.  It packs a candidate's row of c_jk into a
 bitset only when the search first reaches it; only greedy forms a table.
 Heuristic solvers (greedy, genetic) and the comparison baselines live here too,
 and ``select_for_method`` runs any of the six SELECTION_METHODS: every method
@@ -32,9 +32,12 @@ import numpy as np
 from .pauli import (
     PauliString,
     anticommutation_table,
+    canonical_index,
     canonical_masks,
+    check_bytes,
     mask_arrays,
     pauli_string_at,
+    random_strings,
     symplectic_parity,
 )
 
@@ -54,8 +57,6 @@ __all__ = [
 
 # The pool methods, then the baselines: the report's order.
 SELECTION_METHODS = ("exact", "greedy", "genetic", "random", "grad_only", "pair_only")
-# The largest m x m uint8 table solve_greedy fills: a full 8-qubit pool's.
-GREEDY_TABLE_BYTES = 1 << 30
 # Seeded permutations pair_only scans for a clique before it gives up.
 CLIQUE_ATTEMPTS = 200
 
@@ -97,8 +98,7 @@ class SelectionProblem:
             self.x, self.z = _pool_masks(self.observable)
         else:
             self.candidates = tuple(self.candidates)
-            if (n := _common_width(self.candidates)) > 63:
-                raise ValueError(f"candidates on {n} qubits do not fit 63-qubit masks")
+            _common_width(self.candidates)
             self.x, self.z = mask_arrays(self.candidates)
         if not 1 <= self.budget <= len(self.x):
             raise ValueError(f"budget {self.budget} infeasible for pool of {len(self.x)}")
@@ -250,16 +250,17 @@ def solve_exact(problem: SelectionProblem, *, order=None) -> SelectionResult:
 
     ``_search`` minimizes the commuting pairs, first with none allowed: that
     finds an L-clique (score L(L-1)/2, the trivial upper bound) if there is
-    one.  A pool has none past L = 2n, so the search then runs again with
-    every subset allowed.  Ties break to the lexicographically smallest
-    subset in candidate order (see ``_indices``); the result is deterministic.
+    one, else the search runs again with every subset allowed.  At most 2n+1
+    strings mutually anticommute (arXiv:1909.08123), O and a pool's picks
+    among them, so past L = 2n on a pool (2n+1 otherwise) the first pass is
+    skipped.  Ties break to the lexicographically smallest subset in
+    candidate order (see ``_indices``); the result is deterministic.
     """
     L, index = problem.budget, _indices(problem, order)
-    if L < 2:
-        raise ValueError(f"budget must be at least 2, got {L}")
     adj, m = _AdjacencyRows(problem.x[index], problem.z[index]), len(index)
     pairs = L * (L - 1) // 2
-    picks, commuting = _search(adj, m, L, 0) or _search(adj, m, L, pairs)
+    clique_fits = L <= 2 * problem.observable.n + (problem.candidates is not None)
+    picks, commuting = clique_fits and _search(adj, m, L, 0) or _search(adj, m, L, pairs)
     chosen = problem.strings(index[picks])
     return SelectionResult(chosen, pairs - commuting, "exact", True)
 
@@ -274,9 +275,7 @@ def solve_greedy(problem: SelectionProblem, *, order=None) -> SelectionResult:
     """
     L, index = problem.budget, _indices(problem, order)
     m = len(index)
-    if m * m > GREEDY_TABLE_BYTES:
-        gib = f"{m * m / 2**30:g} GiB, past its {GREEDY_TABLE_BYTES / 2**30:g} GiB bound"
-        raise ValueError(f"greedy needs a {m} x {m} table of {gib}")
+    check_bytes(f"greedy's {m} x {m} table", m * m)
     x, z = problem.x[index], problem.z[index]
     # A row at a time: anticommutation_table's uint64 temporaries are 8x the table.
     coeff = np.empty((m, m), dtype=np.uint8)
@@ -418,14 +417,10 @@ def select_for_method(
             raise ValueError(f"budget must be at least 1, got {budget}")
     n = observable.n
     if method == "random":
-        # Draw canonical indices of non-identity strings; build only those.
-        everyone = 4**n - 1
-        if n >= 32:  # 4^n - 1 no longer fits NumPy's int64 draw
-            raise ValueError(f"random selection needs n <= 31, got {n}")
-        if budget > everyone:
-            raise ValueError(f"budget {budget} exceeds {everyone} strings")
-        idx = np.random.default_rng(seed).choice(everyone, size=budget, replace=False)
-        chosen = tuple(pauli_string_at(n, int(i) + 1) for i in sorted(idx))
+        if budget > 4**n - 1:
+            raise ValueError(f"budget {budget} exceeds {4**n - 1} strings")
+        drawn = random_strings(n, budget, np.random.default_rng(seed))
+        chosen = tuple(sorted(drawn, key=canonical_index))
     elif method == "pair_only":
         if budget > 2 * n + 1:
             raise ValueError(
@@ -495,9 +490,7 @@ def evaluate_selection(
     chosen = tuple(chosen)
     if len(set(chosen)) != len(chosen):
         raise ValueError("chosen generators must be distinct")
-    if (n := _common_width(chosen)) > 63:
-        raise ValueError(f"generators on {n} qubits do not fit 63-qubit masks")
-    if chosen and observable.n != n:
+    if chosen and observable.n != (n := _common_width(chosen)):
         raise ValueError(f"qubit-count mismatch: {n} vs {observable.n}")
     x, z = mask_arrays(chosen)
     anti_obs = symplectic_parity(x, z, np.uint64(observable.x), np.uint64(observable.z))

@@ -19,8 +19,8 @@ An exact selection (generators anticommuting with O and with each other)
 gives L + 1 terms.  Random generators give up to 2^L; past 4 * L * 2^n
 terms (measured against the dense kernel, whose work per input is
 L * 2^n) or 2^16 terms, ``compile_circuit`` builds the dense evaluator
-instead, a choice made from the generators alone, and raises RuntimeError
-when the dense state would exceed 20 qubits.
+instead, a choice made from the generators alone; either way it passes
+the bytes its evaluator needs to ``pauli.check_bytes`` first.
 ``compile_circuit`` builds one circuit's tables and ``stack_circuits``
 evaluates many compiled circuits at many parameter rows in one call;
 ``run_model_batch`` and ``run_model`` evaluate one parameter row of a fresh
@@ -65,7 +65,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, commutes, multiply
+from .pauli import PauliString, check_bytes, commutes, multiply
 
 __all__ = [
     "StateVector",
@@ -217,11 +217,8 @@ def expectation(state: StateVector, o: PauliString) -> float:
 # evaluation favours the dense path at every size; the factor 4 keeps that
 # compile short.
 _TERMS_PER_DENSE_WORK = 4
-# The Heisenberg tables never hold more terms than this (about 20 MB at
-# L = 40); past it the dense evaluator is built while its 2^n amplitudes per
-# input and per gate table still fit, and compile_circuit raises beyond that.
+# Past this many terms compile_circuit builds the dense evaluator.
 _MAX_TERMS = 1 << 16
-_MAX_DENSE_QUBITS = 20
 
 
 def _heisenberg_terms(model: CircuitModel) -> list[tuple] | None:
@@ -317,18 +314,17 @@ def compile_circuit(model: CircuitModel, xs) -> CompiledCircuit:
     xs = np.asarray(xs, dtype=float)
     terms = _heisenberg_terms(model)
     if terms is not None:
+        words = len(terms) * (len(xs) + model.depth)  # phi and factors
+        check_bytes(f"tabulating {len(terms)} terms over {len(xs)} inputs", 8 * words)
         phi, factors = _term_tables(terms, model.depth, xs)
         size = phi.size + factors.size
         return CompiledCircuit(model.depth, len(xs), size, phi, factors)
-    if model.n > _MAX_DENSE_QUBITS:
-        raise RuntimeError(
-            f"U^dag O U has over {_MAX_TERMS} Pauli terms and n = {model.n} "
-            f"exceeds the {_MAX_DENSE_QUBITS}-qubit statevector fallback"
-        )
+    # An evaluation peaks at five B x 2^n complex blocks (encoded, rotated,
+    # spare, gathered, conjugated) and L + 1 tables (24 B/amplitude + 1 KiB).
+    peak = (80 * len(xs) << model.n) + (model.depth + 1) * ((24 << model.n) + 1024)
+    check_bytes(f"simulating {len(xs)} inputs on {model.n} qubits", peak)
     size = (2 * len(xs) + 3 * model.depth) << model.n
-    return CompiledCircuit(
-        model.depth, len(xs), size, dense=_compile_dense(model, xs)
-    )
+    return CompiledCircuit(model.depth, len(xs), size, dense=_compile_dense(model, xs))
 
 
 # A bucket adds at most this many ragged term slices after its one reduce;

@@ -30,9 +30,9 @@ and omega(O_t, O_t) = 0, so that sum is (M[0] - M at O_t) / 2.  This needs
 the full basis: one string short, the sum counts products that no P_j
 gives, and the double sum fails its check against c.  Counts are integers
 per term, weighted by the squared coefficients only at the end.  The pair
-costs O(n 4^n) time and three arrays of 4^n words, once per
-``verify_identities`` call; each observable then costs a gather per term.  Nothing is counted in closed
-form: N is transformed from the basis masks, and c is measured from it.
+costs O(n 4^n) time once per ``verify_identities`` call, and each
+observable a gather per term.  Nothing is counted in closed form: N is
+transformed from the basis masks, and c is measured from it.
 
 ``g_purity`` is the squared norm of O's projection onto the span of a set
 of normalized Pauli strings, which is the sum of O's squared coefficients
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .pauli import (
     anticommuting_counts,
     canonical_index,
     canonical_masks,
+    check_bytes,
     pauli_string_at,
     walsh_hadamard,
 )
@@ -67,10 +68,6 @@ __all__ = [
 ]
 
 
-# Largest qubit count the basis is built for.  The basis, the transforms
-# and each observable grow as 4^n words; verify-theory peaks near 116 MiB
-# at n = 10.
-_MAX_QUBITS = 10
 # Relative slack of the checks verify_identities makes.
 REL_TOL = 1e-8
 
@@ -108,6 +105,7 @@ class ObservableInAlgebra:
     def from_terms(
         cls, n: int, terms: Mapping[PauliString, float]
     ) -> "ObservableInAlgebra":
+        check_bytes(f"an observable on {n} qubits", 8 * 4**n)
         coeffs = np.zeros(4**n - 1)
         for p, w in terms.items():
             coeffs[_coefficient_index(p, n)] = w
@@ -155,8 +153,8 @@ class IdentityCheck(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _basis_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n > _MAX_QUBITS:
-        raise ValueError(f"qubit count must be at most {_MAX_QUBITS}, got {n}")
+    # Under 16 words per string: the basis, N, M, two observables, their reads.
+    check_bytes(f"summing over the {4**n - 1} strings on {n} qubits", 128 * 4**n)
     x, z = canonical_masks(n)
     x.setflags(write=False)
     z.setflags(write=False)
@@ -196,7 +194,7 @@ def casimir_constant(n: int) -> float:
 
 
 def verify_identities(
-    observables: Sequence[ObservableInAlgebra], n: int
+    observables: Iterable[ObservableInAlgebra], n: int
 ) -> list[IdentityCheck]:
     """Both sides of every identity of the module docstring, per observable.
 
@@ -205,7 +203,7 @@ def verify_identities(
     the off-diagonal part is above c^2 ||O||^2 (d^2 - 2)/(d^2 - 1), or the
     whole sum is not c^2 ||O||^2.  ``max_rel_err`` is the largest relative
     miss of Theorem 1 and of those three.  N and M are transformed once per
-    call, and each observable's terms are read once.
+    call, before the first observable is read, and each one's terms once.
     """
     c = casimir_constant(n)
     counts = anticommuting_counts(*_basis_masks(n), n)
@@ -267,20 +265,18 @@ def g_purity(o: ObservableInAlgebra, basis: Sequence[PauliString]) -> float:
 
 
 def random_observable(
-    n: int,
-    rng: np.random.Generator,
-    max_terms: int | None = None,
+    n: int, rng: np.random.Generator, max_terms: int | None = None
 ) -> ObservableInAlgebra:
     """Random unit-norm observable in the algebra, optionally sparse."""
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
     if max_terms is not None and max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
-    size = 4**n - 1
-    coeffs = np.zeros(size)
-    if max_terms is None or max_terms >= size:
-        coeffs = rng.standard_normal(size)
+    o = ObservableInAlgebra.from_terms(n, {})
+    if max_terms is None or max_terms >= len(o.coeffs):
+        rng.standard_normal(out=o.coeffs)
     else:
-        idx = rng.choice(size, size=max_terms, replace=False)
-        coeffs[idx] = rng.standard_normal(max_terms)
-    return ObservableInAlgebra(n, coeffs / np.linalg.norm(coeffs))
+        idx = rng.choice(len(o.coeffs), size=max_terms, replace=False)
+        o.coeffs[idx] = rng.standard_normal(max_terms)
+    o.coeffs /= np.linalg.norm(o.coeffs)
+    return o

@@ -132,8 +132,7 @@ class TestSelect:
         assert time.perf_counter() - start < 5
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: greedy needs a 131072 x 131072 table of 16 GiB, "
-            "past its 1 GiB bound\n"
+            "error: greedy's 131072 x 131072 table needs 16 GiB, past the 1 GiB bound\n"
         )
         assert not out.exists()
 
@@ -217,7 +216,7 @@ class TestSelect:
 
     @pytest.mark.parametrize("method", ["grad-only", "pair-only", "exact"])
     def test_past_the_mask_bound_is_one_line(self, tmp_path, capsys, monkeypatch, method):
-        """At n = 13 the canonical masks alone would take 1 GiB: refused first."""
+        """At n = 13 the canonical masks alone would pass 1 GiB: refused first."""
         def no_masks(*args, **kwargs):  # a missing bound fails here, not in 1 GiB
             raise AssertionError("canonical masks built past the bound")
 
@@ -232,7 +231,10 @@ class TestSelect:
         finally:
             tracemalloc.stop()
         assert code == 1
-        assert capsys.readouterr().err == "error: qubit count must be at most 12, got 13\n"
+        assert capsys.readouterr().err == (
+            "error: listing the 67108863 strings on 13 qubits needs 1.00012 GiB, "
+            "past the 1 GiB bound\n"
+        )
         assert not out.exists()
         assert peak < 2**20
 
@@ -243,7 +245,9 @@ class TestSelect:
         assert _run(
             ["select", "--n", 32, "--method", "random", "--depth", 2, "--out", out]
         ) == 1
-        assert capsys.readouterr().err == "error: random selection needs n <= 31, got 32\n"
+        assert capsys.readouterr().err == (
+            "error: a draw over the 4^n - 1 strings needs n <= 31, got 32\n"
+        )
         assert not out.exists()
 
     def test_random_at_31_qubits_keeps_its_bytes(self, tmp_path):
@@ -645,7 +649,7 @@ class TestGenData:
         capsys.readouterr()
         assert _run(["gen-data", "--config", cfg, "--out", out]) == 1
         assert capsys.readouterr().err == (
-            f"error: the teacher's generator draw needs n <= 31, got {n}\n"
+            f"error: a draw over the 4^n - 1 strings needs n <= 31, got {n}\n"
         )
         assert not out.exists()
 
@@ -954,17 +958,21 @@ class TestVerifyTheory:
         assert float(row["c_measured"]) == 512.0
         assert float(row["max_rel_err"]) <= 1e-9
 
-    def test_n11_refused_before_any_observable(self, tmp_path, capsys):
-        """Each 11-qubit observable would hold 4^11 - 1 coefficients (32 MiB)."""
+    def test_n12_refused_before_any_observable(self, tmp_path, capsys):
+        """Each 12-qubit observable would hold 4^12 - 1 coefficients (128 MiB)."""
         capsys.readouterr()
         tracemalloc.start()
         try:
-            code = _run(["verify-theory", "--n", 11, "--report", tmp_path / "t.csv"])
+            code = _run(["verify-theory", "--n", 12, "--observable", "Z" + "I" * 11,
+                         "--report", tmp_path / "t.csv"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 1
-        assert capsys.readouterr().err == "error: qubit count must be at most 10, got 11\n"
+        assert capsys.readouterr().err == (
+            "error: summing over the 16777215 strings on 12 qubits needs 2 GiB, "
+            "past the 1 GiB bound\n"
+        )
         assert not list(tmp_path.iterdir())
         assert peak < 2**20
 

@@ -130,3 +130,32 @@ def test_settings_do_not_grow():
     for path in sorted(Path(gensel.__file__).parent.glob("*.py")):
         names += _settings(path.stem, ast.parse(path.read_text(encoding="utf-8")))
     assert len(names) <= MAX_SETTINGS, f"{len(names)} settings: {', '.join(names)}"
+
+
+def _size_policy(tree: ast.Module) -> list[str]:
+    """Module-level byte or qubit limits, and raised messages naming GiB."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                t.id for t in targets
+                if isinstance(t, ast.Name)
+                and (t.id.endswith("_BYTES") or re.fullmatch(r"_MAX_.*QUBITS.*", t.id))
+            ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            texts = [c.value for c in ast.walk(node) if isinstance(c, ast.Constant)]
+            found += [f"raise {t!r}" for t in texts if isinstance(t, str) and "GiB" in t]
+    return found
+
+
+def test_size_bounds_live_in_pauli():
+    """Every size refusal goes through pauli.check_bytes: no other module
+    keeps a byte or qubit limit of its own or words a GiB refusal."""
+    found = {
+        path.stem: _size_policy(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(gensel.__file__).parent.glob("*.py"))
+        if path.stem != "pauli"
+    }
+    assert {module: names for module, names in found.items() if names} == {}

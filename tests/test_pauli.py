@@ -1,17 +1,19 @@
 """Tests for the symbolic Pauli-string algebra."""
 
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
-from gensel import pauli
+from gensel import pauli, selection, simulator, theory
 from gensel.pauli import (
     PauliString,
     anticommutation_table,
     anticommuting_counts,
     canonical_index,
     canonical_masks,
+    check_bytes,
     commutator,
     commutator_norm_sq,
     commutes,
@@ -340,13 +342,18 @@ class TestEnumeration:
             canonical_masks(0)
 
     def test_canonical_masks_refused_past_the_bound(self, monkeypatch):
-        """Two arrays of 4^13 - 1 words (1 GiB) are refused before any is made."""
+        """Two arrays of 4^13 words (1 GiB) and their fields are refused
+        before any is made."""
         def no_masks(*args, **kwargs):  # a missing bound fails here, not in 1 GiB
             raise AssertionError("canonical masks built past the bound")
 
         monkeypatch.setattr(np, "repeat", no_masks)
-        with pytest.raises(ValueError, match="^qubit count must be at most 12, got 13$"):
+        with pytest.raises(ValueError) as info:
             canonical_masks(13)
+        assert str(info.value) == (
+            "listing the 67108863 strings on 13 qubits needs 1.00012 GiB, "
+            "past the 1 GiB bound"
+        )
 
     @pytest.mark.parametrize("n", [64, 100])
     def test_canonical_index_past_uint64(self, rng, n):
@@ -365,3 +372,77 @@ class TestEnumeration:
             pauli_string_at(2, -1)
         with pytest.raises(ValueError, match="positive"):
             pauli_string_at(0, 0)
+
+
+
+def _theory_sums():
+    theory._basis_masks.cache_clear()  # a cached basis is past its check
+    theory.verify_identities([], 2)
+
+
+def _circuit(generators: str) -> simulator.CircuitModel:
+    return simulator.CircuitModel(1, [P(g) for g in generators], P("Z"))
+
+
+# Each guarded site, called at a size that fits the real bound, and the
+# subject of its refusal.  Ten alternating X and Y gates split Z into 89
+# terms, past the 80 that send a one-qubit circuit to the dense evaluator.
+GUARDED_SITES = {
+    "greedy": (
+        lambda: selection.solve_greedy(selection.SelectionProblem(P("Z"), [P("X"), P("Y")], 1)),
+        "greedy's 2 x 2 table",
+    ),
+    "canonical_masks": (lambda: canonical_masks(2), "listing the 15 strings on 2 qubits"),
+    "pool": (
+        lambda: selection.SelectionProblem(P("ZI"), None, 2),
+        "listing the 15 strings on 2 qubits",
+    ),
+    "pair_only": (
+        lambda: selection.select_for_method("pair_only", P("ZI"), 2, 0),
+        "listing the 15 strings on 2 qubits",
+    ),
+    "anticommutation_table": (
+        lambda: anticommutation_table(*mask_arrays([P("X"), P("Y"), P("Z")]) * 2),
+        "the 3 x 3 anticommutation table",
+    ),
+    "theory": (_theory_sums, "summing over the 15 strings on 2 qubits"),
+    "from_terms": (
+        lambda: theory.ObservableInAlgebra.from_terms(2, {}), "an observable on 2 qubits"
+    ),
+    "random_observable": (
+        lambda: theory.random_observable(2, np.random.default_rng(0)),
+        "an observable on 2 qubits",
+    ),
+    "heisenberg": (
+        lambda: simulator.compile_circuit(_circuit("X"), [0.1, 0.2]),
+        "tabulating 2 terms over 2 inputs",
+    ),
+    "dense": (
+        lambda: simulator.compile_circuit(_circuit("XY" * 5), [0.1]),
+        "simulating 1 inputs on 1 qubits",
+    ),
+}
+
+
+class TestSizeBound:
+    @pytest.mark.parametrize("site", GUARDED_SITES)
+    def test_every_guarded_site_refuses_in_one_line(self, monkeypatch, site):
+        """Under the real bound each site runs; under a zero bound it refuses,
+        before it allocates, with the one message form of check_bytes."""
+        call, what = GUARDED_SITES[site]
+        call()
+        monkeypatch.setattr(pauli, "MAX_BYTES", 0)
+        with pytest.raises(ValueError) as info:
+            call()
+        assert re.fullmatch(
+            re.escape(what) + r" needs [0-9.e-]+ GiB, past the 0 GiB bound", str(info.value)
+        )
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pauli, "MAX_BYTES", 100)
+        check_bytes("a step", 100)
+        with pytest.raises(ValueError, match="^a step needs 9.40636e-08 GiB, past the"):
+            check_bytes("a step", 101)
+
+    def test_a_full_8_qubit_greedy_table_fits(self):
+        check_bytes("greedy's table", 32768 * 32768)

@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 
 from gensel import pauli, selection
-from gensel.pauli import PauliString, anticommutation_table, commutes, pauli_strings
+from gensel.pauli import (
+    PauliString,
+    anticommutation_table,
+    commutes,
+    pauli_string_at,
+    pauli_strings,
+)
 from gensel.selection import (
     GeneticConfig,
     SelectionProblem,
+    SelectionResult,
     _AdjacencyRows,
     _random_clique,
     evaluate_selection,
@@ -195,7 +202,7 @@ class TestScoreMatrix:
         cands = list({P(random_label(rng, n)) for _ in range(6)})
         with pytest.raises(ValueError) as info:
             evaluate_selection(cands, P("Z" + "I" * (n - 1)))
-        assert str(info.value) == "generators on 70 qubits do not fit 63-qubit masks"
+        assert str(info.value) == "strings on 70 qubits do not fit 63-qubit masks"
 
 
 def test_adjacency_rows_match_bit_loop(rng):
@@ -316,6 +323,18 @@ def _random_problem(rng, max_candidates=15):
     return SelectionProblem(observable, candidates, budget)
 
 
+def _counted_searches(monkeypatch) -> list[int]:
+    """The commuting-pair budgets of every later ``_search`` call, in order."""
+    search, calls = selection._search, []
+
+    def counted(adj, m, size, allowed):
+        calls.append(allowed)
+        return search(adj, m, size, allowed)
+
+    monkeypatch.setattr(selection, "_search", counted)
+    return calls
+
+
 class TestSolveExact:
     def test_full_pool_clique_at_n5(self):
         o = P("ZIIII")
@@ -343,10 +362,39 @@ class TestSolveExact:
         assert result.score == 0
         assert result.optimal_flag
 
-    def test_budget_below_two_rejected(self):
+    @pytest.mark.parametrize("label, budget", [("ZII", 7), ("ZII", 8), ("ZII", 10), ("XZY", 9)])
+    def test_no_clique_pass_past_2n(self, monkeypatch, label, budget):
+        """At most 2n+1 strings mutually anticommute, O and a pool's L-clique
+        among them, so past L = 2n only the full search runs.  It picks what
+        a clique pass that finds nothing, then the full search, pick."""
+        problem = SelectionProblem(P(label), None, budget)
+        order = seeded_order(len(problem.x), 0)
+        adj = _AdjacencyRows(problem.x[order], problem.z[order])
+        pairs = budget * (budget - 1) // 2
+        assert selection._search(adj, len(order), budget, 0) is None
+        picks, commuting = selection._search(adj, len(order), budget, pairs)
+        calls = _counted_searches(monkeypatch)
+        result = solve_exact(problem, order=order)
+        assert calls == [pairs]
+        assert result.chosen == problem.strings(order[picks])
+        assert result.score == pairs - commuting
+
+    def test_explicit_candidates_skip_the_clique_pass_past_2n_plus_1(self, monkeypatch):
+        """Explicit candidates need not anticommute with O: 2n+1 of them may
+        form a clique (XI, YI, ZX, ZY, ZZ at n = 2), 2n+2 may not."""
+        candidates = [pauli_string_at(2, i) for i in range(1, 16)]
+        calls = _counted_searches(monkeypatch)
+        assert solve_exact(SelectionProblem(P("ZI"), candidates, 5)).score == 10
+        assert calls == [0]
+        calls.clear()
+        assert solve_exact(SelectionProblem(P("ZI"), candidates, 6)).score < 15
+        assert calls == [15]
+
+    def test_budget_of_one_is_optimal(self):
+        """One pick has no pair: the first candidate in order, score 0."""
         problem = SelectionProblem(P("Z"), [P("X"), P("Y")], 1)
-        with pytest.raises(ValueError, match="at least 2"):
-            solve_exact(problem)
+        assert solve_exact(problem) == SelectionResult((P("X"),), 0, "exact", True)
+        assert solve_exact(problem, order=[1, 0]).chosen == (P("Y"),)
 
     @staticmethod
     def _past_the_clique_bound(rng):
@@ -459,14 +507,14 @@ class TestSolveGreedy:
         assert peak < 300_000  # the 512 x 512 uint8 table is 262,144 bytes
 
     def test_table_bound_is_inclusive(self, monkeypatch):
-        """A table of exactly GREEDY_TABLE_BYTES is filled (a full 8-qubit
-        pool's is 2^30 bytes); past it, greedy refuses before allocating."""
+        """A table of exactly MAX_BYTES is filled (a full 8-qubit pool's is
+        2^30 bytes); past it, greedy refuses before allocating."""
         o = P("ZI")
         problem = SelectionProblem(o, _pool("ZI"), 3)  # an 8 x 8 table
-        monkeypatch.setattr(selection, "GREEDY_TABLE_BYTES", 64)
+        monkeypatch.setattr(pauli, "MAX_BYTES", 64)
         assert len(solve_greedy(problem).chosen) == 3
-        monkeypatch.setattr(selection, "GREEDY_TABLE_BYTES", 63)
-        with pytest.raises(ValueError, match="greedy needs a 8 x 8 table"):
+        monkeypatch.setattr(pauli, "MAX_BYTES", 63)
+        with pytest.raises(ValueError, match="^greedy's 8 x 8 table needs"):
             solve_greedy(problem)
 
 

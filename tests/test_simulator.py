@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gensel.experiments as experiments
+import gensel.pauli as pauli
 import gensel.simulator as simulator
 from gensel.pauli import PauliString, ScaledPauli, commutator, multiply
 from gensel.selection import SelectionProblem, solve_exact
@@ -286,15 +287,51 @@ class TestCompiledEvaluator:
         model = _random_model_with_y(rng, 4, 16)
         assert _heisenberg_terms(model) is None
         self._assert_matches_oracle(rng, model)
-        monkeypatch.setattr(simulator, "_MAX_DENSE_QUBITS", 3)
-        with pytest.raises(RuntimeError, match="over 64 Pauli terms and n = 4"):
+        # Five 2^4-amplitude blocks and 17 tables of 24 bytes each and 1 KiB
+        monkeypatch.setattr(pauli, "MAX_BYTES", 5 * 16 * 16 + 17 * (24 * 16 + 1024) - 1)
+        with pytest.raises(ValueError, match="^simulating 1 inputs on 4 qubits needs"):
             compile_circuit(model, [0.3])
 
     def test_deep_random_circuit_at_30_qubits_fails_fast(self, rng):
         """Random generators split ~1.5x per gate; no 2^30 state is attempted."""
         model = _random_model_with_y(rng, 30, 40)
-        with pytest.raises(RuntimeError, match="30-qubit|exceeds the 20-qubit"):
+        with pytest.raises(ValueError, match="^simulating 100 inputs on 30 qubits needs"):
             compile_circuit(model, rng.uniform(0, 2 * np.pi, size=100))
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_dense_peak_within_the_bytes_it_asks_for(self, rng, monkeypatch, n):
+        """Compiling and evaluating a deep random circuit (L = 40, B = 100)
+        on the dense path peaks at or under the bytes passed to the guard."""
+        asked = []
+        monkeypatch.setattr(simulator, "check_bytes", lambda what, nbytes: asked.append(nbytes))
+        monkeypatch.setattr(simulator, "_heisenberg_terms", lambda model: None)
+        model = _random_model_with_y(rng, n, 40)
+        xs = rng.uniform(0, 2 * np.pi, size=100)
+        theta = rng.uniform(-np.pi, np.pi, size=40)
+        tracemalloc.start()
+        try:
+            compile_circuit(model, xs).dense(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (bound,) = asked
+        assert 16 * 100 << n < peak <= bound
+
+    def test_deep_random_circuit_at_20_qubits_refused_before_allocating(
+        self, rng, monkeypatch
+    ):
+        """Five blocks of 100 x 2^20 amplitudes and 41 tables would take
+        8.8 GiB: the dense evaluator is refused before it is built."""
+        def no_dense(*args):  # a missing bound fails here, not in 8.8 GiB
+            raise AssertionError("dense evaluator built past the bound")
+
+        monkeypatch.setattr(simulator, "_compile_dense", no_dense)
+        model = _random_model_with_y(rng, 20, 40)
+        with pytest.raises(ValueError) as info:
+            compile_circuit(model, rng.uniform(0, 2 * np.pi, size=100))
+        assert str(info.value) == (
+            "simulating 100 inputs on 20 qubits needs 8.77348 GiB, past the 1 GiB bound"
+        )
 
     def test_exact_selection_has_depth_plus_one_terms(self):
         """Mutually anticommuting generators that anticommute with O.

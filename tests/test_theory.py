@@ -227,6 +227,23 @@ class TestVectorisedSums:
         assert sums[1] == pytest.approx(casimir_constant(6) ** 2, rel=1e-12)
         assert peak < 2**20
 
+    def test_sums_peak_within_the_bytes_they_ask_for(self, monkeypatch):
+        """From cold caches, the sums over three full-basis observables drawn
+        one at a time peak at or under the bytes the basis asks the guard for."""
+        asked = []
+        monkeypatch.setattr(theory, "check_bytes", lambda what, nbytes: asked.append(nbytes))
+        theory._basis_masks.cache_clear()
+        theory.casimir_constant.cache_clear()
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            theory.verify_identities((random_observable(7, rng) for _ in range(3)), 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert asked == [128 * 4**7] + [8 * 4**7] * 3
+        assert 13 * 8 * 4**7 < peak <= asked[0]
+
 
 class TestCasimirConstant:
     def test_n1_is_exactly_four(self):
