@@ -53,7 +53,8 @@ _BITS_FROM_LETTER = {v: k for k, v in _LETTER_FROM_BITS.items()}
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 # The most bytes one step may allocate: a full 8-qubit pool's greedy table
-# (2^30) fits, the masks of all 13-qubit strings (2^30 + 2^17) do not.
+# (2^30) fits, as does listing all 12-qubit strings (0.94 GiB); listing all
+# 13-qubit strings (3.75 GiB) does not.
 MAX_BYTES = 1 << 30
 
 
@@ -341,8 +342,10 @@ def canonical_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
-    # Two arrays of 4^n words, built from two of 2^n.
-    check_bytes(f"listing the {4**n - 1} strings on {n} qubits", 16 * (4**n + 2**n))
+    # Two arrays of 4^n words, built from two of 2^n.  The check counts the
+    # callers too: the pool build (``selection._pool_masks``) peaks at 3.25
+    # words per string, pair-only's clique search at up to 7.2 (tracemalloc).
+    check_bytes(f"listing the {4**n - 1} strings on {n} qubits", 60 * 4**n + 16 * 2**n)
     fields = np.arange(1 << n, dtype=np.uint64)
     reverse = sum((fields >> q & 1) << (n - 1 - q) for q in range(n))
     return np.repeat(reverse, 1 << n)[1:], np.tile(reverse, 1 << n)[1:]

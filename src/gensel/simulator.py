@@ -174,10 +174,13 @@ def _encoding(n: int, x) -> list[tuple[PauliString, float | np.ndarray]]:
     return [(PauliString(n, 1 << q, 1 << q), x / 2.0) for q in range(n)]
 
 
-def _expectation_amps(amps: np.ndarray, src, factor) -> np.ndarray:
-    flipped = amps.take(src, axis=-1)
+def _expectation_amps(amps: np.ndarray, src, factor, spare: np.ndarray) -> np.ndarray:
+    """<psi|O|psi> for each row of amps.  The partners are gathered into
+    ``spare``, a block of amps's shape, and amps is conjugated in place, so
+    the call allocates no block but overwrites both."""
+    flipped = amps.take(src, axis=-1, out=spare, mode="wrap")
     np.multiply(factor, flipped, out=flipped)
-    value = np.multiply(np.conj(amps), flipped, out=flipped).sum(axis=-1)
+    value = np.multiply(np.conj(amps, out=amps), flipped, out=flipped).sum(axis=-1)
     if np.any(np.abs(value.imag) > 1e-12):
         raise RuntimeError(
             f"Pauli expectation has imaginary residue {np.max(np.abs(value.imag))}"
@@ -205,8 +208,9 @@ def expectation(state: StateVector, o: PauliString) -> float:
     """<psi|O|psi>; RuntimeError if the imaginary residue exceeds 1e-12."""
     if o.n != state.n:
         raise ValueError(f"qubit-count mismatch: {o.n} vs state.n={state.n}")
+    amps = state.amplitudes.copy()
     table = _pauli_table(o, np.arange(1 << state.n))
-    return float(_expectation_amps(state.amplitudes, *table))
+    return float(_expectation_amps(amps, *table, np.empty_like(amps)))
 
 
 # Past _TERMS_PER_DENSE_WORK * L * 2^n live terms, compile_circuit builds the
@@ -268,7 +272,7 @@ def _compile_dense(model: CircuitModel, xs: np.ndarray) -> Callable[..., np.ndar
         spare = np.empty_like(amps)
         for (src, factor), t in zip(gates, theta):
             _rotate(amps, src, factor, float(t), spare)
-        return _expectation_amps(amps, *observable)
+        return _expectation_amps(amps, *observable, spare)
 
     return evaluate
 
@@ -319,9 +323,11 @@ def compile_circuit(model: CircuitModel, xs) -> CompiledCircuit:
         phi, factors = _term_tables(terms, model.depth, xs)
         size = phi.size + factors.size
         return CompiledCircuit(model.depth, len(xs), size, phi, factors)
-    # An evaluation peaks at five B x 2^n complex blocks (encoded, rotated,
-    # spare, gathered, conjugated) and L + 1 tables (24 B/amplitude + 1 KiB).
-    peak = (80 * len(xs) << model.n) + (model.depth + 1) * ((24 << model.n) + 1024)
+    # An evaluation peaks at three B x 2^n complex blocks (encoded, rotated,
+    # spare), L + 1 tables (24 B/amplitude + 1 KiB) and the ufunc buffer that
+    # multiplying a block by a broadcast table takes (8192 complex).
+    peak = (48 * len(xs) << model.n) + (model.depth + 1) * ((24 << model.n) + 1024)
+    peak += 16 * np.getbufsize()
     check_bytes(f"simulating {len(xs)} inputs on {model.n} qubits", peak)
     size = (2 * len(xs) + 3 * model.depth) << model.n
     return CompiledCircuit(model.depth, len(xs), size, dense=_compile_dense(model, xs))

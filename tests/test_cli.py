@@ -216,7 +216,7 @@ class TestSelect:
 
     @pytest.mark.parametrize("method", ["grad-only", "pair-only", "exact"])
     def test_past_the_mask_bound_is_one_line(self, tmp_path, capsys, monkeypatch, method):
-        """At n = 13 the canonical masks alone would pass 1 GiB: refused first."""
+        """At n = 13 listing the canonical masks would pass 1 GiB: refused first."""
         def no_masks(*args, **kwargs):  # a missing bound fails here, not in 1 GiB
             raise AssertionError("canonical masks built past the bound")
 
@@ -232,7 +232,7 @@ class TestSelect:
             tracemalloc.stop()
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: listing the 67108863 strings on 13 qubits needs 1.00012 GiB, "
+            "error: listing the 67108863 strings on 13 qubits needs 3.75012 GiB, "
             "past the 1 GiB bound\n"
         )
         assert not out.exists()
@@ -1680,9 +1680,10 @@ class TestParserReuse:
         assert (tmp_path / "env5.csv").read_bytes() != flag.read_bytes()
 
 
-def test_import_leaves_scipy_unloaded():
-    """Only the t-test of `report` needs scipy and only `train --jobs` above 1
-    a process pool, so the other commands import neither."""
+def test_import_leaves_scipy_unloaded(tmp_path):
+    """No command needs scipy, and only `train --jobs` above 1 a process
+    pool: importing the CLI loads neither, and a `report` whose t-test runs
+    loads no scipy module."""
     env = dict(os.environ, PYTHONPATH=str(Path(gensel.__file__).parents[1]))
     code = (
         "import sys, gensel.cli; print(sorted(m for m in sys.modules"
@@ -1692,3 +1693,16 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+    traces, expr = _write_odd_report_inputs(tmp_path, ["exact", "random"])
+    argv = ["report", "--traces", str(traces), "--expr", str(expr), "--out-table",
+            str(tmp_path / "table1.csv"), "--out-curves", str(tmp_path / "curves.svg")]
+    code = (
+        f"import sys, gensel.cli; assert gensel.cli.main({argv!r}) == 0;"
+        " print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    t_test, _, modules = out.stdout.strip().splitlines()
+    assert re.fullmatch(r"t-test \(exact vs random, final epoch\): t=\S+ p=\S+", t_test)
+    assert modules == "[]"

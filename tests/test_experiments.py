@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betainc, betaincinv
 
 from gensel import selection
 from gensel.experiments import (
     DatasetSpec,
     ExpressibilityConfig,
+    _betainc_half,
     derive_seed,
     expressibility_hellinger,
     generate_dataset,
@@ -494,3 +496,38 @@ class TestStudentT:
     def test_sample_size_validated(self):
         with pytest.raises(ValueError, match="at least 2"):
             two_sample_t_test([1.0], [1.0, 2.0]).pvalue
+
+    @pytest.mark.parametrize("nu", [2, 3, 7, 30, 201, 1000, 4999, 10**4])
+    def test_incomplete_beta_against_scipy(self, nu):
+        """I_x(nu/2, 1/2) at the x where SciPy's value is p, for p from near
+        1 down to 1e-300: both sides of the continued fraction's switch."""
+        a = nu / 2.0
+        for p in [0.999, 0.9, 0.5, 0.05, *10.0 ** -np.arange(10, 301, 10)]:
+            x = float(betaincinv(a, 0.5, p))
+            assert 0.0 < x < 1.0
+            assert _betainc_half(a, x) == pytest.approx(betainc(a, 0.5, x), rel=1e-8)
+        assert _betainc_half(a, x) < 1e-295
+
+    def test_t_zero_gives_p_one(self):
+        assert two_sample_t_test([0.0, 2.0, 1.0], [2.0, 0.0, 1.0]) == (0.0, 1.0)
+        assert _betainc_half(1.0, 1.0) == 1.0
+
+    def test_huge_t_gives_zero_or_subnormal_p(self):
+        for a, b in (([0.0, 1e-150], [1e150, 1e150]), ([1.0, 1.0 + 1e-15], [1e300, 1e300])):
+            t, p = two_sample_t_test(a, b)
+            assert t < -1e150 and p == 0.0
+        for x in (1e-300, 1e-310, 5e-324, 0.0):
+            p = _betainc_half(1.0, x)
+            assert 0.0 <= p < 1e-299 and not math.isnan(p)
+
+    def test_two_samples_of_two(self):
+        """At nu = 2 the two-sided p is 1 - |t| / sqrt(t^2 + 2)."""
+        for a, b in (([0.0, 1.0], [2.0, 4.0]), ([5.0, -3.0], [0.5, 0.25])):
+            t, p = two_sample_t_test(a, b)
+            assert p == pytest.approx(1 - abs(t) / math.sqrt(t * t + 2), rel=1e-12)
+            assert p == pytest.approx(stats.ttest_ind(a, b).pvalue, rel=1e-10)
+
+    def test_unconverged_fraction_raises(self):
+        """A fraction that never settles raises rather than returning."""
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _betainc_half(math.nan, 0.5)

@@ -661,6 +661,33 @@ class TestBaselines:
             select_for_method("best", P("Z"), 1, 0)
 
 
+@pytest.mark.parametrize(
+    "build, words",
+    [
+        (lambda o: SelectionProblem(o, None, 3), 3.25),
+        # Seed 0's first clique search fails, so two searches' arrays overlap.
+        (lambda o: select_for_method("pair_only", o, 17, 0), 7),
+    ],
+    ids=["pool", "pair_only"],
+)
+def test_mask_peak_within_the_bytes_they_ask_for(monkeypatch, build, words):
+    """Each caller that lists every 8-qubit string peaks past ``words`` per
+    string and at or under the bytes the listing asks the guard for."""
+    asked = []
+    monkeypatch.setattr(pauli, "check_bytes", lambda what, nbytes: asked.append(nbytes))
+    o = P("ZIIIIIII")
+    build(o)  # NumPy's first-call allocations are not the step's
+    asked.clear()
+    tracemalloc.start()
+    try:
+        build(o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert asked[0] == 60 * 4**8 + 16 * 2**8
+    assert words * 8 * 4**8 < peak <= asked[0]
+
+
 class TestEvaluateSelection:
     def test_mixed_counts(self):
         o = P("ZIIII")
