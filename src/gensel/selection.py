@@ -477,6 +477,7 @@ def _random_clique(
             if len(picks) == size:
                 return picks
             free &= symplectic_parity(px, pz, px[i], pz[i]) == 1
+        del order, px, pz, free  # release this attempt before the next
     raise RuntimeError(
         f"no mutually anticommuting set of size {size} found in "
         f"{CLIQUE_ATTEMPTS} randomized attempts"

@@ -232,7 +232,7 @@ class TestSelect:
             tracemalloc.stop()
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: listing the 67108863 strings on 13 qubits needs 3.75012 GiB, "
+            "error: listing the 67108863 strings on 13 qubits needs 3.25012 GiB, "
             "past the 1 GiB bound\n"
         )
         assert not out.exists()
@@ -761,12 +761,13 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("error")  # NumPy's overflow warnings fail it
     def test_diverging_run_is_one_line_error(self, tmp_path, capsys):
-        """A finite but huge learning rate trains to NaN: exit 1, one error
-        line and no warning on stderr, no traces.csv."""
+        """A finite but huge perturbation overflows 2 theta on the first
+        evaluation, whatever the direction: exit 1, one error line and no
+        warning on stderr, no traces.csv."""
         cfg = tmp_path / "run.ini"
         cfg.write_text(
             "[dataset]\nn = 3\ndepth = 3\nsamples = 10\n"
-            "[spsa]\nlearning_rate = 1e308\nepochs = 3\n"
+            "[spsa]\nperturbation = 1e308\nepochs = 3\n"
         )
         data, out = tmp_path / "data.csv", tmp_path / "traces.csv"
         assert _run(["gen-data", "--seed", 2, "--config", cfg, "--out", data]) == 0
@@ -837,7 +838,7 @@ def test_six_methods_keep_their_bytes(tmp_path):
                  "--seed", 5, "--out", traces]) == 0
     assert _run(["expressibility", *six, "--trials", 3, "--seed", 5, "--out", expr]) == 0
     assert hashlib.sha256(traces.read_bytes()).hexdigest() == (
-        "03d6eba1957fd45cf9687628f0beba5715a9eae65e0bd9db9c5842d7b7a96cc6"
+        "6653dce982dd036814073ca827e82e16ac09931a0a87c5ed4fb4c2e678fe6186"
     )
     assert hashlib.sha256(expr.read_bytes()).hexdigest() == (
         "97288e51a45350483555c3b8e4f703c64140658bb9a9b6ad700b0bc89af9e544"

@@ -28,10 +28,10 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(gensel.__path__))
 README_OUTPUT_SHA256 = {
     "select.csv": "e75d46f1d2c24bac52bddb7869916753788a25acb8d487c92bb7f0e3e1ecdbea",
     "data.csv": "a4557b4719946d240edf67a72e6593cd42cf3b3eab033d47cc0fc61de5c2dd51",
-    "traces.csv": "4c2a3fa6b99c701eba28d15fedc56f5efb3b843b664b7cefa3ad82bcb8f8db38",
+    "traces.csv": "caa45f7654b1eb82dfe715fd4a9508d6753620f6e36bd424c9cca70b7864de68",
     "expr.csv": "bca3bdd17839275dd9fbd0b9145e49e5ceb740448ca4a1c4dd622838259d9fd3",
-    "table1.csv": "12a891dce84d2c1a3b9343765aebd652d5c2d248971f73c41a7d920ee33e2ed1",
-    "curves.svg": "29652efdb3146e39128f452476f4061ca904159efeecb477368d697c9b52d95a",
+    "table1.csv": "5b12d044068d16a659ba97b779ac8651fec80594764f81f93def65896d9c1846",
+    "curves.svg": "e14f67b29623a9a2aeed6efe5dbc488a196195b2a9d307d3922be1c10e4739f9",
     "theory.csv": "38fa308b3bec30aecdbbcddeae0e8459e212af98ff1ba1449beabc31526b62f1",
 }
 

@@ -56,20 +56,25 @@ class TestSpsaConfig:
         SpsaConfig(seed=2**64 - 1)
 
 
-def test_directions_match_default_rng():
-    """The direction kernel is NumPy's (seed, step) stream, bit for bit,
-    across one- and two-word seeds and steps and odd and even widths."""
-    extra = np.random.default_rng(2024).integers(0, 2**64, size=200, dtype=np.uint64)
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [int(s) for s in extra]
-    steps = list(range(1, 8)) + [70_000, 0, 2**32 - 1, 2**32, 2**64 - 1]
-    for width in (1, 2, 5, 8, 11, 24, 40):
-        got = optimizer._directions(seeds, steps, width)
-        assert got.shape == (len(steps), len(seeds), width)
-        for s, step in enumerate(steps):
-            for t, seed in enumerate(seeds):
-                rng = np.random.default_rng([seed, step])
-                expected = rng.integers(0, 2, size=width) * 2 - 1
-                assert np.array_equal(got[s, t], expected), (seed, step, width)
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("depth", [1, 2, 5, 8])
+def test_direction_draws_split_into_blocks(seed, depth):
+    """The NumPy property training's blocks of epochs rest on: after the
+    uniform draws of theta_0, int64 ``integers(0, 2)`` drawn in uneven
+    blocks of rows, or of values, equals one draw of all of them."""
+
+    def generator():
+        rng = np.random.default_rng([seed, 0])
+        rng.uniform(-0.1, 0.1, depth)
+        return rng
+
+    whole = generator().integers(0, 2, size=(200, depth))
+    rng = generator()
+    rows = [rng.integers(0, 2, size=(k, depth)) for k in (1, 3, 7, 189)]
+    assert np.array_equal(np.concatenate(rows), whole)
+    rng = generator()
+    values = [rng.integers(0, 2, size=k) for k in (1, 1, 3, 200 * depth - 5)]
+    assert np.array_equal(np.concatenate(values), whole.ravel())
 
 
 class TestRmseCost:
@@ -110,14 +115,19 @@ def _update(theta, momentum, costs, delta, config):
     return optimizer._spsa_update(theta, momentum, costs, delta, config, rows)
 
 
+def _signs(seed, shape):
+    """Rademacher directions of the given shape, straight from NumPy."""
+    return np.random.default_rng(seed).integers(0, 2, size=shape) * 2 - 1
+
+
 class TestSpsaStep:
-    """The update rule train_batch applies, ``_spsa_update``, on directions
-    from ``_directions``; each row of theta is one trial."""
+    """The update rule train_batch applies, ``_spsa_update``, on +-1
+    directions from NumPy; each row of theta is one trial."""
 
     def test_zero_learning_rate_freezes_theta_but_not_momentum(self):
         cfg = SpsaConfig(learning_rate=0.0, momentum=0.5, perturbation=0.1)
         theta = np.array([[0.3, -0.4]])
-        delta = optimizer._directions([cfg.seed], [1], 2)[0]
+        delta = _signs(cfg.seed, (1, 2))
         new_theta, new_momentum = _update(
             theta, np.zeros((1, 2)), _quadratic_costs, delta, cfg
         )
@@ -128,8 +138,7 @@ class TestSpsaStep:
         """With L = 1 the estimate recovers the slope exactly at every step."""
         v = 1.7
         cfg = SpsaConfig(learning_rate=0.25, momentum=0.0, perturbation=0.05, seed=3)
-        for k in range(1, 21):
-            delta = optimizer._directions([cfg.seed], [k], 1)[0]
+        for delta in _signs(cfg.seed, (20, 1, 1)):
             new_theta, momentum = _update(
                 np.zeros((1, 1)), np.zeros((1, 1)), lambda r: v * r[..., 0], delta, cfg
             )
@@ -141,8 +150,8 @@ class TestSpsaStep:
         """Mean of estimates over many direction draws recovers the slope."""
         v = np.array([0.8, -1.3, 0.4])
         cfg = SpsaConfig(learning_rate=1.0, momentum=0.0, perturbation=0.02, seed=11)
-        # Steps 1..2000 of one seed, as 2000 rows of one update.
-        delta = optimizer._directions([cfg.seed], range(1, 2001), 3)[:, 0]
+        # 2000 draws, as 2000 rows of one update.
+        delta = _signs(cfg.seed, (2000, 3))
         _, momentum = _update(
             np.zeros((2000, 3)), np.zeros((2000, 3)), lambda r: r @ v, delta, cfg
         )
@@ -159,7 +168,7 @@ class TestSpsaStep:
 
         cfg = SpsaConfig()
         theta = np.zeros((3, 4))
-        delta = optimizer._directions([0, 1, 2], [5], 4)[0]
+        delta = _signs(5, (3, 4))
         _update(theta, np.zeros((3, 4)), costs, delta, cfg)
         assert len(calls) == 1
         shift = cfg.perturbation * delta
@@ -169,7 +178,7 @@ class TestSpsaStep:
         """Constant estimate g0 drives momentum toward g0 / (1 - beta) = 2 g0."""
         v = 0.9
         cfg = SpsaConfig(learning_rate=0.0, momentum=0.5, perturbation=0.05, seed=2)
-        deltas = optimizer._directions([cfg.seed], range(1, 30), 1)
+        deltas = _signs(cfg.seed, (29, 1, 1))
         momentum = np.zeros((1, 1))
         values = []
         for delta in deltas:
@@ -183,9 +192,9 @@ class TestSpsaStep:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_quadratic_descent(self):
-        """SPSA shrinks ||theta|| on a quadratic bowl for each of 10 seeds."""
+        """SPSA shrinks ||theta|| on a quadratic bowl for each of 10 trials."""
         cfg = SpsaConfig(learning_rate=0.1, momentum=0.0, perturbation=0.01)
-        deltas = optimizer._directions(range(10), range(1, 101), 2)
+        deltas = _signs(0, (100, 10, 2))
         theta = np.ones((10, 2))
         momentum = np.zeros((10, 2))
         for delta in deltas:
@@ -392,33 +401,21 @@ class TestTrainBatch:
             train_batch(trials, [(0.1, 0.2)], SpsaConfig(epochs=3))
         assert "\n" not in str(err.value)
 
-    def test_directions_drawn_in_bounded_blocks(self, rng, monkeypatch):
-        """A group draws its directions a block of epochs at a time, each
-        block at most _GROUP_SIZE / 16 entries or one epoch, and the traces
-        do not move."""
+    def test_traces_independent_of_epoch_blocks(self, rng, monkeypatch):
+        """A group draws its directions a block of epochs at a time; one
+        epoch per block, a few epochs per block and the default's one block
+        give the same traces."""
         trials = self._trials(rng)[:6]
         xs = rng.uniform(0, 2 * np.pi, size=10)
         dataset = [(float(x), float(np.cos(x))) for x in xs]
         config = SpsaConfig(learning_rate=0.01, epochs=23)
-        expected = train_batch(trials, dataset, config)
-        real = optimizer._directions
+        expected = train_batch(trials, dataset, config)  # one block of 23 epochs
         # 6 trials of up to 24 generators: 144 entries per epoch, and the
-        # tables of all six (848 floats) fill one group.
-        for group_size, longest in ((16 * 144 * 6, 6), (1, 1)):
-            draws = []
-
-            def recording(seeds, steps, width):
-                draws.append((list(steps), len(seeds) * width))
-                return real(seeds, steps, width)
-
-            monkeypatch.setattr(optimizer, "_directions", recording)
+        # tables of all six (848 floats) fill one group, so 16 * 144 * 6
+        # gives blocks of 6 epochs; 1 gives one trial and one epoch a block.
+        for group_size in (16 * 144 * 6, 1):
             monkeypatch.setattr(optimizer, "_GROUP_SIZE", group_size)
             assert np.array_equal(train_batch(trials, dataset, config), expected)
-            for steps, entries in draws:
-                assert 16 * len(steps) * entries <= group_size or len(steps) == 1
-            assert max(len(steps) for steps, _ in draws) == longest
-            steps = [step for block, _ in draws for step in block]
-            assert steps == list(range(1, 24)) * (len(steps) // 23)
 
 
 class TestTrialRecord:
@@ -434,18 +431,17 @@ class TestTrialRecord:
 def _spsa_loop(cost, depth, config):
     """The RMSE trace of SPSA with momentum on ``cost``, one step at a time.
 
-    Written out independently of the optimizer: theta_0 from (seed, 0), the
-    step-t direction from NumPy's own (seed, t) stream, two costs per step,
-    m <- beta m + g and theta <- theta - a m.
+    Written out independently of the optimizer: one generator from
+    [seed, 0], theta_0 its first ``depth`` uniform draws, then one
+    ``integers`` call per step for that step's direction, two costs per
+    step, m <- beta m + g and theta <- theta - a m.
     """
     c = config.perturbation
-    theta = np.random.default_rng([config.seed, 0]).uniform(
-        -config.init_range, config.init_range, depth
-    )
+    rng = np.random.default_rng([config.seed, 0])
+    theta = rng.uniform(-config.init_range, config.init_range, depth)
     momentum = np.zeros(depth)
     trace = [cost(theta)]
-    for t in range(1, config.epochs + 1):
-        rng = np.random.default_rng([config.seed, t])
+    for _ in range(config.epochs):
         delta = rng.integers(0, 2, size=depth) * 2 - 1
         shift = c * delta
         grad = (cost(theta + shift) - cost(theta - shift)) / (2.0 * c) * delta

@@ -342,8 +342,8 @@ class TestEnumeration:
             canonical_masks(0)
 
     def test_canonical_masks_refused_past_the_bound(self, monkeypatch):
-        """Listing the 13-qubit strings, charged at its callers' peak of 7.5
-        words per string (3.75 GiB), is refused before any array is made."""
+        """Listing the 13-qubit strings, charged at its callers' peak of 6.5
+        words per string (3.25 GiB), is refused before any array is made."""
         def no_masks(*args, **kwargs):  # a missing bound fails here, not in 1 GiB
             raise AssertionError("canonical masks built past the bound")
 
@@ -351,7 +351,7 @@ class TestEnumeration:
         with pytest.raises(ValueError) as info:
             canonical_masks(13)
         assert str(info.value) == (
-            "listing the 67108863 strings on 13 qubits needs 3.75012 GiB, "
+            "listing the 67108863 strings on 13 qubits needs 3.25012 GiB, "
             "past the 1 GiB bound"
         )
 

@@ -665,8 +665,9 @@ class TestBaselines:
     "build, words",
     [
         (lambda o: SelectionProblem(o, None, 3), 3.25),
-        # Seed 0's first clique search fails, so two searches' arrays overlap.
-        (lambda o: select_for_method("pair_only", o, 17, 0), 7),
+        # Seed 0's first clique search fails; the second one's arrays
+        # replace the first's rather than adding to them.
+        (lambda o: select_for_method("pair_only", o, 17, 0), 6.25),
     ],
     ids=["pool", "pair_only"],
 )
@@ -684,7 +685,7 @@ def test_mask_peak_within_the_bytes_they_ask_for(monkeypatch, build, words):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert asked[0] == 60 * 4**8 + 16 * 2**8
+    assert asked[0] == 52 * 4**8 + 16 * 2**8  # 6.5 words per string
     assert words * 8 * 4**8 < peak <= asked[0]
 
 
